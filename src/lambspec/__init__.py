@@ -12,8 +12,9 @@ The package splits into five layers:
 - `discretize`: Chebyshev collocation of the quadratic pencil, the
   sesquilinear forms, the energy metric, and the masked companion
   linearization.
-- `eigen`: the QZ eigensolve with two-resolution filtering, parity
-  classification, Jordan-chain detection, and biorthogonal systems.
+- `eigen`: the QZ eigensolve, split into symmetric and antisymmetric
+  blocks on the traction-free plate, with two-resolution filtering,
+  parity labels, Jordan-chain detection, and biorthogonal systems.
 - `analysis`: measured verification of the operator-level claims —
   coercivity constants, resolvent norms on the five admissible rays, a
   Hilbert-Schmidt proxy, non-self-adjointness witnesses, and modal
@@ -92,7 +93,7 @@ from .oracle import (
     winding_number,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BCKind",

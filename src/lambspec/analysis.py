@@ -53,6 +53,11 @@ __all__ = [
 THETA0_MIN = 2.0 * np.pi / 5.0
 #: largest admissible sector half-angle (exclusive)
 THETA0_MAX = np.pi / 2.0
+#: LU reciprocal condition below which a resolvent probe counts as lying
+#: on the spectrum: the verify ray probes measure 8e-11 .. 1.1e-7 at
+#: n = 64 (free-free and clamped-free), a probe at a retained eigenvalue
+#: about 1e-20
+RCOND_MIN = 1e-13
 
 
 @dataclass(frozen=True)
@@ -135,17 +140,33 @@ def gram_norm(op: DiscreteOperator, x: np.ndarray) -> float:
     return float(np.sqrt(abs(np.vdot(x, op.gram @ x))))
 
 
-def resolvent_norms(op: DiscreteOperator, z: complex):
-    """Energy-metric operator and Frobenius norms of (m - z E)^-1 E.
+def _resolvent_probe(op: DiscreteOperator, z: complex, chol: np.ndarray,
+                     rcond_min: float):
+    """Energy-metric norms of (m - z E)^-1 E behind a conditioning gate.
 
-    Raises LinAlgError when z is (numerically) an eigenvalue.
+    Returns None, without solving, when the reciprocal condition of the
+    LU (1-norm, LAPACK gecon) falls below rcond_min.
     """
     e = op.mask
     a = op.m - z * np.diag(e)
-    res = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), np.diag(e))
-    chol = _gram_cholesky(op)
+    lu, piv = scipy.linalg.lu_factor(a)
+    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
+    rcond, _info = gecon(lu, np.linalg.norm(a, 1))
+    if rcond < rcond_min:
+        return None
+    res = scipy.linalg.lu_solve((lu, piv), np.diag(e))
     t = _metric_transform(res, chol)
     return float(np.linalg.norm(t, 2)), float(np.linalg.norm(t, "fro"))
+
+
+def resolvent_norms(op: DiscreteOperator, z: complex):
+    """Energy-metric operator and Frobenius norms of (m - z E)^-1 E.
+
+    The LU stays backward stable at an eigenvalue, so nothing fails
+    there; the norms just grow without bound (resolvent_scan skips such
+    probes by their reciprocal condition).
+    """
+    return _resolvent_probe(op, z, _gram_cholesky(op), 0.0)
 
 
 def resolvent_solve(op: DiscreteOperator, pencil: DiscretePencil, beta: complex,
@@ -180,9 +201,10 @@ def resolvent_scan(op: DiscreteOperator, pencil: DiscretePencil, theta0: float,
 
     Validates 2 pi/5 < theta0 < pi/2 and that every probed beta = -i z
     lies in the double sector of half-angle theta0; moduli must be
-    positive and strictly increasing.  Probes where the solve fails are
-    recorded as NaN and listed in skipped, deterministically ordered by
-    (ray index, modulus).
+    positive and strictly increasing.  Probes whose LU has a reciprocal
+    condition below RCOND_MIN sit on the spectrum to working precision;
+    they are recorded as NaN and listed in skipped, deterministically
+    ordered by (ray index, modulus).
     """
     if not (THETA0_MIN < theta0 < THETA0_MAX):
         raise ValueError("theta0 outside the admissible interval (2*pi/5, pi/2)")
@@ -196,15 +218,17 @@ def resolvent_scan(op: DiscreteOperator, pencil: DiscretePencil, theta0: float,
     norms = np.full((len(rays), len(moduli)), np.nan)
     hs = np.full_like(norms, np.nan)
     skipped = []
+    chol = _gram_cholesky(op)
     for j, theta in enumerate(rays):
         for k, mod in enumerate(moduli):
             z = mod * np.exp(1j * theta)
             if not in_sector(z / 1j, theta0):
                 raise ValueError(f"ray angle {theta:.6g} leaves the sector")
-            try:
-                norms[j, k], hs[j, k] = resolvent_norms(op, z)
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            probe = _resolvent_probe(op, z, chol, RCOND_MIN)
+            if probe is None:
                 skipped.append((j, mod))
+            else:
+                norms[j, k], hs[j, k] = probe
     return ResolventScan(rays=rays, sample_moduli=moduli, norms=norms,
                          hs_norms=hs, skipped=tuple(skipped), theta0=float(theta0))
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,8 +51,8 @@ from .analysis import (
 from .core import BCKind, Material, make_material, symbol_det_l0
 from .discretize import assemble_operator, sesquilinear_forms
 from .eigen import (
-    PARITY_MIXED,
     biorthogonalize,
+    classify_parity,
     detect_jordan_chains,
     solve_modes,
 )
@@ -94,6 +95,8 @@ def _number(doc, key, default=None):
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite")
     return float(value)
 
 
@@ -110,9 +113,9 @@ def parse_config(doc) -> RunConfig:
     """Validate a decoded JSON document into a RunConfig.
 
     Raises ConfigError naming the violated constraint: unknown fields,
-    missing material fields, invalid material values (e.g. "h ≤ 0"),
-    n_colloc < 8, theta0 outside (2*pi/5, pi/2), non-increasing moduli,
-    or a malformed omega_sweep.
+    missing material fields, non-finite numbers (JSON Infinity or NaN),
+    invalid material values (e.g. "h ≤ 0"), n_colloc < 8, theta0 outside
+    (2*pi/5, pi/2), non-increasing moduli, or a malformed omega_sweep.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -157,6 +160,8 @@ def parse_config(doc) -> RunConfig:
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
             raise ConfigError("moduli must be a non-empty list of numbers")
         moduli = tuple(float(v) for v in raw)
+        if not all(math.isfinite(v) for v in moduli):
+            raise ConfigError("moduli must be finite")
         if any(v <= 0.0 for v in moduli):
             raise ConfigError("moduli must be positive")
         if any(b <= a for a, b in zip(moduli, moduli[1:])):
@@ -326,24 +331,31 @@ def _verify_checks(config: RunConfig) -> list:
     op, modes = _solve(config)
     check("retained_modes", len(modes), 1, len(modes) >= 1)
 
-    worst = max(mode.residual for mode in modes)
+    # statistics over the retained modes read inf on an empty spectrum,
+    # so their checks fail instead of passing vacuously
+    worst = max((mode.residual for mode in modes), default=np.inf)
     check("mode_residual_max", worst, config.accept_tol, worst <= config.accept_tol)
 
     betas = modes.betas
-    conj_d = max(np.min(np.abs(betas - np.conj(b))) / (1.0 + abs(b)) for b in betas)
-    neg_d = max(np.min(np.abs(betas + b)) / (1.0 + abs(b)) for b in betas)
+    conj_d = max((np.min(np.abs(betas - np.conj(b))) / (1.0 + abs(b)) for b in betas),
+                 default=np.inf)
+    neg_d = max((np.min(np.abs(betas + b)) / (1.0 + abs(b)) for b in betas),
+                default=np.inf)
     check("conjugation_closure", conj_d, 1e-6, conj_d <= 1e-6)
     check("negation_closure", neg_d, 1e-6, neg_d <= 1e-6)
     if config.bc is BCKind.FREE_FREE:
-        mixed = sum(mode.parity == PARITY_MIXED for mode in modes)
-        check("parity_resolved", mixed, 0, mixed == 0)
+        # each label comes from its reflection block; a profile without
+        # the labelled symmetry means the split itself went wrong
+        grid = op.pencil.grid
+        unresolved = sum(classify_parity(mode, grid) != mode.parity for mode in modes)
+        check("parity_resolved", unresolved, 0, unresolved == 0)
 
     sh_op = assemble_operator(m, config.n_colloc, BCKind.FREE_FREE, n_channels=1)
     sh_modes = solve_modes(sh_op, sh_op.pencil, accept_tol=config.accept_tol)
-    sh_err = 0.0
-    for beta, _shape in sh_modes_closed_form(m, 10):
-        for target in (beta, -beta):
-            sh_err = max(sh_err, float(np.min(np.abs(sh_modes.betas - target))))
+    sh_err = np.inf
+    if len(sh_modes):
+        targets = [t for beta, _shape in sh_modes_closed_form(m, 10) for t in (beta, -beta)]
+        sh_err = max(float(np.min(np.abs(sh_modes.betas - t))) for t in targets)
     check("sh_closed_form_error", sh_err, 1e-10, sh_err <= 1e-10)
 
     xi_beta = rng.standard_normal((10_000, 4))
@@ -381,7 +393,7 @@ def _verify_checks(config: RunConfig) -> list:
         ratio = max(ratio, float(np.nanmax(row) / row[0]))
     check("resolvent_ray_ratio", ratio, 2.0, ratio <= 2.0)
 
-    _pair, witness = nonorthogonality_witness(modes, op)
+    witness = nonorthogonality_witness(modes, op)[1] if len(modes) >= 2 else 0.0
     check("nonorthogonality_witness", witness, 0.01, witness >= 0.01)
     if config.bc is BCKind.FREE_FREE:
         # the constraint-eliminated operator behind the adjoint defect
@@ -390,15 +402,17 @@ def _verify_checks(config: RunConfig) -> list:
         defect = adjoint_defect(op)
         check("adjoint_defect", defect, 0.01, defect >= 0.01)
 
-    system = biorthogonalize(modes, op)
-    targets = random_trig_fields(op.pencil.grid, 5, config.seed,
-                                 vanish_lower=config.bc is BCKind.CLAMPED_FREE)
-    ks = tuple(range(1, len(modes) + 1))
-    frac = 0.0
-    for target in targets:
-        report = expand_field(system, op, target, ks)
-        hit = next((k for k, r in zip(ks, report.residuals) if r <= 1e-3), None)
-        frac = max(frac, np.inf if hit is None else hit / len(modes))
+    frac = np.inf
+    if len(modes):
+        system = biorthogonalize(modes, op)
+        targets = random_trig_fields(op.pencil.grid, 5, config.seed,
+                                     vanish_lower=config.bc is BCKind.CLAMPED_FREE)
+        ks = tuple(range(1, len(modes) + 1))
+        frac = 0.0
+        for target in targets:
+            report = expand_field(system, op, target, ks)
+            hit = next((k for k, r in zip(ks, report.residuals) if r <= 1e-3), None)
+            frac = max(frac, np.inf if hit is None else hit / len(modes))
     check("completeness_mode_fraction", frac, 0.8, frac <= 0.8)
 
     chains = detect_jordan_chains(modes, op.pencil, chain_tol=config.chain_tol)

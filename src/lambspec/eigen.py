@@ -4,17 +4,21 @@ The masked companion problem m V = z E V is solved with the QZ
 factorization; E is singular on the constraint rows, so a generalized
 solve is the only uniformly valid route (explicit constraint elimination
 breaks down whenever some constrained state is supported purely on the
-replaced rows, as happens for the scalar SH channel).  Raw eigenpairs
-are filtered by two-resolution agreement, normalized in the energy
-metric with a fixed phase convention, and classified by reflection
-parity.  On top of that sit the defectiveness machinery (Jordan chains
-via bordered least squares) and the left/right biorthogonal systems
-used by modal expansions.
+replaced rows, as happens for the scalar SH channel).  A traction-free
+plate is symmetric under reflection through its midplane, so there the
+pencil is projected onto the symmetric and antisymmetric subspaces and
+each half-size block is solved on its own; the block fixes the parity
+label exactly.  Raw eigenpairs are filtered by two-resolution agreement
+and normalized in the energy metric with a fixed phase convention.  On
+top of that sit the defectiveness machinery (Jordan chains via bordered
+least squares) and the left/right biorthogonal systems used by modal
+expansions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -49,6 +53,11 @@ __all__ = [
 PARITY_SYMMETRIC = "symmetric"
 PARITY_ANTISYMMETRIC = "antisymmetric"
 PARITY_MIXED = "mixed"
+
+#: sign under the node flip of each component of a symmetric profile, by
+#: channel count: the in-plane pair (v1 odd, v3 even), the scalar SH
+#: channel even; antisymmetric profiles carry the opposite signs
+_SYMMETRIC_SIGNS = {1: (1.0,), 2: (-1.0, 1.0)}
 
 #: eigenvalues of the n- and 2n-grid solves must agree to this tolerance
 #: (scaled by max(1, |beta|)) for a mode to survive filtering
@@ -165,28 +174,135 @@ class BiorthogonalSystem:
         return tuple(mode for block in self.modes for mode in block)
 
 
-def _finite_eigenpairs(m: np.ndarray, mask: np.ndarray):
-    """Finite eigenpairs of m V = z E V, E = diag(mask), via QZ."""
-    w, vr = scipy.linalg.eig(m, np.diag(mask))
+class _Block(NamedTuple):
+    """Finite eigenvalues of one QZ block with the vectors asked for.
+
+    parity is the reflection family of the block, or None for an
+    operator solved whole; left and right hold full-length state vectors
+    column by column (None when not requested).
+    """
+
+    parity: str | None
+    z: np.ndarray
+    left: np.ndarray | None
+    right: np.ndarray | None
+
+
+def _reflection(op: DiscreteOperator):
+    """The midplane reflection as a signed pairing of state indices.
+
+    Each component block of the state is folded at its middle: rep holds
+    the nodes of the lower half (and the middle node when n is odd), mir
+    their mirror images (a middle node is its own mirror).  sign is the
+    state symmetry S = diag(+-J) at rep, so S V = V exactly for the
+    symmetric family; row_sign is the equation symmetry T, equal to S
+    except on the boundary rows, where the outward normal turns over with
+    the plate.  T m = m S and T E = E S hold up to rounding.
+    """
+    n, nch = op.pencil.grid.n, op.pencil.n_channels
+    half = np.arange((n + 1) // 2)
+    offsets = n * np.arange(2 * nch)
+    rep = (offsets[:, None] + half).ravel()
+    mir = (offsets[:, None] + (n - 1 - half)).ravel()
+    sign = np.repeat(np.tile(_SYMMETRIC_SIGNS[nch], 2), half.size)
+    row_sign = np.where(op.mask[rep] == 0.0, -sign, sign)
+    return rep, mir, sign, row_sign
+
+
+def _qz(a: np.ndarray, b: np.ndarray, left: bool, right: bool):
+    """Finite eigenvalues of a x = z b x and the requested eigenvectors."""
+    out = scipy.linalg.eig(a, b, left=left, right=right)
+    w, *vectors = out if (left or right) else (out,)
     good = np.isfinite(w)
-    return w[good], vr[:, good]
+    vl = vectors[0][:, good] if left else None
+    vr = vectors[-1][:, good] if right else None
+    return w[good], vl, vr
 
 
-def _finite_eigenvalues(m: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    w = scipy.linalg.eig(m, np.diag(mask), right=False)
-    return w[np.isfinite(w)]
+def _fold(x: np.ndarray, rep: np.ndarray, mir: np.ndarray,
+          col_sign: np.ndarray, row_sign: np.ndarray) -> np.ndarray:
+    """Block of x on a signed index pairing.
+
+    Column k adds column mir[k] times col_sign[k] to column rep[k], row k
+    likewise with row_sign; a self-mirrored index is halved so it enters
+    once.
+    """
+    weight = np.where(rep == mir, 0.5, 1.0)
+    cols = x[:, rep] + col_sign * x[:, mir]
+    return np.outer(weight, weight) * (cols[rep] + row_sign[:, None] * cols[mir])
 
 
-def _reference_eigenvalues(material: Material, grid: Grid, bc: BCKind,
-                           n_channels: int) -> np.ndarray:
+def _unfold(y: np.ndarray, rep: np.ndarray, mir: np.ndarray,
+            sign: np.ndarray, size: int) -> np.ndarray:
+    """Full-length vectors from block coordinates: x[rep] = y, x[mir] = sign y."""
+    x = np.zeros((size, y.shape[1]), dtype=y.dtype)
+    x[rep] = y
+    x[mir] = sign[:, None] * y
+    return x
+
+
+def _eigensolve(op: DiscreteOperator, left: bool = False,
+                right: bool = False) -> list:
+    """Finite spectrum of m V = z E V, one _Block per QZ problem.
+
+    A traction-free operator splits into the symmetric and antisymmetric
+    families.  Each block is the pencil restricted to the +-1 eigenspace
+    of S on states and of T on equations, built by signed index folding:
+    a column of the block adds the mirrored column with sign p S, a row
+    adds the mirrored row with sign p T (a middle node, being its own
+    mirror, enters once).  Each block is about half the size of m, so
+    the two QZ solves cost about a quarter of one full solve.  The
+    clamped plate has no reflection symmetry and is solved whole.
+    """
+    e = np.diag(op.mask)
+    if op.pencil.bc is not BCKind.FREE_FREE:
+        return [_Block(None, *_qz(op.m, e, left, right))]
+    rep, mir, sign, row_sign = _reflection(op)
+    size = op.m.shape[0]
+    blocks = []
+    for parity, p in ((PARITY_SYMMETRIC, 1.0), (PARITY_ANTISYMMETRIC, -1.0)):
+        keep = (rep != mir) | (p * sign > 0.0)
+        r, q = rep[keep], mir[keep]
+        s, t = p * sign[keep], p * row_sign[keep]
+        z, vl, vr = _qz(_fold(op.m, r, q, s, t), _fold(e, r, q, s, t), left, right)
+        if vl is not None:
+            vl = _unfold(vl, r, q, t, size)
+        if vr is not None:
+            vr = _unfold(vr, r, q, s, size)
+        blocks.append(_Block(parity, z, vl, vr))
+    return blocks
+
+
+def _reference_spectrum(material: Material, grid: Grid, bc: BCKind,
+                        n_channels: int) -> list:
     """Finite spectrum of the same problem re-assembled at resolution 2n."""
     fine = chebyshev_grid(2 * grid.n, grid.h)
     if n_channels == 1:
         pencil = assemble_sh_pencil(material, fine)
     else:
         pencil = assemble_pencil(material, fine, bc)
-    op = assemble_linearization(pencil)
-    return _finite_eigenvalues(op.m, op.mask)
+    return _eigensolve(assemble_linearization(pencil))
+
+
+def _two_resolution_matches(z_raw: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
+    """Which coarse eigenvalues reappear in the fine spectrum (see solve_modes)."""
+    if z_ref.size < 2:
+        raise ValueError("reference solve returned no usable spectrum")
+    matched = np.array([np.min(np.abs(z_ref - z)) <= MATCH_TOL * max(1.0, abs(z))
+                        for z in z_raw], dtype=bool)
+    for k in np.flatnonzero(~matched):
+        z = z_raw[k]
+        others = np.abs(z_raw - z)
+        others[k] = np.inf
+        p = int(np.argmin(others))
+        if others[p] > DEFECT_PAIR_TOL * max(1.0, abs(z)):
+            continue
+        mean_c = 0.5 * (z + z_raw[p])
+        nearest = np.argsort(np.abs(z_ref - mean_c))[:2]
+        mean_f = np.mean(z_ref[nearest])
+        if abs(mean_c - mean_f) <= MATCH_TOL * max(1.0, abs(mean_c)):
+            matched[k] = True
+    return matched
 
 
 def classify_parity(mode, grid: Grid, parity_tol: float = 1e-6) -> str:
@@ -201,18 +317,10 @@ def classify_parity(mode, grid: Grid, parity_tol: float = 1e-6) -> str:
     scale = float(np.max(np.abs(v)))
     if scale == 0.0:
         return PARITY_MIXED
-    flipped = comps[:, ::-1]
-    if comps.shape[0] == 1:
-        err_sym = np.max(np.abs(comps - flipped))
-        err_anti = np.max(np.abs(comps + flipped))
-    else:
-        err_sym = max(np.max(np.abs(comps[0] + flipped[0])),
-                      np.max(np.abs(comps[1] - flipped[1])))
-        err_anti = max(np.max(np.abs(comps[0] - flipped[0])),
-                       np.max(np.abs(comps[1] + flipped[1])))
-    if err_sym <= parity_tol * scale:
+    mirrored = np.array(_SYMMETRIC_SIGNS[comps.shape[0]])[:, None] * comps[:, ::-1]
+    if np.max(np.abs(comps - mirrored)) <= parity_tol * scale:
         return PARITY_SYMMETRIC
-    if err_anti <= parity_tol * scale:
+    if np.max(np.abs(comps + mirrored)) <= parity_tol * scale:
         return PARITY_ANTISYMMETRIC
     return PARITY_MIXED
 
@@ -221,15 +329,20 @@ def solve_modes(op: DiscreteOperator, pencil: DiscretePencil,
                 accept_tol: float = 1e-8) -> ModeSet:
     """Solve, filter, normalize, and classify the discrete spectrum.
 
-    Eigenpairs come from the QZ factorization of (m, E).  A pair is kept
-    when (a) its eigenvalue reappears within MATCH_TOL * max(1, |beta|)
-    in an independent solve at twice the resolution and (b) its pencil
-    backward error is at most accept_tol.  A defective eigenvalue splits
-    into a pair wandering ~sqrt(backward error) in opposite directions,
-    differently on each grid, so individually unmatched eigenvalues are
-    rescued when a coarse partner sits within DEFECT_PAIR_TOL and the
-    pair mean agrees with the mean of the two nearest fine eigenvalues
-    (the means are as accurate as simple eigenvalues).  Retained states
+    Eigenpairs come from the QZ factorization of (m, E), split on a
+    traction-free plate into a symmetric and an antisymmetric block whose
+    label each mode inherits (the clamped plate is solved whole and its
+    modes labelled by classify_parity).  A pair is kept when (a) its
+    eigenvalue reappears within MATCH_TOL * max(1, |beta|) in the block
+    of the same parity of an independent solve at twice the resolution
+    and (b) its pencil backward error is at most accept_tol; raw_count
+    sums the finite eigenvalues of all blocks.  A defective eigenvalue
+    splits into a pair wandering ~sqrt(backward error) in opposite
+    directions, differently on each grid, so individually unmatched
+    eigenvalues are rescued when a coarse partner in the same block sits
+    within DEFECT_PAIR_TOL and the pair mean agrees with the mean of the
+    two nearest fine eigenvalues (the means are as accurate as simple
+    eigenvalues).  Retained states
     are rebuilt as exactly (v, mu v), normalized to unit energy norm,
     phase-fixed, and sorted by (|beta|, Re beta, Im beta).
     """
@@ -239,52 +352,34 @@ def solve_modes(op: DiscreteOperator, pencil: DiscretePencil,
     nch = pencil.n_channels
     dim = nch * grid.n
 
-    z_raw, v_raw = _finite_eigenpairs(op.m, op.mask)
-    z_ref = _reference_eigenvalues(material, grid, bc, nch)
-    if z_ref.size < 2:
-        raise ValueError("reference solve returned no usable spectrum")
-
-    matched = np.array([np.min(np.abs(z_ref - z)) <= MATCH_TOL * max(1.0, abs(z))
-                        for z in z_raw])
-    for k in np.flatnonzero(~matched):
-        z = z_raw[k]
-        others = np.abs(z_raw - z)
-        others[k] = np.inf
-        p = int(np.argmin(others))
-        if others[p] > DEFECT_PAIR_TOL * max(1.0, abs(z)):
-            continue
-        mean_c = 0.5 * (z + z_raw[p])
-        nearest = np.argsort(np.abs(z_ref - mean_c))[:2]
-        mean_f = np.mean(z_ref[nearest])
-        if abs(mean_c - mean_f) <= MATCH_TOL * max(1.0, abs(mean_c)):
-            matched[k] = True
-
+    blocks = _eigensolve(op, right=True)
+    references = _reference_spectrum(material, grid, bc, nch)
     modes = []
-    for k in range(z_raw.size):
-        if not matched[k]:
-            continue
-        z = complex(z_raw[k])
-        u1 = v_raw[:dim, k]
-        if np.linalg.norm(u1) == 0.0:
-            continue
-        res = pencil_residual(pencil, z, u1)
-        if res > accept_tol:
-            continue
-        big_v = np.concatenate([u1, z * u1])
-        nrm = np.sqrt(abs(np.vdot(big_v, op.gram @ big_v)))
-        big_v = big_v / nrm
-        top = big_v[:dim]
-        j = int(np.argmax(np.abs(top)))
-        big_v = big_v * (abs(top[j]) / top[j])
-        v = big_v[:dim].copy()
-        modes.append(Mode(mu=z, beta=z / 1j, v=v, big_v=big_v,
-                          residual=float(res),
-                          parity=classify_parity(v, grid)))
+    for block, reference in zip(blocks, references):
+        matched = _two_resolution_matches(block.z, reference.z)
+        for k in np.flatnonzero(matched):
+            z = complex(block.z[k])
+            u1 = block.right[:dim, k]
+            if np.linalg.norm(u1) == 0.0:
+                continue
+            res = pencil_residual(pencil, z, u1)
+            if res > accept_tol:
+                continue
+            big_v = np.concatenate([u1, z * u1])
+            nrm = np.sqrt(abs(np.vdot(big_v, op.gram @ big_v)))
+            big_v = big_v / nrm
+            top = big_v[:dim]
+            j = int(np.argmax(np.abs(top)))
+            big_v = big_v * (abs(top[j]) / top[j])
+            v = big_v[:dim].copy()
+            modes.append(Mode(mu=z, beta=z / 1j, v=v, big_v=big_v,
+                              residual=float(res),
+                              parity=block.parity or classify_parity(v, grid)))
 
     modes.sort(key=lambda md: (abs(md.beta), md.beta.real, md.beta.imag))
     return ModeSet(modes=tuple(modes), material=material, bc=bc, grid=grid,
                    n_channels=nch, accept_tol=float(accept_tol),
-                   raw_count=int(z_raw.size))
+                   raw_count=sum(int(block.z.size) for block in blocks))
 
 
 def _cluster_indices(zs: np.ndarray, tol: float):
@@ -407,19 +502,15 @@ def detect_jordan_chains(mode_set: ModeSet, pencil: DiscretePencil,
     return chains
 
 
-def _left_eigenpairs(m: np.ndarray, mask: np.ndarray):
-    w, vl = scipy.linalg.eig(m, np.diag(mask), left=True, right=False)
-    good = np.isfinite(w)
-    return w[good], vl[:, good]
-
-
 def biorthogonalize(mode_set: ModeSet, op: DiscreteOperator,
                     cluster_tol: float = 1e-6) -> BiorthogonalSystem:
     """Left vectors and the normalized energy-metric pairing.
 
-    Left eigenvectors w of the pencil (w^H m = z w^H E) are pulled back
-    into the energy space as W = G^{-1} E w, so that <V_n, W_m>_gram
-    equals w_m^H E V_n and vanishes across distinct eigenvalues.  Modes
+    Left eigenvectors w of the pencil (w^H m = z w^H E), taken from the
+    reflection block of each mode's parity on a traction-free plate, are
+    pulled back into the energy space as W = G^{-1} E w, so that
+    <V_n, W_m>_gram equals w_m^H E V_n and vanishes across distinct
+    eigenvalues.  Modes
     are grouped into clusters; each diagonal pairing block is inverted
     onto the identity (near-defective clusters are handled as blocks),
     and a numerically singular block raises.
@@ -431,16 +522,17 @@ def biorthogonalize(mode_set: ModeSet, op: DiscreteOperator,
     blocks = _cluster_indices(zs, cluster_tol)
     perm = [i for group in blocks for i in group]
 
-    w_all, vl_all = _left_eigenpairs(op.m, op.mask)
+    spectrum = _eigensolve(op, left=True)
     gram_factor = scipy.linalg.cho_factor(op.gram)
     right = np.column_stack([modes[i].big_v for i in perm])
     left = np.empty_like(right, dtype=complex)
     for col, i in enumerate(perm):
-        d = np.abs(w_all - modes[i].mu)
+        block = next(b for b in spectrum if b.parity in (None, modes[i].parity))
+        d = np.abs(block.z - modes[i].mu)
         j = int(np.argmin(d))
         if d[j] > 1e-6 * max(1.0, abs(modes[i].mu)):
             raise ValueError(f"no left eigenvector matches mu = {modes[i].mu:.6g}")
-        left[:, col] = scipy.linalg.cho_solve(gram_factor, op.mask * vl_all[:, j])
+        left[:, col] = scipy.linalg.cho_solve(gram_factor, op.mask * block.left[:, j])
 
     pairing = left.conj().T @ op.gram @ right
     start = 0

@@ -177,6 +177,18 @@ def test_resolvent_scan_benchmark(bench_op):
         assert np.max(row) <= 2.0 * row[0]
 
 
+def test_resolvent_scan_skips_probe_on_spectrum(bench_op, bench_modes):
+    # the first retained eigenvalue lies on the first ray (real beta > 0),
+    # where the LU still succeeds but its reciprocal condition collapses
+    mu = bench_modes.modes[0].mu
+    assert abs(np.angle(mu) - five_rays()[0]) <= 1e-12
+    scan = resolvent_scan(bench_op, bench_op.pencil, THETA0, (abs(mu), 2.0))
+    assert scan.skipped == ((0, abs(mu)),)
+    assert np.isnan(scan.norms[0, 0]) and np.isnan(scan.hs_norms[0, 0])
+    assert np.all(np.isfinite(scan.norms[:, 1]))
+    assert np.all(np.isfinite(scan.norms[1:, 0]))
+
+
 def test_resolvent_scan_validation(bench_op):
     with pytest.raises(ValueError, match="theta0"):
         resolvent_scan(bench_op, bench_op.pencil, 0.3 * np.pi, (10.0, 20.0))

@@ -69,6 +69,13 @@ def test_parse_config_accepts_clamped():
          "steps < 2"),
         ({"omega_sweep": {"start": 1.0, "stop": 2.0, "steps": 3, "pace": 1}}, (),
          "unknown omega_sweep field 'pace'"),
+        ({"accept_tol": float("inf")}, (), "accept_tol must be finite"),
+        ({"chain_tol": float("nan")}, (), "chain_tol must be finite"),
+        ({"omega": float("inf")}, (), "omega must be finite"),
+        ({"theta0": float("nan")}, (), "theta0 must be finite"),
+        ({"moduli": [1.0, float("inf")]}, (), "moduli must be finite"),
+        ({"omega_sweep": {"start": 1.0, "stop": float("inf"), "steps": 3}}, (),
+         "stop must be finite"),
     ],
 )
 def test_parse_config_rejections(overrides, drop, fragment):
@@ -123,6 +130,16 @@ def test_config_errors_exit_with_code_2(tmp_path, capsys):
     path = write_config(tmp_path, {"acept_tol": 1e-8})
     assert run(["modes", "--config", path]) == 2
     assert "unknown config field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [{"accept_tol": float("inf")},
+                                       {"chain_tol": float("nan")}])
+def test_non_finite_config_exits_with_code_2(tmp_path, capsys, overrides):
+    # json.dumps writes the JSON extensions Infinity and NaN, which
+    # json.loads accepts; the config parser must not
+    path = write_config(tmp_path, overrides)
+    assert run(["modes", "--config", path]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_unreadable_config_exits_with_code_2(tmp_path, capsys):
@@ -248,3 +265,17 @@ def test_verify_reports_failure_with_exit_1(tmp_path, capsys):
     assert payload["passed"] is False
     failing = [c["name"] for c in payload["checks"] if not c["pass"]]
     assert failing == ["jordan_chain_certificates"]
+
+
+def test_verify_reports_empty_spectrum(tmp_path, capsys):
+    # no eigenpair meets accept_tol = 1e-30: every check still reports,
+    # and those that need retained modes fail instead of crashing
+    path = write_config(tmp_path, {"n_colloc": 24, "accept_tol": 1e-30})
+    assert run(["verify", "--config", path]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    assert [check["name"] for check in payload["checks"]] == list(FREE_CHECKS)
+    failing = {c["name"] for c in payload["checks"] if not c["pass"]}
+    assert failing >= {"retained_modes", "mode_residual_max", "conjugation_closure",
+                       "negation_closure", "sh_closed_form_error",
+                       "nonorthogonality_witness", "completeness_mode_fraction"}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lambspec import (
     BCKind,
@@ -19,6 +20,7 @@ from lambspec import (
     make_material,
     solve_modes,
 )
+from lambspec.eigen import _eigensolve
 from reference_data import (
     ANTI_REAL,
     BENCH_RAW,
@@ -97,6 +99,56 @@ def test_solver_rejects_mismatched_pencil(bench, bench_op):
     other = assemble_operator(bench, 24, BCKind.FREE_FREE)
     with pytest.raises(ValueError, match="different assemblies"):
         solve_modes(bench_op, other.pencil)
+
+
+# ----------------------------------------------------------------------
+# reflection split of the traction-free plate
+
+
+@pytest.mark.parametrize("n_channels", [1, 2])
+@pytest.mark.parametrize("n", [24, 25])
+def test_split_spectrum_matches_unsplit(bench, n, n_channels):
+    op = assemble_operator(bench, n, BCKind.FREE_FREE, n_channels=n_channels)
+    blocks = _eigensolve(op, right=True)
+    assert [block.parity for block in blocks] == [PARITY_SYMMETRIC,
+                                                  PARITY_ANTISYMMETRIC]
+    split = np.concatenate([block.z for block in blocks])
+    whole = scipy.linalg.eig(op.m, np.diag(op.mask), right=False)
+    whole = whole[np.isfinite(whole)]
+    assert split.size == whole.size
+    for found, reference in ((split, whole), (whole, split)):
+        for z in found[np.abs(found) <= 30.0]:
+            assert np.min(np.abs(reference - z)) <= 1e-9 * max(1.0, abs(z))
+    # the unfolded right vectors are eigenvectors of the full pencil
+    for block in blocks:
+        vr = block.right
+        defect = op.m @ vr - (op.mask[:, None] * vr) * block.z
+        small = np.abs(block.z) <= 30.0
+        scale = np.linalg.norm(op.m) * np.linalg.norm(vr, axis=0)
+        assert np.all(np.linalg.norm(defect, axis=0)[small] <= 1e-12 * scale[small])
+
+
+def test_block_labels_agree_with_classify_parity(bench_modes, sh_modes):
+    for mode_set in (bench_modes, sh_modes):
+        assert all(classify_parity(mode, mode_set.grid) == mode.parity
+                   for mode in mode_set)
+
+
+def test_biorthogonalize_uses_split_left_vectors(bench_modes, bench_system):
+    # every retained mode is paired, and the left vectors of one parity
+    # block are blind to the right vectors of the other to rounding
+    assert len(bench_system.flat_modes) == len(bench_modes)
+    parity = np.array([mode.parity for mode in bench_system.flat_modes])
+    cross = parity[:, None] != parity[None, :]
+    assert cross.any()
+    assert np.max(np.abs(bench_system.pairing[cross])) <= 1e-12
+
+
+def test_clamped_plate_is_solved_whole(clamped_op, clamped_modes):
+    blocks = _eigensolve(clamped_op)
+    assert len(blocks) == 1
+    assert blocks[0].parity is None
+    assert blocks[0].z.size == clamped_modes.raw_count
 
 
 # ----------------------------------------------------------------------
