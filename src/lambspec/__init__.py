@@ -10,8 +10,8 @@ The package splits into five layers:
   and the zero-group-velocity point locator.  Nothing here touches the
   solver's discretization.
 - `discretize`: Chebyshev collocation of the quadratic pencil, the
-  sesquilinear forms, the energy metric, and the masked companion
-  linearization.
+  sesquilinear forms, and the energy metric and masked companion
+  linearization, both read off the pencil.
 - `eigen`: the QZ eigensolve, split into symmetric and antisymmetric
   blocks on the traction-free plate, with two-resolution filtering,
   parity labels, Jordan-chain detection, and biorthogonal systems.
@@ -62,6 +62,7 @@ from .discretize import (
     assemble_sh_pencil,
     chebyshev_grid,
     pencil_residual,
+    pencil_scale,
     pencil_value,
     reduced_operator,
     sesquilinear_forms,
@@ -139,6 +140,7 @@ __all__ = [
     "nonorthogonality_witness",
     "pencil_coefficients",
     "pencil_residual",
+    "pencil_scale",
     "pencil_value",
     "principal_symbol",
     "quadratic_form_value",

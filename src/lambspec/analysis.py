@@ -244,9 +244,6 @@ def measured_b(mode_set: ModeSet, angular_margin: float = 0.1,
     ray_dirs = np.array([2.0 * j * np.pi / 5.0 for j in range(5)])
     worst = 0.0
     for beta in mode_set.betas:
-        if abs(beta) == 0.0:
-            worst = max(worst, 0.0)
-            continue
         ang = np.angle(beta)
         dist = np.min(np.abs(np.angle(np.exp(1j * (ang - ray_dirs)))))
         if dist <= angular_margin:

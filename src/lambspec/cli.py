@@ -63,6 +63,12 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "run", "ma
 #: default sector half-angle, the midpoint of the admissible interval
 THETA0_DEFAULT = 0.45 * np.pi
 
+#: memory the 2n reference solve may take; on the clamped plate it peaks at
+#: about eight 8n x 8n float64 arrays (operator, mask and QZ copies; 7.9
+#: measured at n = 96 and 160)
+MEMORY_BUDGET = 4 * 2 ** 30
+N_COLLOC_MAX = math.isqrt(MEMORY_BUDGET // (8 * 64 * 8))
+
 _BC_NAMES = {"free-free": BCKind.FREE_FREE, "clamped-free": BCKind.CLAMPED_FREE}
 _REQUIRED_KEYS = ("lambda", "mu", "rho", "h", "omega")
 _OPTIONAL_KEYS = ("bc", "n_colloc", "accept_tol", "chain_tol", "theta0",
@@ -114,7 +120,8 @@ def parse_config(doc) -> RunConfig:
 
     Raises ConfigError naming the violated constraint: unknown fields,
     missing material fields, non-finite numbers (JSON Infinity or NaN),
-    invalid material values (e.g. "h ≤ 0"), n_colloc < 8, theta0 outside
+    invalid material values (e.g. "h ≤ 0"), n_colloc < 8 or above
+    N_COLLOC_MAX (checked before anything is allocated), theta0 outside
     (2*pi/5, pi/2), non-increasing moduli, or a malformed omega_sweep.
     """
     if not isinstance(doc, dict):
@@ -140,6 +147,9 @@ def parse_config(doc) -> RunConfig:
     n_colloc = _integer(doc, "n_colloc", 64)
     if n_colloc < 8:
         raise ConfigError("n_colloc < 8")
+    if n_colloc > N_COLLOC_MAX:
+        raise ConfigError(f"n_colloc > {N_COLLOC_MAX}: the 2n reference solve would "
+                          f"exceed the {MEMORY_BUDGET / 2 ** 30:g} GiB memory budget")
     accept_tol = _number(doc, "accept_tol", 1e-8)
     if accept_tol <= 0.0:
         raise ConfigError("accept_tol ≤ 0")

@@ -101,11 +101,12 @@ def make_material(lam: float, mu: float, rho: float, h: float, omega: float) -> 
 
 @dataclass(frozen=True)
 class PencilCoefficients:
-    """The four constant 2x2 matrices of the quadratic pencil.
+    """The four constant c×c matrices of the quadratic pencil.
 
-    a multiplies v'', b the mixed first-derivative term, c the mu^2 term,
-    and d couples boundary values into the traction rows.  All are real and
-    frozen read-only.
+    c×c is 2×2 for the in-plane (v1, v3) problem and 1×1 for the scalar
+    shear-horizontal channel.  a multiplies v'', b the mixed
+    first-derivative term, c the mu^2 term, and d couples boundary values
+    into the traction rows.  All are real and frozen read-only.
     """
 
     a: np.ndarray

@@ -16,6 +16,8 @@ exact discrete symmetry).  Three objects are assembled here:
   singling out those constraint rows, and the energy Gram matrix
   (gradient stiffness + plain mass on U1, compression mass on U2).
 
+The pencil is the one place where coefficient blocks and boundary rows
+are written; the companion form and the energy metric are read off it.
 Boundary conditions enter by row replacement only; no basis recombination.
 """
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import BCKind, Material, pencil_coefficients
+from .core import BCKind, Material, PencilCoefficients, pencil_coefficients
 
 __all__ = [
     "DiscreteOperator",
@@ -39,6 +41,7 @@ __all__ = [
     "assemble_sh_pencil",
     "chebyshev_grid",
     "pencil_residual",
+    "pencil_scale",
     "pencil_value",
     "reduced_operator",
     "sesquilinear_forms",
@@ -177,7 +180,8 @@ class DiscretePencil:
     k0, k1, k2 are (c n + 2 c) x (c n) for c field components: the first
     c n rows collocate the interior operator at every node, the last 2 c
     rows hold the boundary conditions (order: components at +h, then
-    components at -h).  P(mu) = k0 + mu k1 + mu^2 k2.
+    components at -h).  P(mu) = k0 + mu k1 + mu^2 k2.  coefficients are
+    the c×c blocks the stacks were collocated from.
     """
 
     k0: np.ndarray
@@ -186,11 +190,15 @@ class DiscretePencil:
     bc: BCKind
     grid: Grid
     material: Material
-    n_channels: int
+    coefficients: PencilCoefficients
 
     def __post_init__(self):
         for m in (self.k0, self.k1, self.k2):
             m.flags.writeable = False
+
+    @property
+    def n_channels(self) -> int:
+        return self.coefficients.a.shape[0]
 
 
 def pencil_value(pencil: DiscretePencil, mu: complex) -> np.ndarray:
@@ -198,20 +206,28 @@ def pencil_value(pencil: DiscretePencil, mu: complex) -> np.ndarray:
     return pencil.k0 + mu * pencil.k1 + (mu * mu) * pencil.k2
 
 
+def pencil_scale(pencil: DiscretePencil, mu: complex) -> float:
+    """|k0| + |mu||k1| + |mu|^2|k2| (Frobenius norms), the size of P(mu)."""
+    return (np.linalg.norm(pencil.k0) + abs(mu) * np.linalg.norm(pencil.k1)
+            + abs(mu) ** 2 * np.linalg.norm(pencil.k2))
+
+
 def pencil_residual(pencil: DiscretePencil, mu: complex, v: np.ndarray) -> float:
-    """Normwise backward error |P(mu) v| / ((|k0| + |mu||k1| + |mu|^2|k2|) |v|).
+    """Normwise backward error |P(mu) v| / (pencil_scale(mu) |v|).
 
     The raw residual |P(mu)v|/|v| scales with the collocation matrix norms
     (which grow like n^4), so the standard pencil-normalized backward error
     is reported instead; it is what the acceptance thresholds refer to.
     """
-    scale = (np.linalg.norm(pencil.k0) + abs(mu) * np.linalg.norm(pencil.k1)
-             + abs(mu) ** 2 * np.linalg.norm(pencil.k2))
-    return float(np.linalg.norm(pencil_value(pencil, mu) @ v) / (scale * np.linalg.norm(v)))
+    return float(np.linalg.norm(pencil_value(pencil, mu) @ v)
+                 / (pencil_scale(pencil, mu) * np.linalg.norm(v)))
 
 
-def _channel_pencil(material, grid, bc, a, b, c, d):
+def _channel_pencil(material, grid, bc, coeff):
     """Collocate the pencil for an arbitrary c-component channel system."""
+    if grid.h != material.h:
+        raise ValueError("grid.h ≠ material.h: the grid must span the plate")
+    a, b, c, d = coeff.a, coeff.b, coeff.c, coeff.d
     nch = a.shape[0]
     n = grid.n
     eye = np.eye(n)
@@ -221,19 +237,10 @@ def _channel_pencil(material, grid, bc, a, b, c, d):
     k2 = np.kron(c, eye)
 
     def boundary_rows(node):
-        r0 = np.zeros((nch, nch * n))
-        r1 = np.zeros((nch, nch * n))
-        for i in range(nch):
-            for jj in range(nch):
-                r0[i, jj * n: (jj + 1) * n] = a[i, jj] * grid.d1[node, :]
-                r1[i, jj * n + node] = d[i, jj]
-        return r0, r1
+        return np.kron(a, grid.d1[node]), np.kron(d, eye[node])
 
     def clamp_rows(node):
-        r0 = np.zeros((nch, nch * n))
-        for i in range(nch):
-            r0[i, i * n + node] = 1.0
-        return r0, np.zeros((nch, nch * n))
+        return np.kron(np.eye(nch), eye[node]), np.zeros((nch, nch * n))
 
     top0, top1 = boundary_rows(n - 1)
     if bc is BCKind.FREE_FREE:
@@ -248,13 +255,12 @@ def _channel_pencil(material, grid, bc, a, b, c, d):
     k1 = np.vstack([k1, top1, bot1])
     k2 = np.vstack([k2, zeros, zeros])
     return DiscretePencil(k0=k0, k1=k1, k2=k2, bc=bc, grid=grid,
-                          material=material, n_channels=nch)
+                          material=material, coefficients=coeff)
 
 
 def assemble_pencil(material: Material, grid: Grid, bc: BCKind) -> DiscretePencil:
     """The two-component in-plane (Lamb) pencil with traction/clamp rows."""
-    coeff = pencil_coefficients(material)
-    return _channel_pencil(material, grid, bc, coeff.a, coeff.b, coeff.c, coeff.d)
+    return _channel_pencil(material, grid, bc, pencil_coefficients(material))
 
 
 def assemble_sh_pencil(material: Material, grid: Grid) -> DiscretePencil:
@@ -265,7 +271,8 @@ def assemble_sh_pencil(material: Material, grid: Grid) -> DiscretePencil:
     """
     mu = np.array([[material.mu]])
     zero = np.zeros((1, 1))
-    return _channel_pencil(material, grid, BCKind.FREE_FREE, mu, zero, mu, zero)
+    coeff = PencilCoefficients(a=mu, b=zero, c=mu, d=zero)
+    return _channel_pencil(material, grid, BCKind.FREE_FREE, coeff)
 
 
 @dataclass(frozen=True)
@@ -291,65 +298,43 @@ class DiscreteOperator:
             arr.flags.writeable = False
 
 
-def _channel_gram(material, grid, a, c):
+def _channel_gram(grid, coeff):
     """Energy metric blockdiag(a-stiffness + plain mass, c-mass)."""
     w = grid.quad_weights
     stiff = grid.d1.T @ (w[:, None] * grid.d1)
     wmat = np.diag(w)
-    n = grid.n
-    nch = a.shape[0]
-    g1 = np.kron(a, stiff) + np.kron(np.eye(nch), wmat)
-    g2 = np.kron(c, wmat)
+    nch = coeff.a.shape[0]
+    g1 = np.kron(coeff.a, stiff) + np.kron(np.eye(nch), wmat)
+    g2 = np.kron(coeff.c, wmat)
     return scipy.linalg.block_diag(g1, g2)
 
 
 def assemble_linearization(pencil: DiscretePencil) -> DiscreteOperator:
-    """Companion form [[0, I], [-C^-1(w^2 rho + A d2), -C^-1 B d1]] with
-    boundary rows of the second block replaced by the boundary conditions.
+    """Companion form [[0, I], [-C^-1 k0, -C^-1 k1]] of the pencil's rows.
 
-    For traction rows the replacement is [A d1 | D point-evaluation]; for a
-    clamped face it is point evaluation of U1.  The Gram matrix couples the
-    gradient stiffness plus unweighted mass on U1 with the compression mass
-    on U2.
+    Interior rows are the pencil's, scaled by C^-1 per component block
+    (k2 = C x I there).  Each boundary row [k0_b | k1_b] of the pencil
+    replaces the second-block row of its component and face.  The Gram
+    matrix couples the gradient stiffness plus unweighted mass on U1 with
+    the compression mass on U2.
     """
-    material, grid, bc = pencil.material, pencil.grid, pencil.bc
-    n, nch = grid.n, pencil.n_channels
-    if nch == 2:
-        coeff = pencil_coefficients(material)
-        a, b, c, d = coeff.a, coeff.b, coeff.c, coeff.d
-    else:
-        a = np.array([[material.mu]])
-        b = np.zeros((1, 1))
-        c = np.array([[material.mu]])
-        d = np.zeros((1, 1))
-
+    n, nch = pencil.grid.n, pencil.n_channels
     dim = nch * n
-    cinv = np.linalg.inv(c)
-    w2r = material.omega ** 2 * material.rho
-    lower_left = -np.kron(cinv @ a, grid.d2) - w2r * np.kron(cinv, np.eye(n))
-    lower_right = -np.kron(cinv @ b, grid.d1)
-    m = np.block([[np.zeros((dim, dim)), np.eye(dim)],
-                  [lower_left, lower_right]])
+    cinv = np.linalg.inv(pencil.coefficients.c)
+    rows = np.hstack([pencil.k0, pencil.k1])
+    interior = rows[:dim].reshape(nch, n, 2 * dim)
+    m = np.zeros((2 * dim, 2 * dim))
+    m[:dim, dim:] = np.eye(dim)
+    m[dim:] = np.einsum("ij,jrk->irk", -cinv, interior).reshape(dim, 2 * dim)
 
-    boundary = []
-    for i in range(nch):
-        for node in (0, n - 1):
-            boundary.append(dim + i * n + node)
-    boundary = tuple(sorted(boundary))
-
-    for row in boundary:
-        i, node = divmod(row - dim, n)
-        m[row, :] = 0.0
-        if bc is BCKind.CLAMPED_FREE and node == 0:
-            m[row, i * n + node] = 1.0      # clamp: U1_i(-h) = 0
-            continue
-        for jj in range(nch):
-            m[row, jj * n: (jj + 1) * n] = a[i, jj] * grid.d1[node, :]
-            m[row, dim + jj * n + node] = d[i, jj]
+    # the pencil lists the boundary rows of every component at +h, then at -h
+    targets = [dim + i * n + node for node in (n - 1, 0) for i in range(nch)]
+    m[targets] = rows[dim:]
+    boundary = tuple(sorted(targets))
 
     mask = np.ones(2 * dim)
     mask[list(boundary)] = 0.0
-    gram = _channel_gram(material, grid, a, c)
+    gram = _channel_gram(pencil.grid, pencil.coefficients)
     return DiscreteOperator(m=m, gram=gram, mask=mask,
                             boundary_row_indices=boundary, pencil=pencil)
 
@@ -358,11 +343,14 @@ def assemble_operator(material: Material, n: int, bc: BCKind,
                       n_channels: int = 2) -> DiscreteOperator:
     """Grid + pencil + companion form in one call.
 
-    n_channels = 2 is the in-plane problem, 1 the scalar SH channel; the
-    pencil and grid ride along as op.pencil and op.pencil.grid.
+    n_channels = 2 is the in-plane problem, 1 the scalar SH channel, whose
+    faces are traction-free only; the pencil and grid ride along as
+    op.pencil and op.pencil.grid.
     """
     grid = chebyshev_grid(n, material.h)
     if n_channels == 1:
+        if bc is not BCKind.FREE_FREE:
+            raise ValueError("the SH channel is traction-free only: bc must be free-free")
         pencil = assemble_sh_pencil(material, grid)
     elif n_channels == 2:
         pencil = assemble_pencil(material, grid, bc)

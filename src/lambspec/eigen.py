@@ -28,11 +28,9 @@ from .discretize import (
     DiscreteOperator,
     DiscretePencil,
     Grid,
-    assemble_linearization,
-    assemble_pencil,
-    assemble_sh_pencil,
-    chebyshev_grid,
+    assemble_operator,
     pencil_residual,
+    pencil_scale,
     pencil_value,
 )
 
@@ -273,15 +271,10 @@ def _eigensolve(op: DiscreteOperator, left: bool = False,
     return blocks
 
 
-def _reference_spectrum(material: Material, grid: Grid, bc: BCKind,
-                        n_channels: int) -> list:
-    """Finite spectrum of the same problem re-assembled at resolution 2n."""
-    fine = chebyshev_grid(2 * grid.n, grid.h)
-    if n_channels == 1:
-        pencil = assemble_sh_pencil(material, fine)
-    else:
-        pencil = assemble_pencil(material, fine, bc)
-    return _eigensolve(assemble_linearization(pencil))
+def _reference_spectrum(pencil: DiscretePencil) -> list:
+    """Finite spectrum of the pencil's problem re-assembled at resolution 2n."""
+    return _eigensolve(assemble_operator(pencil.material, 2 * pencil.grid.n,
+                                         pencil.bc, pencil.n_channels))
 
 
 def _two_resolution_matches(z_raw: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
@@ -346,14 +339,15 @@ def solve_modes(op: DiscreteOperator, pencil: DiscretePencil,
     are rebuilt as exactly (v, mu v), normalized to unit energy norm,
     phase-fixed, and sorted by (|beta|, Re beta, Im beta).
     """
-    if op.pencil.grid.n != pencil.grid.n or op.pencil.n_channels != pencil.n_channels:
+    if ((op.pencil.grid.n, op.pencil.n_channels, op.pencil.bc, op.pencil.material)
+            != (pencil.grid.n, pencil.n_channels, pencil.bc, pencil.material)):
         raise ValueError("operator and pencil come from different assemblies")
     material, grid, bc = pencil.material, pencil.grid, pencil.bc
     nch = pencil.n_channels
     dim = nch * grid.n
 
     blocks = _eigensolve(op, right=True)
-    references = _reference_spectrum(material, grid, bc, nch)
+    references = _reference_spectrum(pencil)
     modes = []
     for block, reference in zip(blocks, references):
         matched = _two_resolution_matches(block.z, reference.z)
@@ -409,16 +403,11 @@ def _cluster_indices(zs: np.ndarray, tol: float):
     return [tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0])]
 
 
-def _pencil_scale(pencil: DiscretePencil, mu: complex) -> float:
-    return (np.linalg.norm(pencil.k0) + abs(mu) * np.linalg.norm(pencil.k1)
-            + abs(mu) ** 2 * np.linalg.norm(pencil.k2))
-
-
 def _relation_residuals(pencil: DiscretePencil, mu: complex, vectors) -> tuple:
     """Normalized defects of P(mu)v_p + P'(mu)v_{p-1} + (P''/2)v_{p-2} = 0."""
     p_mu = pencil_value(pencil, mu)
     p_d1 = pencil.k1 + 2.0 * mu * pencil.k2
-    scale = _pencil_scale(pencil, mu) * max(np.linalg.norm(v) for v in vectors)
+    scale = pencil_scale(pencil, mu) * max(np.linalg.norm(v) for v in vectors)
     out = []
     for p, v in enumerate(vectors):
         r = p_mu @ v
@@ -446,7 +435,7 @@ def _try_extend(pencil: DiscretePencil, mu: complex, chain):
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return None, 1.0
-    weight = _pencil_scale(pencil, mu)
+    weight = pencil_scale(pencil, mu)
     border = np.vstack([weight * v.conj()[None, :] for v in chain])
     aug = np.vstack([p_mu, border])
     b = np.concatenate([rhs, np.zeros(len(chain))])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lambspec import BCKind
-from lambspec.cli import THETA0_DEFAULT, ConfigError, parse_config, run
+from lambspec.cli import N_COLLOC_MAX, THETA0_DEFAULT, ConfigError, parse_config, run
 
 BASE = {"lambda": 2.0, "mu": 1.0, "rho": 1.0, "h": 1.0, "omega": 3.0}
 
@@ -76,6 +76,7 @@ def test_parse_config_accepts_clamped():
         ({"moduli": [1.0, float("inf")]}, (), "moduli must be finite"),
         ({"omega_sweep": {"start": 1.0, "stop": float("inf"), "steps": 3}}, (),
          "stop must be finite"),
+        ({"n_colloc": 10 ** 6}, (), f"n_colloc > {N_COLLOC_MAX}"),
     ],
 )
 def test_parse_config_rejections(overrides, drop, fragment):
@@ -140,6 +141,14 @@ def test_non_finite_config_exits_with_code_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path, overrides)
     assert run(["modes", "--config", path]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_oversized_grid_exits_with_code_2(tmp_path, capsys):
+    # the bound is checked on the config alone; nothing near it is allocated
+    assert parse_config({**BASE, "n_colloc": N_COLLOC_MAX}).n_colloc == N_COLLOC_MAX
+    path = write_config(tmp_path, {"n_colloc": 10 ** 6})
+    assert run(["modes", "--config", path]) == 2
+    assert "memory budget" in capsys.readouterr().err
 
 
 def test_unreadable_config_exits_with_code_2(tmp_path, capsys):

@@ -182,6 +182,46 @@ def test_assemble_operator_rejects_unknown_channels(bench):
         assemble_operator(bench, 16, BCKind.FREE_FREE, n_channels=3)
 
 
+def test_assemble_operator_rejects_clamped_sh(bench):
+    with pytest.raises(ValueError, match="SH channel is traction-free only"):
+        assemble_operator(bench, 16, BCKind.CLAMPED_FREE, n_channels=1)
+
+
+def test_pencil_rejects_grid_of_another_plate(bench):
+    grid = chebyshev_grid(16, 2.0 * bench.h)
+    with pytest.raises(ValueError, match="grid.h ≠ material.h"):
+        assemble_pencil(bench, grid, BCKind.FREE_FREE)
+    with pytest.raises(ValueError, match="grid.h ≠ material.h"):
+        assemble_sh_pencil(bench, grid)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("bc,n_channels", [(BCKind.FREE_FREE, 2),
+                                           (BCKind.CLAMPED_FREE, 2),
+                                           (BCKind.FREE_FREE, 1)])
+def test_companion_form_linearizes_pencil(n, bc, n_channels):
+    material = make_material(lam=-0.3, mu=1.7, rho=2.3, h=0.8, omega=2.2)
+    op = assemble_operator(material, n, bc, n_channels=n_channels)
+    pencil = op.pencil
+    dim = n_channels * n
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    mu = 0.7 - 1.9j
+    state = np.concatenate([v, mu * v])
+    got = (op.m - mu * np.diag(op.mask)) @ state
+
+    p_v = pencil_value(pencil, mu) @ v
+    cinv = np.linalg.inv(pencil.coefficients.c)
+    expected = np.zeros(2 * dim, dtype=complex)
+    expected[dim:] = -np.kron(cinv, np.eye(n)) @ p_v[:dim]
+    # pencil boundary rows: every component at +h, then every one at -h
+    faces = [dim + i * n + node for node in (n - 1, 0) for i in range(n_channels)]
+    expected[faces] = p_v[dim:]
+    assert sorted(faces) == list(op.boundary_row_indices)
+    assert np.linalg.norm(got[:dim]) <= 1e-13 * np.linalg.norm(state)
+    assert np.linalg.norm(got[dim:] - expected[dim:]) <= 1e-13 * np.linalg.norm(expected)
+
+
 # ----------------------------------------------------------------------
 # constraint elimination
 

@@ -99,6 +99,15 @@ def test_solver_rejects_mismatched_pencil(bench, bench_op):
     other = assemble_operator(bench, 24, BCKind.FREE_FREE)
     with pytest.raises(ValueError, match="different assemblies"):
         solve_modes(bench_op, other.pencil)
+    # same grid size, other boundary condition or other operating point
+    n = bench_op.pencil.grid.n
+    clamped = assemble_operator(bench, n, BCKind.CLAMPED_FREE)
+    with pytest.raises(ValueError, match="different assemblies"):
+        solve_modes(bench_op, clamped.pencil)
+    detuned = make_material(bench.lam, bench.mu, bench.rho, bench.h, 2.5)
+    shifted = assemble_operator(detuned, n, BCKind.FREE_FREE)
+    with pytest.raises(ValueError, match="different assemblies"):
+        solve_modes(bench_op, shifted.pencil)
 
 
 # ----------------------------------------------------------------------
