@@ -23,139 +23,14 @@ The package splits into five layers:
 `cli` wraps everything in deterministic batch subcommands.
 """
 
-from .analysis import (
-    CoercivityReport,
-    ExpansionReport,
-    ResolventScan,
-    adjoint_defect,
-    coercivity_scan,
-    constrained_min_singular,
-    expand_field,
-    five_rays,
-    gram_norm,
-    in_sector,
-    measured_b,
-    nonorthogonality_witness,
-    quadratic_form_value,
-    random_trig_fields,
-    resolvent_norms,
-    resolvent_scan,
-    resolvent_solve,
-)
-from .core import (
-    BCKind,
-    Material,
-    PencilCoefficients,
-    make_material,
-    pencil_coefficients,
-    principal_symbol,
-    symbol_det_l0,
-)
-from .discretize import (
-    DiscreteOperator,
-    DiscretePencil,
-    FormMatrices,
-    Grid,
-    assemble_linearization,
-    assemble_operator,
-    assemble_pencil,
-    assemble_sh_pencil,
-    chebyshev_grid,
-    pencil_residual,
-    pencil_scale,
-    pencil_value,
-    reduced_operator,
-    sesquilinear_forms,
-)
-from .eigen import (
-    BiorthogonalSystem,
-    JordanChain,
-    Mode,
-    ModeSet,
-    PARITY_ANTISYMMETRIC,
-    PARITY_MIXED,
-    PARITY_SYMMETRIC,
-    biorthogonalize,
-    classify_parity,
-    detect_jordan_chains,
-    solve_modes,
-)
-from .oracle import (
-    DispersionFunction,
-    RootCertificationError,
-    StableSolutionReport,
-    cutoff_frequencies,
-    find_zero_group_velocity_point,
-    low_frequency_plate_speed,
-    rayleigh_lamb_roots,
-    rayleigh_speed,
-    sh_modes_closed_form,
-    stable_solution_check,
-    winding_number,
-)
+from . import analysis, core, discretize, eigen, oracle
+from .analysis import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .discretize import *  # noqa: F401,F403
+from .eigen import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BCKind",
-    "BiorthogonalSystem",
-    "CoercivityReport",
-    "DiscreteOperator",
-    "DiscretePencil",
-    "DispersionFunction",
-    "ExpansionReport",
-    "FormMatrices",
-    "Grid",
-    "JordanChain",
-    "Material",
-    "Mode",
-    "ModeSet",
-    "PARITY_ANTISYMMETRIC",
-    "PARITY_MIXED",
-    "PARITY_SYMMETRIC",
-    "PencilCoefficients",
-    "ResolventScan",
-    "RootCertificationError",
-    "StableSolutionReport",
-    "adjoint_defect",
-    "assemble_linearization",
-    "assemble_operator",
-    "assemble_pencil",
-    "assemble_sh_pencil",
-    "biorthogonalize",
-    "chebyshev_grid",
-    "classify_parity",
-    "coercivity_scan",
-    "constrained_min_singular",
-    "cutoff_frequencies",
-    "detect_jordan_chains",
-    "expand_field",
-    "find_zero_group_velocity_point",
-    "five_rays",
-    "gram_norm",
-    "in_sector",
-    "low_frequency_plate_speed",
-    "make_material",
-    "measured_b",
-    "nonorthogonality_witness",
-    "pencil_coefficients",
-    "pencil_residual",
-    "pencil_scale",
-    "pencil_value",
-    "principal_symbol",
-    "quadratic_form_value",
-    "random_trig_fields",
-    "rayleigh_lamb_roots",
-    "rayleigh_speed",
-    "reduced_operator",
-    "resolvent_norms",
-    "resolvent_scan",
-    "resolvent_solve",
-    "sesquilinear_forms",
-    "sh_modes_closed_form",
-    "solve_modes",
-    "stable_solution_check",
-    "symbol_det_l0",
-    "winding_number",
-    "__version__",
-]
+__all__ = sorted(name for module in (analysis, core, discretize, eigen, oracle)
+                 for name in module.__all__) + ["__version__"]

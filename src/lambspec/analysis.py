@@ -21,13 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .discretize import (
-    DiscreteOperator,
-    DiscretePencil,
-    FormMatrices,
-    reduced_operator,
-)
-from .eigen import ModeSet, BiorthogonalSystem
+from .discretize import DiscreteOperator, FormMatrices, reduced_operator
+from .eigen import CLUSTER_TOL, ModeSet, BiorthogonalSystem
 
 __all__ = [
     "CoercivityReport",
@@ -58,6 +53,12 @@ THETA0_MAX = np.pi / 2.0
 #: n = 64 (free-free and clamped-free), a probe at a retained eigenvalue
 #: about 1e-20
 RCOND_MIN = 1e-13
+#: measured_b looks at retained eigenvalues within this angle (radians) of
+#: a ray direction and stretches the largest such |beta| by B_SAFETY
+B_ANGULAR_MARGIN = 0.1
+B_SAFETY = 1.5
+#: highest trigonometric order in random_trig_fields
+TRIG_KMAX = 6
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,7 @@ def resolvent_norms(op: DiscreteOperator, z: complex):
     return _resolvent_probe(op, z, _gram_cholesky(op), 0.0)
 
 
-def resolvent_solve(op: DiscreteOperator, pencil: DiscretePencil, beta: complex,
-                    f: np.ndarray) -> np.ndarray:
+def resolvent_solve(op: DiscreteOperator, beta: complex, f: np.ndarray) -> np.ndarray:
     """Solve the companion resolvent system (m - z E) U = E F at z = i beta.
 
     The first-block rows give U2 = z U1 + F1, the interior rows the
@@ -195,8 +195,7 @@ def resolvent_solve(op: DiscreteOperator, pencil: DiscretePencil, beta: complex,
     return u
 
 
-def resolvent_scan(op: DiscreteOperator, pencil: DiscretePencil, theta0: float,
-                   moduli) -> ResolventScan:
+def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan:
     """Probe the resolvent norms on the five rays at the given moduli.
 
     Validates 2 pi/5 < theta0 < pi/2 and that every probed beta = -i z
@@ -233,22 +232,21 @@ def resolvent_scan(op: DiscreteOperator, pencil: DiscretePencil, theta0: float,
                          hs_norms=hs, skipped=tuple(skipped), theta0=float(theta0))
 
 
-def measured_b(mode_set: ModeSet, angular_margin: float = 0.1,
-               safety: float = 1.5) -> float:
+def measured_b(mode_set: ModeSet) -> float:
     """Measured lower modulus B for the ray scans.
 
-    The largest retained |beta| lying within angular_margin (radians) of
-    one of the five beta-plane ray directions, stretched by the safety
-    factor; 1.0 when no retained eigenvalue comes near any ray.
+    The largest retained |beta| lying within B_ANGULAR_MARGIN of one of
+    the five beta-plane ray directions, stretched by B_SAFETY; 1.0 when
+    no retained eigenvalue comes near any ray.
     """
     ray_dirs = np.array([2.0 * j * np.pi / 5.0 for j in range(5)])
     worst = 0.0
     for beta in mode_set.betas:
         ang = np.angle(beta)
         dist = np.min(np.abs(np.angle(np.exp(1j * (ang - ray_dirs)))))
-        if dist <= angular_margin:
+        if dist <= B_ANGULAR_MARGIN:
             worst = max(worst, abs(beta))
-    return float(safety * worst) if worst > 0.0 else 1.0
+    return float(B_SAFETY * worst) if worst > 0.0 else 1.0
 
 
 def _field_terms(forms: FormMatrices, v: np.ndarray):
@@ -362,8 +360,8 @@ def coercivity_scan(forms: FormMatrices, alpha: float,
                             c_const=float(c_const), samples=tuple(samples))
 
 
-def expand_field(system: BiorthogonalSystem, op: DiscreteOperator,
-                 target: np.ndarray, ks, method: str = "least_squares") -> ExpansionReport:
+def expand_field(system: BiorthogonalSystem, target: np.ndarray, ks,
+                 method: str = "least_squares") -> ExpansionReport:
     """Best k-mode approximations of a target in the energy norm.
 
     The space is inferred from the target length: a full state (both
@@ -383,7 +381,7 @@ def expand_field(system: BiorthogonalSystem, op: DiscreteOperator,
     nonincreasing).  For "biorthogonal" (full states only) the k-term
     partial sum with coefficients <target, W_n> is used instead.
     """
-    modes = system.flat_modes
+    modes, op = system.flat_modes, system.op
     ks = tuple(int(k) for k in ks)
     if not modes:
         raise ValueError("empty biorthogonal system")
@@ -433,11 +431,12 @@ def expand_field(system: BiorthogonalSystem, op: DiscreteOperator,
 
 
 def random_trig_fields(grid, count: int, seed: int,
-                       vanish_lower: bool = False, kmax: int = 6) -> tuple:
+                       vanish_lower: bool = False) -> tuple:
     """Seeded smooth displacement targets for completeness measurements.
 
-    Each field is a two-component trigonometric polynomial sampled on the
-    grid nodes, with complex Gaussian coefficients damped like 1/(1+k^2).
+    Each field is a two-component trigonometric polynomial of order
+    TRIG_KMAX sampled on the grid nodes, with complex Gaussian
+    coefficients damped like 1/(1+k^2).
     With vanish_lower=True the basis functions sin((2k+1) pi (y+h)/(4h))
     are used instead of cosines, so both components vanish at y = -h (the
     admissible class when the lower face is clamped) while staying free
@@ -452,7 +451,7 @@ def random_trig_fields(grid, count: int, seed: int,
         pieces = []
         for _comp in range(2):
             f = np.zeros_like(y, dtype=complex)
-            for k in range(kmax + 1):
+            for k in range(TRIG_KMAX + 1):
                 c = (rng.standard_normal() + 1j * rng.standard_normal()) / (1.0 + k * k)
                 if vanish_lower:
                     f += c * np.sin((2 * k + 1) * np.pi * (y + h) / (4.0 * h))
@@ -463,16 +462,15 @@ def random_trig_fields(grid, count: int, seed: int,
     return tuple(fields)
 
 
-def nonorthogonality_witness(mode_set: ModeSet, op: DiscreteOperator,
-                             separation: float = 1e-6):
+def nonorthogonality_witness(mode_set: ModeSet):
     """The mode pair at distinct eigenvalues with the largest gram product.
 
     Modes are unit vectors in the energy metric, so any value well above
     zero witnesses a non-orthogonal eigensystem; pairs whose eigenvalues
-    coincide within `separation` (scaled) are excluded.  Returns
+    coincide within CLUSTER_TOL (scaled) are excluded.  Returns
     ((index_m, index_n), |<V_m, V_n>_gram|).
     """
-    modes = mode_set.modes
+    modes, op = mode_set.modes, mode_set.op
     if len(modes) < 2:
         raise ValueError("need at least two retained modes")
     basis = np.column_stack([mode.big_v for mode in modes])
@@ -481,7 +479,7 @@ def nonorthogonality_witness(mode_set: ModeSet, op: DiscreteOperator,
     for i in range(len(modes)):
         for j in range(i + 1, len(modes)):
             gap = abs(modes[i].mu - modes[j].mu)
-            if gap <= separation * max(1.0, abs(modes[i].mu), abs(modes[j].mu)):
+            if gap <= CLUSTER_TOL * max(1.0, abs(modes[i].mu), abs(modes[j].mu)):
                 continue
             if prods[i, j] > best:
                 best, pair = float(prods[i, j]), (i, j)

@@ -51,6 +51,7 @@ from .analysis import (
 from .core import BCKind, Material, make_material, symbol_det_l0
 from .discretize import assemble_operator, sesquilinear_forms
 from .eigen import (
+    ModeSet,
     biorthogonalize,
     classify_parity,
     detect_jordan_chains,
@@ -64,8 +65,8 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "run", "ma
 THETA0_DEFAULT = 0.45 * np.pi
 
 #: memory the 2n reference solve may take; on the clamped plate it peaks at
-#: about eight 8n x 8n float64 arrays (operator, mask and QZ copies; 7.9
-#: measured at n = 96 and 160)
+#: about seven 8n x 8n float64 arrays (operator, mask and QZ copies; 6.9
+#: measured at n = 96 and 160), and the bound allows eight
 MEMORY_BUDGET = 4 * 2 ** 30
 N_COLLOC_MAX = math.isqrt(MEMORY_BUDGET // (8 * 64 * 8))
 
@@ -232,18 +233,17 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solve(config: RunConfig, material: Material | None = None):
+def _solve(config: RunConfig, material: Material | None = None) -> ModeSet:
     op = assemble_operator(material or config.material, config.n_colloc, config.bc)
-    modes = solve_modes(op, op.pencil, accept_tol=config.accept_tol)
-    return op, modes
+    return solve_modes(op, accept_tol=config.accept_tol)
 
 
 # ----------------------------------------------------------------------
 # subcommands
 
 def _cmd_modes(config: RunConfig) -> str:
-    op, modes = _solve(config)
-    chains = detect_jordan_chains(modes, op.pencil, chain_tol=config.chain_tol)
+    modes = _solve(config)
+    chains = detect_jordan_chains(modes, chain_tol=config.chain_tol)
     lengths = {}
     for chain in chains:
         for idx in chain.mode_indices:
@@ -265,7 +265,7 @@ def _cmd_dispersion(config: RunConfig) -> str:
     next_id = 0
     for omega in np.linspace(start, stop, steps):
         material = make_material(m.lam, m.mu, m.rho, m.h, float(omega))
-        _, modes = _solve(config, material)
+        modes = _solve(config, material)
         current = list(modes.betas)
         used = [False] * len(current)
         survivors = []
@@ -302,8 +302,8 @@ def _scan_moduli(config: RunConfig, modes) -> tuple:
 
 
 def _cmd_resolvent(config: RunConfig) -> str:
-    op, modes = _solve(config)
-    scan = resolvent_scan(op, op.pencil, config.theta0, _scan_moduli(config, modes))
+    modes = _solve(config)
+    scan = resolvent_scan(modes.op, config.theta0, _scan_moduli(config, modes))
     skipped = set(scan.skipped)
     rows = []
     for j, theta in enumerate(scan.rays):
@@ -316,14 +316,14 @@ def _cmd_resolvent(config: RunConfig) -> str:
 
 
 def _cmd_completeness(config: RunConfig) -> str:
-    op, modes = _solve(config)
-    system = biorthogonalize(modes, op)
-    targets = random_trig_fields(op.pencil.grid, 5, config.seed,
+    modes = _solve(config)
+    system = biorthogonalize(modes)
+    targets = random_trig_fields(modes.op.pencil.grid, 5, config.seed,
                                  vanish_lower=config.bc is BCKind.CLAMPED_FREE)
     ks = tuple(range(1, len(modes) + 1))
     rows = []
     for t, target in enumerate(targets):
-        report = expand_field(system, op, target, ks)
+        report = expand_field(system, target, ks)
         for k, residual in zip(report.n_modes_used, report.residuals):
             rows.append((str(t), str(k), _fmt(residual)))
     return _csv(("target", "k", "residual"), rows)
@@ -338,7 +338,8 @@ def _verify_checks(config: RunConfig) -> list:
         checks.append({"name": name, "measured": float(measured),
                        "threshold": float(threshold), "pass": bool(ok)})
 
-    op, modes = _solve(config)
+    modes = _solve(config)
+    op, grid = modes.op, modes.op.pencil.grid
     check("retained_modes", len(modes), 1, len(modes) >= 1)
 
     # statistics over the retained modes read inf on an empty spectrum,
@@ -356,12 +357,11 @@ def _verify_checks(config: RunConfig) -> list:
     if config.bc is BCKind.FREE_FREE:
         # each label comes from its reflection block; a profile without
         # the labelled symmetry means the split itself went wrong
-        grid = op.pencil.grid
         unresolved = sum(classify_parity(mode, grid) != mode.parity for mode in modes)
         check("parity_resolved", unresolved, 0, unresolved == 0)
 
     sh_op = assemble_operator(m, config.n_colloc, BCKind.FREE_FREE, n_channels=1)
-    sh_modes = solve_modes(sh_op, sh_op.pencil, accept_tol=config.accept_tol)
+    sh_modes = solve_modes(sh_op, accept_tol=config.accept_tol)
     sh_err = np.inf
     if len(sh_modes):
         targets = [t for beta, _shape in sh_modes_closed_form(m, 10) for t in (beta, -beta)]
@@ -388,11 +388,11 @@ def _verify_checks(config: RunConfig) -> list:
     check("stable_solution_ode_residual", ode_err, 1e-10, ode_err <= 1e-10)
     check("stable_solution_boundary_error", bnd_err, 1e-12, bnd_err <= 1e-12)
 
-    forms = sesquilinear_forms(m, op.pencil.grid)
+    forms = sesquilinear_forms(m, grid)
     coercivity = coercivity_scan(forms, 0.5, 200, seed=config.seed)
     check("coercivity_constant", coercivity.c_const, 0.0, coercivity.c_const > 0.0)
 
-    scan = resolvent_scan(op, op.pencil, config.theta0, _scan_moduli(config, modes))
+    scan = resolvent_scan(op, config.theta0, _scan_moduli(config, modes))
     check("resolvent_skipped_probes", len(scan.skipped), 0, not scan.skipped)
     ratio = 0.0
     for j in range(scan.norms.shape[0]):
@@ -403,7 +403,7 @@ def _verify_checks(config: RunConfig) -> list:
         ratio = max(ratio, float(np.nanmax(row) / row[0]))
     check("resolvent_ray_ratio", ratio, 2.0, ratio <= 2.0)
 
-    witness = nonorthogonality_witness(modes, op)[1] if len(modes) >= 2 else 0.0
+    witness = nonorthogonality_witness(modes)[1] if len(modes) >= 2 else 0.0
     check("nonorthogonality_witness", witness, 0.01, witness >= 0.01)
     if config.bc is BCKind.FREE_FREE:
         # the constraint-eliminated operator behind the adjoint defect
@@ -414,18 +414,18 @@ def _verify_checks(config: RunConfig) -> list:
 
     frac = np.inf
     if len(modes):
-        system = biorthogonalize(modes, op)
-        targets = random_trig_fields(op.pencil.grid, 5, config.seed,
+        system = biorthogonalize(modes)
+        targets = random_trig_fields(grid, 5, config.seed,
                                      vanish_lower=config.bc is BCKind.CLAMPED_FREE)
         ks = tuple(range(1, len(modes) + 1))
         frac = 0.0
         for target in targets:
-            report = expand_field(system, op, target, ks)
+            report = expand_field(system, target, ks)
             hit = next((k for k, r in zip(ks, report.residuals) if r <= 1e-3), None)
             frac = max(frac, np.inf if hit is None else hit / len(modes))
     check("completeness_mode_fraction", frac, 0.8, frac <= 0.8)
 
-    chains = detect_jordan_chains(modes, op.pencil, chain_tol=config.chain_tol)
+    chains = detect_jordan_chains(modes, chain_tol=config.chain_tol)
     cert = max((max(chain.relation_residuals) for chain in chains), default=0.0)
     check("jordan_chain_certificates", cert, config.chain_tol,
           cert <= config.chain_tol)

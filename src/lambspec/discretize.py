@@ -24,6 +24,7 @@ Boundary conditions enter by row replacement only; no basis recombination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -284,29 +285,33 @@ class DiscreteOperator:
     one on collocation rows, zero on the 2c replaced boundary rows of the
     second block (their indices are boundary_row_indices), so the spectral
     problem reads m V = z E V and resolvent systems (m - z E) U = E F.
-    gram is the block-diagonal energy metric, Hermitian positive definite.
     """
 
     m: np.ndarray
-    gram: np.ndarray
     mask: np.ndarray
     boundary_row_indices: tuple
     pencil: DiscretePencil
 
     def __post_init__(self):
-        for arr in (self.m, self.gram, self.mask):
+        for arr in (self.m, self.mask):
             arr.flags.writeable = False
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Energy metric blockdiag(a-stiffness + plain mass, c-mass).
 
-def _channel_gram(grid, coeff):
-    """Energy metric blockdiag(a-stiffness + plain mass, c-mass)."""
-    w = grid.quad_weights
-    stiff = grid.d1.T @ (w[:, None] * grid.d1)
-    wmat = np.diag(w)
-    nch = coeff.a.shape[0]
-    g1 = np.kron(coeff.a, stiff) + np.kron(np.eye(nch), wmat)
-    g2 = np.kron(coeff.c, wmat)
-    return scipy.linalg.block_diag(g1, g2)
+        Hermitian positive definite: gradient stiffness plus unweighted
+        mass on U1, compression mass on U2.  Built from the pencil on
+        first use, so solves that never read it never allocate it.
+        """
+        grid, coeff = self.pencil.grid, self.pencil.coefficients
+        w = grid.quad_weights
+        stiff = grid.d1.T @ (w[:, None] * grid.d1)
+        wmat = np.diag(w)
+        g1 = np.kron(coeff.a, stiff) + np.kron(np.eye(self.pencil.n_channels), wmat)
+        gram = scipy.linalg.block_diag(g1, np.kron(coeff.c, wmat))
+        gram.flags.writeable = False
+        return gram
 
 
 def assemble_linearization(pencil: DiscretePencil) -> DiscreteOperator:
@@ -314,9 +319,7 @@ def assemble_linearization(pencil: DiscretePencil) -> DiscreteOperator:
 
     Interior rows are the pencil's, scaled by C^-1 per component block
     (k2 = C x I there).  Each boundary row [k0_b | k1_b] of the pencil
-    replaces the second-block row of its component and face.  The Gram
-    matrix couples the gradient stiffness plus unweighted mass on U1 with
-    the compression mass on U2.
+    replaces the second-block row of its component and face.
     """
     n, nch = pencil.grid.n, pencil.n_channels
     dim = nch * n
@@ -334,9 +337,8 @@ def assemble_linearization(pencil: DiscretePencil) -> DiscreteOperator:
 
     mask = np.ones(2 * dim)
     mask[list(boundary)] = 0.0
-    gram = _channel_gram(pencil.grid, pencil.coefficients)
-    return DiscreteOperator(m=m, gram=gram, mask=mask,
-                            boundary_row_indices=boundary, pencil=pencil)
+    return DiscreteOperator(m=m, mask=mask, boundary_row_indices=boundary,
+                            pencil=pencil)
 
 
 def assemble_operator(material: Material, n: int, bc: BCKind,

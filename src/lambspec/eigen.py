@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .core import BCKind, Material
+from .core import BCKind
 from .discretize import (
     DiscreteOperator,
     DiscretePencil,
@@ -70,6 +70,14 @@ DEFECT_PAIR_TOL = 1e-4
 #: a cluster of nearby eigenvalues
 RANK_TOL = 1e-3
 
+#: eigenvalues within this tolerance (scaled by max(1, |z|)) form one
+#: cluster: one Jordan block, one pairing block of the biorthogonal system
+CLUSTER_TOL = 1e-6
+
+#: deviation from an exact reflection, relative to the largest entry of the
+#: profile, that classify_parity still accepts as a parity
+PARITY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Mode:
@@ -96,7 +104,7 @@ class Mode:
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Retained modes, sorted by |beta| ascending, plus solve context.
+    """Retained modes, sorted by |beta| ascending, and their operator op.
 
     raw_count is the number of finite eigenvalues before two-resolution
     filtering and the residual gate; an empty ModeSet signals accept_tol
@@ -104,10 +112,7 @@ class ModeSet:
     """
 
     modes: tuple
-    material: Material
-    bc: BCKind
-    grid: Grid
-    n_channels: int
+    op: DiscreteOperator
     accept_tol: float
     raw_count: int
 
@@ -156,12 +161,14 @@ class BiorthogonalSystem:
     (blocks), flattened order matching the rows/columns of pairing;
     left_vectors[:, k] is the energy-metric left vector W_k, and
     pairing[m, n] = <V_n, W_m>_gram is block-diagonal with unit diagonal
-    blocks after normalization.
+    blocks after normalization.  op is the operator the modes were
+    solved from.
     """
 
     modes: tuple
     left_vectors: np.ndarray
     pairing: np.ndarray
+    op: DiscreteOperator
 
     def __post_init__(self):
         self.left_vectors.flags.writeable = False
@@ -298,12 +305,13 @@ def _two_resolution_matches(z_raw: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
     return matched
 
 
-def classify_parity(mode, grid: Grid, parity_tol: float = 1e-6) -> str:
+def classify_parity(mode, grid: Grid) -> str:
     """Reflection parity of a displacement profile on the symmetric grid.
 
     For the two-component problem, symmetric means (v1 odd, v3 even) and
     antisymmetric the mirrored pattern; a scalar channel is symmetric when
-    even.  Accepts a Mode or a bare component-stacked vector.
+    even, each up to PARITY_TOL.  Accepts a Mode or a bare
+    component-stacked vector.
     """
     v = np.asarray(getattr(mode, "v", mode))
     comps = v.reshape(-1, grid.n)
@@ -311,21 +319,22 @@ def classify_parity(mode, grid: Grid, parity_tol: float = 1e-6) -> str:
     if scale == 0.0:
         return PARITY_MIXED
     mirrored = np.array(_SYMMETRIC_SIGNS[comps.shape[0]])[:, None] * comps[:, ::-1]
-    if np.max(np.abs(comps - mirrored)) <= parity_tol * scale:
+    if np.max(np.abs(comps - mirrored)) <= PARITY_TOL * scale:
         return PARITY_SYMMETRIC
-    if np.max(np.abs(comps + mirrored)) <= parity_tol * scale:
+    if np.max(np.abs(comps + mirrored)) <= PARITY_TOL * scale:
         return PARITY_ANTISYMMETRIC
     return PARITY_MIXED
 
 
-def solve_modes(op: DiscreteOperator, pencil: DiscretePencil,
-                accept_tol: float = 1e-8) -> ModeSet:
+def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
     """Solve, filter, normalize, and classify the discrete spectrum.
 
     Eigenpairs come from the QZ factorization of (m, E), split on a
     traction-free plate into a symmetric and an antisymmetric block whose
-    label each mode inherits (the clamped plate is solved whole and its
-    modes labelled by classify_parity).  A pair is kept when (a) its
+    label each mode inherits.  The clamped plate is solved whole and its
+    modes are PARITY_MIXED by structure: a profile of either reflection
+    parity that is clamped on one face would be clamped and traction-free
+    on the other as well, and so vanish.  A pair is kept when (a) its
     eigenvalue reappears within MATCH_TOL * max(1, |beta|) in the block
     of the same parity of an independent solve at twice the resolution
     and (b) its pencil backward error is at most accept_tol; raw_count
@@ -339,12 +348,8 @@ def solve_modes(op: DiscreteOperator, pencil: DiscretePencil,
     are rebuilt as exactly (v, mu v), normalized to unit energy norm,
     phase-fixed, and sorted by (|beta|, Re beta, Im beta).
     """
-    if ((op.pencil.grid.n, op.pencil.n_channels, op.pencil.bc, op.pencil.material)
-            != (pencil.grid.n, pencil.n_channels, pencil.bc, pencil.material)):
-        raise ValueError("operator and pencil come from different assemblies")
-    material, grid, bc = pencil.material, pencil.grid, pencil.bc
-    nch = pencil.n_channels
-    dim = nch * grid.n
+    pencil = op.pencil
+    dim = pencil.n_channels * pencil.grid.n
 
     blocks = _eigensolve(op, right=True)
     references = _reference_spectrum(pencil)
@@ -368,11 +373,10 @@ def solve_modes(op: DiscreteOperator, pencil: DiscretePencil,
             v = big_v[:dim].copy()
             modes.append(Mode(mu=z, beta=z / 1j, v=v, big_v=big_v,
                               residual=float(res),
-                              parity=block.parity or classify_parity(v, grid)))
+                              parity=block.parity or PARITY_MIXED))
 
     modes.sort(key=lambda md: (abs(md.beta), md.beta.real, md.beta.imag))
-    return ModeSet(modes=tuple(modes), material=material, bc=bc, grid=grid,
-                   n_channels=nch, accept_tol=float(accept_tol),
+    return ModeSet(modes=tuple(modes), op=op, accept_tol=float(accept_tol),
                    raw_count=sum(int(block.z.size) for block in blocks))
 
 
@@ -444,8 +448,7 @@ def _try_extend(pencil: DiscretePencil, mu: complex, chain):
     return v_next, cert
 
 
-def detect_jordan_chains(mode_set: ModeSet, pencil: DiscretePencil,
-                         cluster_tol: float = 1e-6,
+def detect_jordan_chains(mode_set: ModeSet, cluster_tol: float = CLUSTER_TOL,
                          chain_tol: float = 1e-6):
     """Cluster the spectrum, test defectiveness, and build Jordan chains.
 
@@ -458,7 +461,7 @@ def detect_jordan_chains(mode_set: ModeSet, pencil: DiscretePencil,
     chain_tol.  Simple well-separated eigenvalues therefore come back as
     length-1 chains.
     """
-    modes = mode_set.modes
+    modes, pencil = mode_set.modes, mode_set.op.pencil
     if not modes:
         return []
     zs = np.array([mode.mu for mode in modes])
@@ -491,8 +494,7 @@ def detect_jordan_chains(mode_set: ModeSet, pencil: DiscretePencil,
     return chains
 
 
-def biorthogonalize(mode_set: ModeSet, op: DiscreteOperator,
-                    cluster_tol: float = 1e-6) -> BiorthogonalSystem:
+def biorthogonalize(mode_set: ModeSet) -> BiorthogonalSystem:
     """Left vectors and the normalized energy-metric pairing.
 
     Left eigenvectors w of the pencil (w^H m = z w^H E), taken from the
@@ -500,15 +502,15 @@ def biorthogonalize(mode_set: ModeSet, op: DiscreteOperator,
     pulled back into the energy space as W = G^{-1} E w, so that
     <V_n, W_m>_gram equals w_m^H E V_n and vanishes across distinct
     eigenvalues.  Modes
-    are grouped into clusters; each diagonal pairing block is inverted
-    onto the identity (near-defective clusters are handled as blocks),
-    and a numerically singular block raises.
+    are grouped into CLUSTER_TOL clusters; each diagonal pairing block is
+    inverted onto the identity (near-defective clusters are handled as
+    blocks), and a numerically singular block raises.
     """
-    modes = mode_set.modes
+    modes, op = mode_set.modes, mode_set.op
     if not modes:
         raise ValueError("empty mode set")
     zs = np.array([mode.mu for mode in modes])
-    blocks = _cluster_indices(zs, cluster_tol)
+    blocks = _cluster_indices(zs, CLUSTER_TOL)
     perm = [i for group in blocks for i in group]
 
     spectrum = _eigensolve(op, left=True)
@@ -537,4 +539,5 @@ def biorthogonalize(mode_set: ModeSet, op: DiscreteOperator,
     pairing = left.conj().T @ op.gram @ right
 
     grouped = tuple(tuple(modes[i] for i in group) for group in blocks)
-    return BiorthogonalSystem(modes=grouped, left_vectors=left, pairing=pairing)
+    return BiorthogonalSystem(modes=grouped, left_vectors=left, pairing=pairing,
+                              op=op)

@@ -46,6 +46,11 @@ __all__ = [
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
 
+#: nodes of the half-space grid behind stable_solution_check
+STABLE_N_NODES = 36
+#: frequencies sampled per bracket scan in find_zero_group_velocity_point
+ZGV_N_SCAN = 80
+
 
 class RootCertificationError(RuntimeError):
     """Root search could not be certified by the argument principle."""
@@ -471,14 +476,14 @@ def _cheb_nodes_and_diff(m, a, b):
     return nodes, d * (2.0 / (b - a))
 
 
-def stable_solution_check(material, beta, gamma, n_nodes=36):
+def stable_solution_check(material, beta, gamma):
     """Verify the decaying half-space solutions w1, w2 and their boundary system.
 
     The interior operator -A w'' + i beta gamma B w' + beta^2 C w is applied
-    through a numerical differentiation matrix on a y-grid, and the traction
-    boundary system at y = 0 is assembled from A, D and the analytic
-    derivatives of w1, w2; after the row normalization (i*gamma/2mu, 1/2mu)
-    its determinant must equal -beta exactly.
+    through a numerical differentiation matrix on a STABLE_N_NODES y-grid,
+    and the traction boundary system at y = 0 is assembled from A, D and
+    the analytic derivatives of w1, w2; after the row normalization
+    (i*gamma/2mu, 1/2mu) its determinant must equal -beta exactly.
 
     Raises
     ------
@@ -505,7 +510,7 @@ def stable_solution_check(material, beta, gamma, n_nodes=36):
     shift = np.array([eps * (lam + 3.0 * mu) / (beta * (lam + mu)), 0.0])
 
     length = 3.0 / max(1.0, abs(beta))
-    y, dmat = _cheb_nodes_and_diff(n_nodes, 0.0, length)
+    y, dmat = _cheb_nodes_and_diff(STABLE_N_NODES, 0.0, length)
     decay = np.exp(-eb * y)
     w1 = pol[None, :] * decay[:, None]
     w2 = (y[:, None] * pol[None, :] + shift[None, :]) * decay[:, None]
@@ -576,7 +581,7 @@ def cutoff_frequencies(material, count):
 
 
 def find_zero_group_velocity_point(material, parity, beta_bracket, omega_bracket,
-                                   bc=BCKind.FREE_FREE, n_scan=80):
+                                   bc=BCKind.FREE_FREE):
     """Locate a double root of the dispersion function: F = dF/dbeta = 0.
 
     The branch omega(beta) defined by the smallest dispersion-function root
@@ -595,9 +600,9 @@ def find_zero_group_velocity_point(material, parity, beta_bracket, omega_bracket
     w_lo, w_hi = omega_bracket
 
     def branch_omega(beta):
-        grid = np.linspace(w_lo, w_hi, n_scan)
+        grid = np.linspace(w_lo, w_hi, ZGV_N_SCAN)
         vals = np.array([disp(beta, w).real for w in grid])
-        for k in range(n_scan - 1):
+        for k in range(ZGV_N_SCAN - 1):
             if vals[k] == 0.0:
                 return grid[k]
             if vals[k] * vals[k + 1] < 0.0:

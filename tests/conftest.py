@@ -47,7 +47,7 @@ def bench_op(bench):
 
 @pytest.fixture(scope="session")
 def bench_modes(bench_op):
-    return solve_modes(bench_op, bench_op.pencil)
+    return solve_modes(bench_op)
 
 
 @pytest.fixture(scope="session")
@@ -57,7 +57,7 @@ def bench_forms(bench, bench_op):
 
 @pytest.fixture(scope="session")
 def bench_system(bench_modes, bench_op):
-    return biorthogonalize(bench_modes, bench_op)
+    return biorthogonalize(bench_modes)
 
 
 @pytest.fixture(scope="session")
@@ -67,7 +67,7 @@ def sh_op(bench):
 
 @pytest.fixture(scope="session")
 def sh_modes(sh_op):
-    return solve_modes(sh_op, sh_op.pencil)
+    return solve_modes(sh_op)
 
 
 @pytest.fixture(scope="session")
@@ -77,4 +77,4 @@ def clamped_op(bench):
 
 @pytest.fixture(scope="session")
 def clamped_modes(clamped_op):
-    return solve_modes(clamped_op, clamped_op.pencil)
+    return solve_modes(clamped_op)

@@ -74,7 +74,7 @@ def _first_hit(report, threshold=1e-3):
 def test_criterion_01_mode_bijection_and_runtime(bench):
     start = time.perf_counter()
     op = assemble_operator(bench, 64, BCKind.FREE_FREE)
-    modes = solve_modes(op, op.pencil)
+    modes = solve_modes(op)
     elapsed = time.perf_counter() - start
 
     oracle = _inside(SYM_ROOTS + ANTI_ROOTS)
@@ -165,7 +165,7 @@ def test_criterion_05_sector_coercivity(bench_forms):
 def test_criterion_06_resolvent_ray_bound(bench_op, bench_modes):
     bound = measured_b(bench_modes)
     moduli = np.geomspace(bound, 100.0 * bound, 9)  # two decades
-    scan = resolvent_scan(bench_op, bench_op.pencil, THETA0, moduli)
+    scan = resolvent_scan(bench_op, THETA0, moduli)
     ratios = [float(np.max(row) / row[0]) for row in scan.norms]
 
     conj_err = 0.0
@@ -199,7 +199,7 @@ def test_criterion_07_hilbert_schmidt_proxy_grid_stability(bench):
 
 
 def test_criterion_08_non_self_adjointness(bench_modes, bench_op):
-    _pair, witness = nonorthogonality_witness(bench_modes, bench_op)
+    _pair, witness = nonorthogonality_witness(bench_modes)
     defect = adjoint_defect(bench_op)
     passed = witness >= 0.01 and defect >= 0.01
     _verdict(8, "eigensystem is measurably non-orthogonal", passed,
@@ -209,14 +209,14 @@ def test_criterion_08_non_self_adjointness(bench_modes, bench_op):
 
 def test_criterion_09_completeness_free(bench):
     op = assemble_operator(bench, 96, BCKind.FREE_FREE)
-    modes = solve_modes(op, op.pencil)
-    system = biorthogonalize(modes, op)
+    modes = solve_modes(op)
+    system = biorthogonalize(modes)
     targets = random_trig_fields(op.pencil.grid, 5, seed=0)
     ks = tuple(range(1, len(modes) + 1))
     cap = int(0.8 * len(modes))
     hits, monotone = [], True
     for target in targets:
-        report = expand_field(system, op, target, ks)
+        report = expand_field(system, target, ks)
         monotone &= all(b - a <= 1e-14 for a, b in
                         zip(report.residuals, report.residuals[1:]))
         hits.append(_first_hit(report))
@@ -236,15 +236,15 @@ def test_criterion_10_jordan_chain_at_double_root(bench, bench_modes,
 
     material = make_material(2.0, 1.0, 1.0, 1.0, ZGV_OMEGA)
     op = assemble_operator(material, 64, BCKind.FREE_FREE)
-    modes = solve_modes(op, op.pencil)
-    chains = detect_jordan_chains(modes, op.pencil, cluster_tol=1e-4,
+    modes = solve_modes(op)
+    chains = detect_jordan_chains(modes, cluster_tol=1e-4,
                                   chain_tol=1e-6)
     long = [chain for chain in chains
             if chain.length >= 2 and abs(chain.mu - 1j * ZGV_BETA) <= 1e-2]
     cert = max(max(chain.relation_residuals) for chain in long) if long \
         else np.inf
 
-    simple = detect_jordan_chains(bench_modes, bench_op.pencil)
+    simple = detect_jordan_chains(bench_modes)
     spurious = [chain for chain in simple
                 if chain.length > 1 and min(chain.mode_indices) < 20]
 
@@ -265,18 +265,18 @@ def test_criterion_11_clamped_geometry(bench, clamped_op, clamped_modes):
     defect = bijection_defect(oracle, discrete) if counts_match else np.inf
 
     bound = measured_b(clamped_modes)
-    scan = resolvent_scan(clamped_op, clamped_op.pencil, THETA0,
+    scan = resolvent_scan(clamped_op, THETA0,
                           np.geomspace(bound, 100.0 * bound, 9))
     ratios = [float(np.max(row) / row[0]) for row in scan.norms]
     scan_ok = scan.skipped == () and max(ratios) <= 2.0
 
     op = assemble_operator(bench, 96, BCKind.CLAMPED_FREE)
-    modes = solve_modes(op, op.pencil)
-    system = biorthogonalize(modes, op)
+    modes = solve_modes(op)
+    system = biorthogonalize(modes)
     targets = random_trig_fields(op.pencil.grid, 5, seed=0, vanish_lower=True)
     ks = tuple(range(1, len(modes) + 1))
     cap = int(0.8 * len(modes))
-    hits = [_first_hit(expand_field(system, op, target, ks))
+    hits = [_first_hit(expand_field(system, target, ks))
             for target in targets]
     completeness_ok = all(k is not None and k <= cap for k in hits)
 

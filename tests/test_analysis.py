@@ -137,9 +137,9 @@ def test_resolvent_solve_linearity(bench_op, bench_modes):
     f1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     f2 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     beta = -1j * MEASURED_B_FREE * np.exp(1j * five_rays()[2])  # off-spectrum
-    u1 = resolvent_solve(bench_op, bench_op.pencil, beta, f1)
-    u2 = resolvent_solve(bench_op, bench_op.pencil, beta, f2)
-    u12 = resolvent_solve(bench_op, bench_op.pencil, beta, f1 + 2.0 * f2)
+    u1 = resolvent_solve(bench_op, beta, f1)
+    u2 = resolvent_solve(bench_op, beta, f2)
+    u12 = resolvent_solve(bench_op, beta, f1 + 2.0 * f2)
     np.testing.assert_allclose(u12, u1 + 2.0 * u2, rtol=1e-9, atol=1e-12)
 
 
@@ -155,7 +155,7 @@ def test_resolvent_magnifies_near_spectrum(bench_op, bench_modes):
 
 def test_resolvent_solve_rejects_bad_shape(bench_op):
     with pytest.raises(ValueError, match="length"):
-        resolvent_solve(bench_op, bench_op.pencil, 5.0j, np.ones(3))
+        resolvent_solve(bench_op, 5.0j, np.ones(3))
 
 
 def test_resolvent_norm_conjugate_symmetry(bench_op):
@@ -168,7 +168,7 @@ def test_resolvent_norm_conjugate_symmetry(bench_op):
 
 def test_resolvent_scan_benchmark(bench_op):
     moduli = np.geomspace(MEASURED_B_FREE, 10.0 * MEASURED_B_FREE, 4)
-    scan = resolvent_scan(bench_op, bench_op.pencil, THETA0, moduli)
+    scan = resolvent_scan(bench_op, THETA0, moduli)
     assert scan.norms.shape == (5, 4)
     assert scan.skipped == ()
     assert np.all(np.isfinite(scan.norms))
@@ -182,7 +182,7 @@ def test_resolvent_scan_skips_probe_on_spectrum(bench_op, bench_modes):
     # where the LU still succeeds but its reciprocal condition collapses
     mu = bench_modes.modes[0].mu
     assert abs(np.angle(mu) - five_rays()[0]) <= 1e-12
-    scan = resolvent_scan(bench_op, bench_op.pencil, THETA0, (abs(mu), 2.0))
+    scan = resolvent_scan(bench_op, THETA0, (abs(mu), 2.0))
     assert scan.skipped == ((0, abs(mu)),)
     assert np.isnan(scan.norms[0, 0]) and np.isnan(scan.hs_norms[0, 0])
     assert np.all(np.isfinite(scan.norms[:, 1]))
@@ -191,11 +191,11 @@ def test_resolvent_scan_skips_probe_on_spectrum(bench_op, bench_modes):
 
 def test_resolvent_scan_validation(bench_op):
     with pytest.raises(ValueError, match="theta0"):
-        resolvent_scan(bench_op, bench_op.pencil, 0.3 * np.pi, (10.0, 20.0))
+        resolvent_scan(bench_op, 0.3 * np.pi, (10.0, 20.0))
     with pytest.raises(ValueError, match="increasing"):
-        resolvent_scan(bench_op, bench_op.pencil, THETA0, (20.0, 10.0))
+        resolvent_scan(bench_op, THETA0, (20.0, 10.0))
     with pytest.raises(ValueError, match="positive"):
-        resolvent_scan(bench_op, bench_op.pencil, THETA0, ())
+        resolvent_scan(bench_op, THETA0, ())
 
 
 def test_measured_b_benchmark(bench_modes):
@@ -215,7 +215,7 @@ def test_constrained_min_singular_profile(bench_op, bench_modes):
 
 
 def test_nonorthogonality_witness_benchmark(bench_modes, bench_op):
-    (i, j), value = nonorthogonality_witness(bench_modes, bench_op)
+    (i, j), value = nonorthogonality_witness(bench_modes)
     assert i != j
     assert value == pytest.approx(WITNESS_VALUE, rel=1e-9)
     assert 0.01 <= value <= 1.0 + 1e-12
@@ -238,7 +238,7 @@ def test_adjoint_defect_needs_coupled_constraints(sh_op):
 def test_expand_single_mode_both_methods(bench_system, bench_op):
     target = bench_system.flat_modes[0].big_v
     for method in ("least_squares", "biorthogonal"):
-        report = expand_field(bench_system, bench_op, target, (1, 3),
+        report = expand_field(bench_system, target, (1, 3),
                               method=method)
         assert report.residuals[0] <= 1e-10
         assert report.residuals[1] <= 1e-10
@@ -248,7 +248,7 @@ def test_expand_two_mode_combination(bench_system, bench_op):
     modes = bench_system.flat_modes
     target = 0.3 * modes[0].big_v + 0.7 * modes[1].big_v
     for method in ("least_squares", "biorthogonal"):
-        report = expand_field(bench_system, bench_op, target, (2,),
+        report = expand_field(bench_system, target, (2,),
                               method=method)
         assert report.residuals[0] <= 1e-8
 
@@ -257,7 +257,7 @@ def test_expand_least_squares_monotone(bench_system, bench_op):
     grid = bench_op.pencil.grid
     target = random_trig_fields(grid, 1, 42)[0]
     ks = tuple(range(1, 41))
-    report = expand_field(bench_system, bench_op, target, ks)
+    report = expand_field(bench_system, target, ks)
     residuals = np.array(report.residuals)
     assert np.all(np.diff(residuals) <= 1e-14)
     assert residuals[-1] < residuals[0]
@@ -266,7 +266,7 @@ def test_expand_least_squares_monotone(bench_system, bench_op):
 def test_expand_displacement_target_uses_field_metric(bench_system, bench_op):
     mode = bench_system.flat_modes[2]
     dim = bench_op.m.shape[0] // 2
-    report = expand_field(bench_system, bench_op, mode.big_v[:dim], (3,))
+    report = expand_field(bench_system, mode.big_v[:dim], (3,))
     assert report.residuals[0] <= 1e-10
 
 
@@ -274,18 +274,18 @@ def test_expand_field_validation(bench_system, bench_op):
     dim = bench_op.m.shape[0]
     target = np.ones(dim)
     with pytest.raises(ValueError, match="k"):
-        expand_field(bench_system, bench_op, target, (0,))
+        expand_field(bench_system, target, (0,))
     with pytest.raises(ValueError, match="k"):
-        expand_field(bench_system, bench_op, target, (10 ** 6,))
+        expand_field(bench_system, target, (10 ** 6,))
     with pytest.raises(ValueError, match="length"):
-        expand_field(bench_system, bench_op, np.ones(dim - 1), (1,))
+        expand_field(bench_system, np.ones(dim - 1), (1,))
     with pytest.raises(ValueError, match="vanishes"):
-        expand_field(bench_system, bench_op, np.zeros(dim), (1,))
+        expand_field(bench_system, np.zeros(dim), (1,))
     with pytest.raises(ValueError, match="full state"):
-        expand_field(bench_system, bench_op, np.ones(dim // 2), (1,),
+        expand_field(bench_system, np.ones(dim // 2), (1,),
                      method="biorthogonal")
     with pytest.raises(ValueError, match="method"):
-        expand_field(bench_system, bench_op, target, (1,), method="magic")
+        expand_field(bench_system, target, (1,), method="magic")
 
 
 def test_random_trig_fields_deterministic_and_admissible():

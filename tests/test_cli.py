@@ -10,6 +10,7 @@ import pytest
 
 from lambspec import BCKind
 from lambspec.cli import N_COLLOC_MAX, THETA0_DEFAULT, ConfigError, parse_config, run
+from reference_data import ZGV_BETA, ZGV_OMEGA
 
 BASE = {"lambda": 2.0, "mu": 1.0, "rho": 1.0, "h": 1.0, "omega": 3.0}
 
@@ -125,6 +126,24 @@ def test_modes_out_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert out.read_text().startswith("re_beta,")
+
+
+def test_modes_flags_split_double_root_at_zgv(tmp_path, capsys):
+    # at the zero-group-velocity frequency the double root +-ZGV_BETA (and
+    # its conjugate) splits into two eigenvalues about 2e-6 apart, which the
+    # default cluster tolerance keeps as singletons; only the chain probe
+    # run on every singleton can give them chain length 2
+    path = write_config(tmp_path, {"omega": ZGV_OMEGA, "n_colloc": 64})
+    assert run(["modes", "--config", path]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    betas = np.array([complex(float(row[0]), float(row[1])) for row in rows])
+    lengths = np.array([int(row[4]) for row in rows])
+    at_root = ((np.abs(np.abs(betas.real) - ZGV_BETA) <= 1e-4)
+               & (np.abs(np.abs(betas.imag) - 2.0e-6) <= 0.5e-6))
+    assert at_root.sum() == 4
+    assert np.all(lengths[at_root] == 2)
+    assert np.all(lengths[~at_root] == 1)
+    assert (~at_root).sum() == 110
 
 
 def test_config_errors_exit_with_code_2(tmp_path, capsys):

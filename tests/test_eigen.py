@@ -38,7 +38,7 @@ from reference_data import (
 def test_benchmark_counts(bench_modes):
     assert len(bench_modes) == BENCH_RETAINED
     assert bench_modes.raw_count == BENCH_RAW  # = 4 n - 4 at n = 64
-    assert bench_modes.raw_count == 4 * bench_modes.grid.n - 4
+    assert bench_modes.raw_count == 4 * bench_modes.op.pencil.grid.n - 4
 
 
 def test_benchmark_residual_gate(bench_modes):
@@ -74,7 +74,7 @@ def test_mode_normalization_and_phase(bench_op, bench_modes):
 
 
 def test_state_vector_structure(bench_modes):
-    dim = bench_modes.grid.n * bench_modes.n_channels
+    dim = bench_modes.op.pencil.grid.n * bench_modes.op.pencil.n_channels
     for mode in list(bench_modes)[:10]:
         np.testing.assert_array_equal(mode.big_v[:dim], mode.v)
         np.testing.assert_allclose(mode.big_v[dim:], mode.mu * mode.v,
@@ -93,21 +93,6 @@ def test_parity_labels_on_real_branches(bench_modes):
 def test_no_mixed_parity_in_symmetric_geometry(bench_modes):
     assert all(mode.parity in (PARITY_SYMMETRIC, PARITY_ANTISYMMETRIC)
                for mode in bench_modes)
-
-
-def test_solver_rejects_mismatched_pencil(bench, bench_op):
-    other = assemble_operator(bench, 24, BCKind.FREE_FREE)
-    with pytest.raises(ValueError, match="different assemblies"):
-        solve_modes(bench_op, other.pencil)
-    # same grid size, other boundary condition or other operating point
-    n = bench_op.pencil.grid.n
-    clamped = assemble_operator(bench, n, BCKind.CLAMPED_FREE)
-    with pytest.raises(ValueError, match="different assemblies"):
-        solve_modes(bench_op, clamped.pencil)
-    detuned = make_material(bench.lam, bench.mu, bench.rho, bench.h, 2.5)
-    shifted = assemble_operator(detuned, n, BCKind.FREE_FREE)
-    with pytest.raises(ValueError, match="different assemblies"):
-        solve_modes(bench_op, shifted.pencil)
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +124,7 @@ def test_split_spectrum_matches_unsplit(bench, n, n_channels):
 
 def test_block_labels_agree_with_classify_parity(bench_modes, sh_modes):
     for mode_set in (bench_modes, sh_modes):
-        assert all(classify_parity(mode, mode_set.grid) == mode.parity
+        assert all(classify_parity(mode, mode_set.op.pencil.grid) == mode.parity
                    for mode in mode_set)
 
 
@@ -179,7 +164,7 @@ def test_clamped_modes_are_parity_mixed(clamped_modes):
 
 
 def test_sh_counts(sh_modes):
-    assert sh_modes.raw_count == 2 * sh_modes.grid.n - 4
+    assert sh_modes.raw_count == 2 * sh_modes.op.pencil.grid.n - 4
     assert len(sh_modes) >= 40
 
 
@@ -209,7 +194,7 @@ def test_classify_parity_synthetic():
 
 
 def test_benchmark_has_only_simple_chains(bench_modes, bench_op):
-    chains = detect_jordan_chains(bench_modes, bench_op.pencil)
+    chains = detect_jordan_chains(bench_modes)
     assert len(chains) == len(bench_modes)
     assert all(chain.length == 1 for chain in chains)
     # for singleton chains the certificate is the pencil residual itself
@@ -223,10 +208,10 @@ def test_semisimple_double_eigenvalue_at_cutoff_coincidence():
     # eigenvectors, so no chain extends beyond length one
     material = make_material(2.0, 1.0, 1.0, 1.0, float(np.pi))
     op = assemble_operator(material, 64, BCKind.FREE_FREE)
-    modes = solve_modes(op, op.pencil)
+    modes = solve_modes(op)
     at_zero = [mode for mode in modes if abs(mode.beta) < 1e-6]
     assert len(at_zero) == 2
-    chains = detect_jordan_chains(modes, op.pencil)
+    chains = detect_jordan_chains(modes)
     near_zero = [chain for chain in chains if abs(chain.mu) < 1e-6]
     assert len(near_zero) == 2
     assert all(chain.length == 1 for chain in near_zero)
