@@ -10,14 +10,18 @@ pencil is projected onto the symmetric and antisymmetric subspaces and
 each half-size block is solved on its own; the block fixes the parity
 label exactly.  Raw eigenpairs are filtered by two-resolution agreement
 and normalized in the energy metric with a fixed phase convention.  On
-top of that sit the defectiveness machinery (Jordan chains via bordered
-least squares) and the left/right biorthogonal systems used by modal
-expansions.
+top of that sit the defectiveness machinery and the left/right
+biorthogonal systems used by modal expansions.  Both read one set of
+energy-metric left vectors per mode set: the left vectors screen the
+Jordan probe to first order (an eigenvalue can be defective only where
+its left and right vectors are nearly orthogonal), and bordered least
+squares builds chains only where that screen cannot rule a chain out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -125,6 +129,31 @@ class ModeSet:
     @property
     def betas(self) -> np.ndarray:
         return np.array([mode.beta for mode in self.modes])
+
+    @cached_property
+    def left_vectors(self) -> np.ndarray:
+        """Energy-metric left vectors W_k = G^{-1} E w_k, column k for modes[k].
+
+        w_k is the left eigenvector (w^H m = z w^H E) whose eigenvalue lies
+        nearest mu_k in the QZ block of the mode's parity, so that
+        <V_n, W_k>_gram equals w_k^H E V_n and vanishes across distinct
+        eigenvalues.  One left solve serves the Jordan screen and the
+        biorthogonal system; a mode with no left eigenvalue within
+        1e-6 * max(1, |mu|) raises.  Read-only.
+        """
+        spectrum = _eigensolve(self.op, left=True)
+        gram_factor = scipy.linalg.cho_factor(self.op.gram)
+        w = np.empty((self.op.m.shape[0], len(self.modes)), dtype=complex)
+        for k, mode in enumerate(self.modes):
+            block = next(b for b in spectrum if b.parity in (None, mode.parity))
+            d = np.abs(block.z - mode.mu)
+            j = int(np.argmin(d))
+            if d[j] > 1e-6 * max(1.0, abs(mode.mu)):
+                raise ValueError(f"no left eigenvector matches mu = {mode.mu:.6g}")
+            w[:, k] = block.left[:, j]
+        left = scipy.linalg.cho_solve(gram_factor, self.op.mask[:, None] * w)
+        left.flags.writeable = False
+        return left
 
 
 @dataclass(frozen=True)
@@ -259,9 +288,8 @@ def _eigensolve(op: DiscreteOperator, left: bool = False,
     the two QZ solves cost about a quarter of one full solve.  The
     clamped plate has no reflection symmetry and is solved whole.
     """
-    e = np.diag(op.mask)
     if op.pencil.bc is not BCKind.FREE_FREE:
-        return [_Block(None, *_qz(op.m, e, left, right))]
+        return [_Block(None, *_qz(op.m, np.diag(op.mask), left, right))]
     rep, mir, sign, row_sign = _reflection(op)
     size = op.m.shape[0]
     blocks = []
@@ -269,7 +297,10 @@ def _eigensolve(op: DiscreteOperator, left: bool = False,
         keep = (rep != mir) | (p * sign > 0.0)
         r, q = rep[keep], mir[keep]
         s, t = p * sign[keep], p * row_sign[keep]
-        z, vl, vr = _qz(_fold(op.m, r, q, s, t), _fold(e, r, q, s, t), left, right)
+        # the fold of the diagonal E is diagonal: built at block size, it
+        # equals _fold(np.diag(op.mask), r, q, s, t) entry for entry
+        e = np.diag(np.where(r == q, 0.5, 1.0) * (op.mask[r] + s * t * op.mask[q]))
+        z, vl, vr = _qz(_fold(op.m, r, q, s, t), e, left, right)
         if vl is not None:
             vl = _unfold(vl, r, q, t, size)
         if vr is not None:
@@ -454,17 +485,26 @@ def detect_jordan_chains(mode_set: ModeSet, cluster_tol: float = CLUSTER_TOL,
 
     Every cluster yields one chain per independent eigenvector (geometric
     multiplicity via the RANK_TOL singular-value cutoff); extension past
-    the eigenvector is attempted up to the cluster's algebraic size (at
-    least one probe even for singletons, so near-defective pairs missed
-    by clustering are still caught) and kept only when both the
-    solvability certificate and the chain-relation residual stay within
-    chain_tol.  Simple well-separated eigenvalues therefore come back as
-    length-1 chains.
+    the eigenvector is attempted up to the cluster's algebraic size and
+    kept only when both the solvability certificate and the
+    chain-relation residual stay within chain_tol.  A singleton cluster
+    is first screened to first order (Tisseur & Meerbergen, SIAM Rev.
+    2001, section 3): c = |<V, W>_gram| / |W|_gram, with V of unit energy
+    norm, is the reciprocal condition of the eigenvalue and vanishes at
+    a defective one.  Only a singleton with c <= sqrt(chain_tol) or c
+    not finite gets the bordered probe, so near-defective pairs missed by
+    clustering are still caught; simple well-separated eigenvalues come
+    back as length-1 chains without it.
     """
     modes, pencil = mode_set.modes, mode_set.op.pencil
     if not modes:
         return []
     zs = np.array([mode.mu for mode in modes])
+    left, gram = mode_set.left_vectors, mode_set.op.gram
+    right = np.column_stack([mode.big_v for mode in modes])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = (np.abs(np.sum(left.conj() * (gram @ right), axis=0))
+                     / np.sqrt(np.abs(np.sum(left.conj() * (gram @ left), axis=0))))
     chains = []
     for group in _cluster_indices(zs, cluster_tol):
         mu = complex(np.mean(zs[list(group)]))
@@ -472,11 +512,13 @@ def detect_jordan_chains(mode_set: ModeSet, cluster_tol: float = CLUSTER_TOL,
         stack = stack / np.linalg.norm(stack, axis=0)
         if len(group) == 1:
             heads = [stack[:, 0]]
+            c = condition[group[0]]
+            cap = 1 if np.isfinite(c) and c > np.sqrt(chain_tol) else 2
         else:
             u, s, _ = np.linalg.svd(stack, full_matrices=False)
             geom = max(1, int(np.sum(s > RANK_TOL * s[0])))
             heads = [u[:, k] for k in range(geom)]
-        cap = max(len(group), 2)
+            cap = len(group)
         for head in heads:
             chain = [head]
             while len(chain) < cap:
@@ -497,14 +539,11 @@ def detect_jordan_chains(mode_set: ModeSet, cluster_tol: float = CLUSTER_TOL,
 def biorthogonalize(mode_set: ModeSet) -> BiorthogonalSystem:
     """Left vectors and the normalized energy-metric pairing.
 
-    Left eigenvectors w of the pencil (w^H m = z w^H E), taken from the
-    reflection block of each mode's parity on a traction-free plate, are
-    pulled back into the energy space as W = G^{-1} E w, so that
-    <V_n, W_m>_gram equals w_m^H E V_n and vanishes across distinct
-    eigenvalues.  Modes
-    are grouped into CLUSTER_TOL clusters; each diagonal pairing block is
-    inverted onto the identity (near-defective clusters are handled as
-    blocks), and a numerically singular block raises.
+    The mode set's left vectors (ModeSet.left_vectors) are taken in
+    cluster order.  Modes are grouped into CLUSTER_TOL clusters; each
+    diagonal pairing block is inverted onto the identity (near-defective
+    clusters are handled as blocks), and a numerically singular block
+    raises.
     """
     modes, op = mode_set.modes, mode_set.op
     if not modes:
@@ -513,17 +552,8 @@ def biorthogonalize(mode_set: ModeSet) -> BiorthogonalSystem:
     blocks = _cluster_indices(zs, CLUSTER_TOL)
     perm = [i for group in blocks for i in group]
 
-    spectrum = _eigensolve(op, left=True)
-    gram_factor = scipy.linalg.cho_factor(op.gram)
     right = np.column_stack([modes[i].big_v for i in perm])
-    left = np.empty_like(right, dtype=complex)
-    for col, i in enumerate(perm):
-        block = next(b for b in spectrum if b.parity in (None, modes[i].parity))
-        d = np.abs(block.z - modes[i].mu)
-        j = int(np.argmin(d))
-        if d[j] > 1e-6 * max(1.0, abs(modes[i].mu)):
-            raise ValueError(f"no left eigenvector matches mu = {modes[i].mu:.6g}")
-        left[:, col] = scipy.linalg.cho_solve(gram_factor, op.mask * block.left[:, j])
+    left = mode_set.left_vectors[:, perm]
 
     pairing = left.conj().T @ op.gram @ right
     start = 0

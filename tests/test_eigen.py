@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,7 +22,13 @@ from lambspec import (
     make_material,
     solve_modes,
 )
-from lambspec.eigen import _eigensolve
+from lambspec.eigen import (
+    CLUSTER_TOL,
+    _cluster_indices,
+    _eigensolve,
+    _relation_residuals,
+    _try_extend,
+)
 from reference_data import (
     ANTI_REAL,
     BENCH_RAW,
@@ -28,6 +36,7 @@ from reference_data import (
     CLAMPED_RETAINED,
     SH_BETAS,
     SYM_REAL,
+    ZGV_OMEGA,
     one_sided_match,
 )
 
@@ -216,6 +225,76 @@ def test_semisimple_double_eigenvalue_at_cutoff_coincidence():
     assert len(near_zero) == 2
     assert all(chain.length == 1 for chain in near_zero)
     assert all(max(chain.relation_residuals) <= 1e-10 for chain in near_zero)
+
+
+@pytest.fixture(scope="module")
+def zgv_modes():
+    # the split double root of the ZGV frequency: two pairs of singletons
+    # about 4e-6 apart at the default cluster tolerance
+    material = make_material(2.0, 1.0, 1.0, 1.0, ZGV_OMEGA)
+    return solve_modes(assemble_operator(material, 64, BCKind.FREE_FREE))
+
+
+@pytest.fixture(scope="module")
+def clamped48_modes(bench):
+    return solve_modes(assemble_operator(bench, 48, BCKind.CLAMPED_FREE))
+
+
+@pytest.mark.parametrize("name, extended", [("bench_modes", 0),
+                                            ("clamped48_modes", 0),
+                                            ("zgv_modes", 4)])
+def test_jordan_screen_never_hides_a_chain(request, name, extended):
+    # the exhaustive reference runs the bordered probe on every singleton
+    # head; the first-order screen must pass each head it would extend
+    mode_set = request.getfixturevalue(name)
+    op, chain_tol = mode_set.op, 1e-6
+    zs = np.array([mode.mu for mode in mode_set])
+    expected = {}
+    for group in _cluster_indices(zs, CLUSTER_TOL):
+        if len(group) > 1:
+            continue
+        k = group[0]
+        mode = mode_set.modes[k]
+        w = mode_set.left_vectors[:, k]
+        condition = abs(np.vdot(w, op.gram @ mode.big_v)) / gram_norm(op, w)
+        head = mode.v / np.linalg.norm(mode.v)
+        v_next, cert = _try_extend(op.pencil, mode.mu, [head])
+        if cert <= chain_tol:
+            assert condition <= np.sqrt(chain_tol)
+        extends = (cert <= chain_tol and _relation_residuals(
+            op.pencil, mode.mu, [head, v_next])[-1] <= chain_tol)
+        expected[k] = 2 if extends else 1
+    assert sum(length == 2 for length in expected.values()) == extended
+    chains = detect_jordan_chains(mode_set, chain_tol=chain_tol)
+    found = {chain.mode_indices[0]: chain.length for chain in chains
+             if len(chain.mode_indices) == 1}
+    assert found == expected
+
+
+@pytest.mark.parametrize("name, n_blocks, probes", [("bench_modes", 2, 0),
+                                                    ("clamped_modes", 1, 0),
+                                                    ("zgv_modes", 2, 4)])
+def test_one_left_solve_per_mode_set(request, monkeypatch, name, n_blocks, probes):
+    # a copy of the mode set has an empty left-vector cache; the Jordan
+    # screen and the biorthogonal system then share one left solve, and
+    # the bordered least squares runs only on the screened singletons
+    mode_set = dataclasses.replace(request.getfixturevalue(name))
+    calls = {"left": 0, "lstsq": 0}
+    eig, lstsq = scipy.linalg.eig, np.linalg.lstsq
+
+    def counting_eig(*args, **kwargs):
+        calls["left"] += bool(kwargs.get("left"))
+        return eig(*args, **kwargs)
+
+    def counting_lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    detect_jordan_chains(mode_set)
+    biorthogonalize(mode_set)
+    assert calls == {"left": n_blocks, "lstsq": probes}
 
 
 # ----------------------------------------------------------------------
