@@ -502,9 +502,8 @@ def detect_jordan_chains(mode_set: ModeSet, cluster_tol: float = CLUSTER_TOL,
     zs = np.array([mode.mu for mode in modes])
     left, gram = mode_set.left_vectors, mode_set.op.gram
     right = np.column_stack([mode.big_v for mode in modes])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        condition = (np.abs(np.sum(left.conj() * (gram @ right), axis=0))
-                     / np.sqrt(np.abs(np.sum(left.conj() * (gram @ left), axis=0))))
+    condition = (np.abs(np.sum(left.conj() * (gram @ right), axis=0))
+                 / np.sqrt(np.abs(np.sum(left.conj() * (gram @ left), axis=0))))
     chains = []
     for group in _cluster_indices(zs, cluster_tol):
         mu = complex(np.mean(zs[list(group)]))
