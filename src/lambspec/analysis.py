@@ -30,10 +30,8 @@ __all__ = [
     "ResolventScan",
     "adjoint_defect",
     "coercivity_scan",
-    "constrained_min_singular",
     "expand_field",
     "five_rays",
-    "gram_norm",
     "in_sector",
     "measured_b",
     "nonorthogonality_witness",
@@ -41,7 +39,6 @@ __all__ = [
     "random_trig_fields",
     "resolvent_norms",
     "resolvent_scan",
-    "resolvent_solve",
 ]
 
 #: smallest admissible sector half-angle (exclusive)
@@ -136,11 +133,6 @@ def _metric_transform(s: np.ndarray, chol: np.ndarray) -> np.ndarray:
     return chol.conj().T @ right
 
 
-def gram_norm(op: DiscreteOperator, x: np.ndarray) -> float:
-    """Energy norm sqrt(<x, x>_gram) of a state vector."""
-    return float(np.sqrt(abs(np.vdot(x, op.gram @ x))))
-
-
 def _resolvent_probe(op: DiscreteOperator, z: complex, chol: np.ndarray,
                      rcond_min: float):
     """Energy-metric norms of (m - z E)^-1 E behind a conditioning gate.
@@ -168,31 +160,6 @@ def resolvent_norms(op: DiscreteOperator, z: complex):
     probes by their reciprocal condition).
     """
     return _resolvent_probe(op, z, _gram_cholesky(op), 0.0)
-
-
-def resolvent_solve(op: DiscreteOperator, beta: complex, f: np.ndarray) -> np.ndarray:
-    """Solve the companion resolvent system (m - z E) U = E F at z = i beta.
-
-    The first-block rows give U2 = z U1 + F1, the interior rows the
-    forced second-order equation, and the constraint rows stay
-    homogeneous (equivalently: after eliminating U2 the traction data is
-    -D F1 at the faces).  The caller is responsible for keeping i beta
-    away from the spectrum; a residual above 1e-10 relative raises.
-    """
-    z = 1j * complex(beta)
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (op.m.shape[0],):
-        raise ValueError("right-hand side has the wrong length")
-    a = op.m - z * np.diag(op.mask)
-    rhs = op.mask * f
-    u = np.linalg.solve(a, rhs)
-    rel = np.linalg.norm(a @ u - rhs) / (np.linalg.norm(a, "fro") * np.linalg.norm(u)
-                                         + np.linalg.norm(rhs) + 1e-300)
-    if rel > 1e-10:
-        raise np.linalg.LinAlgError(
-            f"resolvent solve at beta = {beta:.6g} left relative residual "
-            f"{rel:.2e}; i beta is too close to the spectrum")
-    return u
 
 
 def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan:
@@ -499,14 +466,3 @@ def adjoint_defect(op: DiscreteOperator) -> float:
     chol = np.linalg.cholesky(gram_y)
     s = _metric_transform(t, chol)
     return float(np.linalg.norm(s - s.conj().T, 2) / np.linalg.norm(s, 2))
-
-
-def constrained_min_singular(op: DiscreteOperator, z: complex) -> float:
-    """Smallest singular value of the metric-transformed (m - z E).
-
-    Vanishes (to solver precision) exactly at the finite eigenvalues and
-    stays well away from zero between them.
-    """
-    chol = _gram_cholesky(op)
-    a = op.m - z * np.diag(op.mask)
-    return float(scipy.linalg.svdvals(_metric_transform(a, chol))[-1])

@@ -36,10 +36,7 @@ __all__ = [
     "DiscretePencil",
     "FormMatrices",
     "Grid",
-    "assemble_linearization",
     "assemble_operator",
-    "assemble_pencil",
-    "assemble_sh_pencil",
     "chebyshev_grid",
     "pencil_residual",
     "pencil_scale",
@@ -226,8 +223,6 @@ def pencil_residual(pencil: DiscretePencil, mu: complex, v: np.ndarray) -> float
 
 def _channel_pencil(material, grid, bc, coeff):
     """Collocate the pencil for an arbitrary c-component channel system."""
-    if grid.h != material.h:
-        raise ValueError("grid.h ≠ material.h: the grid must span the plate")
     a, b, c, d = coeff.a, coeff.b, coeff.c, coeff.d
     nch = a.shape[0]
     n = grid.n
@@ -257,23 +252,6 @@ def _channel_pencil(material, grid, bc, coeff):
     k2 = np.vstack([k2, zeros, zeros])
     return DiscretePencil(k0=k0, k1=k1, k2=k2, bc=bc, grid=grid,
                           material=material, coefficients=coeff)
-
-
-def assemble_pencil(material: Material, grid: Grid, bc: BCKind) -> DiscretePencil:
-    """The two-component in-plane (Lamb) pencil with traction/clamp rows."""
-    return _channel_pencil(material, grid, bc, pencil_coefficients(material))
-
-
-def assemble_sh_pencil(material: Material, grid: Grid) -> DiscretePencil:
-    """The scalar shear-horizontal pencil (traction-free faces).
-
-    Same collocation pipeline with 1x1 coefficient blocks (mu, 0, mu, 0);
-    used to validate the solver against the closed-form SH spectrum.
-    """
-    mu = np.array([[material.mu]])
-    zero = np.zeros((1, 1))
-    coeff = PencilCoefficients(a=mu, b=zero, c=mu, d=zero)
-    return _channel_pencil(material, grid, BCKind.FREE_FREE, coeff)
 
 
 @dataclass(frozen=True)
@@ -314,7 +292,7 @@ class DiscreteOperator:
         return gram
 
 
-def assemble_linearization(pencil: DiscretePencil) -> DiscreteOperator:
+def _companion_form(pencil: DiscretePencil) -> DiscreteOperator:
     """Companion form [[0, I], [-C^-1 k0, -C^-1 k1]] of the pencil's rows.
 
     Interior rows are the pencil's, scaled by C^-1 per component block
@@ -343,22 +321,27 @@ def assemble_linearization(pencil: DiscretePencil) -> DiscreteOperator:
 
 def assemble_operator(material: Material, n: int, bc: BCKind,
                       n_channels: int = 2) -> DiscreteOperator:
-    """Grid + pencil + companion form in one call.
+    """Grid + pencil + companion form of one operating point.
 
-    n_channels = 2 is the in-plane problem, 1 the scalar SH channel, whose
-    faces are traction-free only; the pencil and grid ride along as
-    op.pencil and op.pencil.grid.
+    n_channels = 2 is the in-plane (Lamb) problem with the blocks of
+    pencil_coefficients(material).  n_channels = 1 is the scalar
+    shear-horizontal channel with 1x1 blocks (mu, 0, mu, 0), whose faces
+    are traction-free only; it validates the solver against the
+    closed-form SH spectrum.  The pencil and grid ride along as op.pencil
+    and op.pencil.grid.
     """
     grid = chebyshev_grid(n, material.h)
     if n_channels == 1:
         if bc is not BCKind.FREE_FREE:
             raise ValueError("the SH channel is traction-free only: bc must be free-free")
-        pencil = assemble_sh_pencil(material, grid)
+        mu = np.array([[material.mu]])
+        zero = np.zeros((1, 1))
+        coeff = PencilCoefficients(a=mu, b=zero, c=mu, d=zero)
     elif n_channels == 2:
-        pencil = assemble_pencil(material, grid, bc)
+        coeff = pencil_coefficients(material)
     else:
         raise ValueError(f"unsupported channel count {n_channels}")
-    return assemble_linearization(pencil)
+    return _companion_form(_channel_pencil(material, grid, bc, coeff))
 
 
 def reduced_operator(op: DiscreteOperator):

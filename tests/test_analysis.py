@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from lambspec import (
     adjoint_defect,
     coercivity_scan,
-    constrained_min_singular,
     expand_field,
     five_rays,
-    gram_norm,
     in_sector,
     measured_b,
     nonorthogonality_witness,
@@ -21,7 +19,6 @@ from lambspec import (
     random_trig_fields,
     resolvent_norms,
     resolvent_scan,
-    resolvent_solve,
 )
 from reference_data import (
     ADJOINT_DEFECT_VALUE,
@@ -131,18 +128,6 @@ def test_coercivity_scan_validation(bench_forms, kwargs):
 # resolvent probes
 
 
-def test_resolvent_solve_linearity(bench_op, bench_modes):
-    rng = np.random.default_rng(5)
-    dim = bench_op.m.shape[0]
-    f1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    f2 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    beta = -1j * MEASURED_B_FREE * np.exp(1j * five_rays()[2])  # off-spectrum
-    u1 = resolvent_solve(bench_op, beta, f1)
-    u2 = resolvent_solve(bench_op, beta, f2)
-    u12 = resolvent_solve(bench_op, beta, f1 + 2.0 * f2)
-    np.testing.assert_allclose(u12, u1 + 2.0 * u2, rtol=1e-9, atol=1e-12)
-
-
 def test_resolvent_magnifies_near_spectrum(bench_op, bench_modes):
     # the factorization stays backward stable at an eigenvalue, so the
     # solve does not fail there; the operator norm blowing up by orders
@@ -151,11 +136,6 @@ def test_resolvent_magnifies_near_spectrum(bench_op, bench_modes):
     far, _ = resolvent_norms(bench_op,
                              MEASURED_B_FREE * np.exp(1j * five_rays()[0]))
     assert near >= 1e3 * far
-
-
-def test_resolvent_solve_rejects_bad_shape(bench_op):
-    with pytest.raises(ValueError, match="length"):
-        resolvent_solve(bench_op, 5.0j, np.ones(3))
 
 
 def test_resolvent_norm_conjugate_symmetry(bench_op):
@@ -200,14 +180,6 @@ def test_resolvent_scan_validation(bench_op):
 
 def test_measured_b_benchmark(bench_modes):
     assert measured_b(bench_modes) == pytest.approx(MEASURED_B_FREE, rel=1e-12)
-
-
-def test_constrained_min_singular_profile(bench_op, bench_modes):
-    betas = sorted(bench_modes.betas, key=abs)
-    at_eig = constrained_min_singular(bench_op, 1j * betas[0])
-    midway = constrained_min_singular(bench_op, 1j * 0.5 * (betas[0] + betas[1]))
-    assert at_eig <= 1e-8
-    assert midway >= 1e-3
 
 
 # ----------------------------------------------------------------------
@@ -303,10 +275,3 @@ def test_random_trig_fields_deterministic_and_admissible():
         assert np.max(np.abs(comps)) > 0.01
     with pytest.raises(ValueError, match="count"):
         random_trig_fields(grid, 0, seed=1)
-
-
-def test_gram_norm_matches_direct_form(bench_op):
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal(bench_op.m.shape[0]) * (1 + 0j)
-    direct = np.sqrt(np.real(np.vdot(x, bench_op.gram @ x)))
-    assert gram_norm(bench_op, x) == pytest.approx(direct, rel=1e-13)

@@ -131,8 +131,10 @@ def test_modes_out_file(tmp_path, capsys):
 def test_modes_flags_split_double_root_at_zgv(tmp_path, capsys):
     # at the zero-group-velocity frequency the double root +-ZGV_BETA (and
     # its conjugate) splits into two eigenvalues about 2e-6 apart, which the
-    # default cluster tolerance keeps as singletons; only the chain probe
-    # run on every singleton can give them chain length 2
+    # default cluster tolerance keeps as singletons; their eigenvalue
+    # condition c_k ~ 2.7e-6 lies below sqrt(chain_tol), so the Jordan
+    # screen hands them to the bordered chain probe, which gives them
+    # chain length 2
     path = write_config(tmp_path, {"omega": ZGV_OMEGA, "n_colloc": 64})
     assert run(["modes", "--config", path]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
@@ -293,6 +295,22 @@ def test_verify_reports_failure_with_exit_1(tmp_path, capsys):
     assert payload["passed"] is False
     failing = [c["name"] for c in payload["checks"] if not c["pass"]]
     assert failing == ["jordan_chain_certificates"]
+
+
+def test_verify_ray_ratio_can_fail(tmp_path, capsys, bench_modes):
+    # a ray that starts inside the spectrum: the first probe on ray 0 at
+    # half |beta_0| is finite, the second sits just beyond the first
+    # retained eigenvalue (on ray 0), where the resolvent norm is hundreds
+    # of times larger but the LU is still well enough conditioned to keep
+    beta0 = bench_modes.modes[0].beta
+    assert abs(np.angle(beta0)) <= 1e-12
+    moduli = [0.5 * abs(beta0), 1.001 * abs(beta0)]
+    path = write_config(tmp_path, {"n_colloc": 64, "moduli": moduli})
+    assert run(["verify", "--config", path]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    failing = [c["name"] for c in payload["checks"] if not c["pass"]]
+    assert failing == ["resolvent_ray_ratio"]
 
 
 def test_verify_reports_empty_spectrum(tmp_path, capsys):

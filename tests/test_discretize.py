@@ -7,10 +7,7 @@ import pytest
 
 from lambspec import (
     BCKind,
-    assemble_linearization,
     assemble_operator,
-    assemble_pencil,
-    assemble_sh_pencil,
     chebyshev_grid,
     make_material,
     pencil_residual,
@@ -96,26 +93,23 @@ def test_hermitian_form_values_are_real(bench_forms):
 
 
 def test_pencil_shapes(bench):
-    grid = chebyshev_grid(20, bench.h)
-    pencil = assemble_pencil(bench, grid, BCKind.FREE_FREE)
+    pencil = assemble_operator(bench, 20, BCKind.FREE_FREE).pencil
     for k in (pencil.k0, pencil.k1, pencil.k2):
         assert k.shape == (44, 40)
-    sh = assemble_sh_pencil(bench, grid)
+    sh = assemble_operator(bench, 20, BCKind.FREE_FREE, n_channels=1).pencil
     for k in (sh.k0, sh.k1, sh.k2):
         assert k.shape == (22, 20)
 
 
 def test_pencil_value_is_quadratic(bench):
-    grid = chebyshev_grid(12, bench.h)
-    pencil = assemble_pencil(bench, grid, BCKind.FREE_FREE)
+    pencil = assemble_operator(bench, 12, BCKind.FREE_FREE).pencil
     mu = 0.3 - 1.2j
     direct = pencil.k0 + mu * pencil.k1 + mu * mu * pencil.k2
     np.testing.assert_allclose(pencil_value(pencil, mu), direct, rtol=1e-15)
 
 
 def test_pencil_residual_scale_invariant(bench):
-    grid = chebyshev_grid(12, bench.h)
-    pencil = assemble_pencil(bench, grid, BCKind.FREE_FREE)
+    pencil = assemble_operator(bench, 12, BCKind.FREE_FREE).pencil
     rng = np.random.default_rng(3)
     v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
     mu = 1.0 + 0.5j
@@ -126,8 +120,8 @@ def test_pencil_residual_scale_invariant(bench):
 
 
 def test_sh_boundary_rows_are_pure_flux(bench):
-    grid = chebyshev_grid(10, bench.h)
-    sh = assemble_sh_pencil(bench, grid)
+    sh = assemble_operator(bench, 10, BCKind.FREE_FREE, n_channels=1).pencil
+    grid = sh.grid
     n = grid.n
     # rows n, n+1 hold the face conditions at +h then -h: mu * d1[node]
     np.testing.assert_allclose(sh.k0[n], bench.mu * grid.d1[n - 1], rtol=1e-15)
@@ -137,9 +131,8 @@ def test_sh_boundary_rows_are_pure_flux(bench):
 
 
 def test_clamped_bottom_rows_are_point_values(bench):
-    grid = chebyshev_grid(10, bench.h)
-    pencil = assemble_pencil(bench, grid, BCKind.CLAMPED_FREE)
-    n = grid.n
+    pencil = assemble_operator(bench, 10, BCKind.CLAMPED_FREE).pencil
+    n = pencil.grid.n
     # last two rows clamp both displacement components at the lower face
     for i in (0, 1):
         row = pencil.k0[2 * n + 2 + i]
@@ -154,9 +147,8 @@ def test_clamped_bottom_rows_are_point_values(bench):
 
 
 def test_linearization_mask_and_indices(bench):
-    grid = chebyshev_grid(10, bench.h)
-    op = assemble_linearization(assemble_pencil(bench, grid, BCKind.FREE_FREE))
-    n = grid.n
+    op = assemble_operator(bench, 10, BCKind.FREE_FREE)
+    n = op.pencil.grid.n
     assert op.m.shape == (4 * n, 4 * n)
     expected_rows = tuple(sorted(2 * n + i * n + node
                                  for i in (0, 1) for node in (0, n - 1)))
@@ -185,14 +177,6 @@ def test_assemble_operator_rejects_unknown_channels(bench):
 def test_assemble_operator_rejects_clamped_sh(bench):
     with pytest.raises(ValueError, match="SH channel is traction-free only"):
         assemble_operator(bench, 16, BCKind.CLAMPED_FREE, n_channels=1)
-
-
-def test_pencil_rejects_grid_of_another_plate(bench):
-    grid = chebyshev_grid(16, 2.0 * bench.h)
-    with pytest.raises(ValueError, match="grid.h ≠ material.h"):
-        assemble_pencil(bench, grid, BCKind.FREE_FREE)
-    with pytest.raises(ValueError, match="grid.h ≠ material.h"):
-        assemble_sh_pencil(bench, grid)
 
 
 @pytest.mark.parametrize("n", [15, 16])
