@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .discretize import DiscreteOperator, FormMatrices, reduced_operator
-from .eigen import CLUSTER_TOL, ModeSet, BiorthogonalSystem
+from .eigen import CLUSTER_TOL, ModeSet, BiorthogonalSystem, _coincide
 
 __all__ = [
     "CoercivityReport",
@@ -122,10 +122,6 @@ def in_sector(beta: complex, theta0: float) -> bool:
     return a <= theta0 or np.pi - a <= theta0
 
 
-def _gram_cholesky(op: DiscreteOperator):
-    return np.linalg.cholesky(op.gram)
-
-
 def _metric_transform(s: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """L^H S L^-H: the similarity taking gram-metric norms to Euclidean."""
     right = scipy.linalg.solve_triangular(chol.conj().T, s.conj().T, lower=False,
@@ -159,15 +155,16 @@ def resolvent_norms(op: DiscreteOperator, z: complex):
     there; the norms just grow without bound (resolvent_scan skips such
     probes by their reciprocal condition).
     """
-    return _resolvent_probe(op, z, _gram_cholesky(op), 0.0)
+    return _resolvent_probe(op, z, op.gram_cholesky, 0.0)
 
 
 def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan:
     """Probe the resolvent norms on the five rays at the given moduli.
 
-    Validates 2 pi/5 < theta0 < pi/2 and that every probed beta = -i z
-    lies in the double sector of half-angle theta0; moduli must be
-    positive and strictly increasing.  Probes whose LU has a reciprocal
+    Validates 2 pi/5 < theta0 < pi/2, which puts every ray direction, and
+    so every probed beta = -i z, in the double sector of half-angle
+    theta0 (see the module docstring); moduli must be positive and
+    strictly increasing.  Probes whose LU has a reciprocal
     condition below RCOND_MIN sit on the spectrum to working precision;
     they are recorded as NaN and listed in skipped, deterministically
     ordered by (ray index, modulus).
@@ -184,13 +181,10 @@ def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan
     norms = np.full((len(rays), len(moduli)), np.nan)
     hs = np.full_like(norms, np.nan)
     skipped = []
-    chol = _gram_cholesky(op)
     for j, theta in enumerate(rays):
         for k, mod in enumerate(moduli):
-            z = mod * np.exp(1j * theta)
-            if not in_sector(z / 1j, theta0):
-                raise ValueError(f"ray angle {theta:.6g} leaves the sector")
-            probe = _resolvent_probe(op, z, chol, RCOND_MIN)
+            probe = _resolvent_probe(op, mod * np.exp(1j * theta), op.gram_cholesky,
+                                     RCOND_MIN)
             if probe is None:
                 skipped.append((j, mod))
             else:
@@ -358,10 +352,12 @@ def expand_field(system: BiorthogonalSystem, target: np.ndarray, ks,
     dim_state = op.m.shape[0]
     if target.shape == (dim_state,):
         basis = np.column_stack([mode.big_v for mode in modes])
-        chol = _gram_cholesky(op)
+        chol = op.gram_cholesky
     elif target.shape == (dim_state // 2,):
         basis = np.column_stack([mode.big_v[: dim_state // 2] for mode in modes])
-        chol = np.linalg.cholesky(op.gram[: dim_state // 2, : dim_state // 2])
+        # gram is block-diagonal, so its factor is too, and the factor's
+        # leading block is the factor of the displacement metric
+        chol = op.gram_cholesky[: dim_state // 2, : dim_state // 2]
         if method == "biorthogonal":
             raise ValueError("biorthogonal expansion needs a full state target")
     else:
@@ -434,23 +430,21 @@ def nonorthogonality_witness(mode_set: ModeSet):
 
     Modes are unit vectors in the energy metric, so any value well above
     zero witnesses a non-orthogonal eigensystem; pairs whose eigenvalues
-    coincide within CLUSTER_TOL (scaled) are excluded.  Returns
+    coincide to CLUSTER_TOL (see eigen._coincide) are excluded.  Returns
     ((index_m, index_n), |<V_m, V_n>_gram|).
     """
     modes, op = mode_set.modes, mode_set.op
     if len(modes) < 2:
         raise ValueError("need at least two retained modes")
     basis = np.column_stack([mode.big_v for mode in modes])
-    prods = np.abs(basis.conj().T @ op.gram @ basis)
-    best, pair = -1.0, (0, 1)
-    for i in range(len(modes)):
-        for j in range(i + 1, len(modes)):
-            gap = abs(modes[i].mu - modes[j].mu)
-            if gap <= CLUSTER_TOL * max(1.0, abs(modes[i].mu), abs(modes[j].mu)):
-                continue
-            if prods[i, j] > best:
-                best, pair = float(prods[i, j]), (i, j)
-    return pair, best
+    mus = np.array([mode.mu for mode in modes])
+    # pairs i < j in row-major order, of which argmax takes the first
+    # maximum; a coinciding pair reads -1, so if all do, (0, 1) comes back
+    i, j = np.triu_indices(len(modes), 1)
+    prods = np.abs(basis.conj().T @ op.gram @ basis)[i, j]
+    prods[_coincide(mus, mus, CLUSTER_TOL)[i, j]] = -1.0
+    k = int(np.argmax(prods))
+    return (int(i[k]), int(j[k])), float(prods[k])
 
 
 def adjoint_defect(op: DiscreteOperator) -> float:

@@ -291,6 +291,13 @@ class DiscreteOperator:
         gram.flags.writeable = False
         return gram
 
+    @cached_property
+    def gram_cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor L of gram = L L^H, factored once.  Read-only."""
+        chol = np.linalg.cholesky(self.gram)
+        chol.flags.writeable = False
+        return chol
+
 
 def _companion_form(pencil: DiscretePencil) -> DiscreteOperator:
     """Companion form [[0, I], [-C^-1 k0, -C^-1 k1]] of the pencil's rows.

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.csgraph
 
 from .core import BCKind
 from .discretize import (
@@ -61,8 +62,8 @@ PARITY_MIXED = "mixed"
 #: channel even; antisymmetric profiles carry the opposite signs
 _SYMMETRIC_SIGNS = {1: (1.0,), 2: (-1.0, 1.0)}
 
-#: eigenvalues of the n- and 2n-grid solves must agree to this tolerance
-#: (scaled by max(1, |beta|)) for a mode to survive filtering
+#: eigenvalues of the n- and 2n-grid solves must coincide to this
+#: tolerance (see _coincide) for a mode to survive filtering
 MATCH_TOL = 1e-6
 
 #: pair separation below which two coarse eigenvalues are treated as one
@@ -74,7 +75,7 @@ DEFECT_PAIR_TOL = 1e-4
 #: a cluster of nearby eigenvalues
 RANK_TOL = 1e-3
 
-#: eigenvalues within this tolerance (scaled by max(1, |z|)) form one
+#: eigenvalues that coincide to this tolerance (see _coincide) form one
 #: cluster: one Jordan block, one pairing block of the biorthogonal system
 CLUSTER_TOL = 1e-6
 
@@ -138,20 +139,19 @@ class ModeSet:
         nearest mu_k in the QZ block of the mode's parity, so that
         <V_n, W_k>_gram equals w_k^H E V_n and vanishes across distinct
         eigenvalues.  One left solve serves the Jordan screen and the
-        biorthogonal system; a mode with no left eigenvalue within
-        1e-6 * max(1, |mu|) raises.  Read-only.
+        biorthogonal system; a mode whose nearest left eigenvalue does not
+        coincide with mu within MATCH_TOL raises.  Read-only.
         """
         spectrum = _eigensolve(self.op, left=True)
-        gram_factor = scipy.linalg.cho_factor(self.op.gram)
         w = np.empty((self.op.m.shape[0], len(self.modes)), dtype=complex)
         for k, mode in enumerate(self.modes):
             block = next(b for b in spectrum if b.parity in (None, mode.parity))
-            d = np.abs(block.z - mode.mu)
-            j = int(np.argmin(d))
-            if d[j] > 1e-6 * max(1.0, abs(mode.mu)):
+            j = int(np.argmin(np.abs(block.z - mode.mu)))
+            if not _coincide([mode.mu], block.z, MATCH_TOL)[0, j]:
                 raise ValueError(f"no left eigenvector matches mu = {mode.mu:.6g}")
             w[:, k] = block.left[:, j]
-        left = scipy.linalg.cho_solve(gram_factor, self.op.mask[:, None] * w)
+        left = scipy.linalg.cho_solve((self.op.gram_cholesky, True),
+                                      self.op.mask[:, None] * w)
         left.flags.writeable = False
         return left
 
@@ -315,24 +315,31 @@ def _reference_spectrum(pencil: DiscretePencil) -> list:
                                          pencil.bc, pencil.n_channels))
 
 
+def _coincide(a, b, tol: float) -> np.ndarray:
+    """Which eigenvalue pairs are one: |a_i - b_j| <= tol * max(1, |a_i|, |b_j|).
+
+    The package's one rule for eigenvalue identity; every decision that
+    two eigenvalues are the same goes through it.  Returns the boolean
+    matrix over (i, j).
+    """
+    a, b = np.asarray(a)[:, None], np.asarray(b)[None, :]
+    return np.abs(a - b) <= tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
 def _two_resolution_matches(z_raw: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
     """Which coarse eigenvalues reappear in the fine spectrum (see solve_modes)."""
     if z_ref.size < 2:
         raise ValueError("reference solve returned no usable spectrum")
-    matched = np.array([np.min(np.abs(z_ref - z)) <= MATCH_TOL * max(1.0, abs(z))
-                        for z in z_raw], dtype=bool)
-    for k in np.flatnonzero(~matched):
-        z = z_raw[k]
-        others = np.abs(z_raw - z)
-        others[k] = np.inf
-        p = int(np.argmin(others))
-        if others[p] > DEFECT_PAIR_TOL * max(1.0, abs(z)):
-            continue
-        mean_c = 0.5 * (z + z_raw[p])
-        nearest = np.argsort(np.abs(z_ref - mean_c))[:2]
-        mean_f = np.mean(z_ref[nearest])
-        if abs(mean_c - mean_f) <= MATCH_TOL * max(1.0, abs(mean_c)):
-            matched[k] = True
+    matched = _coincide(z_raw, z_ref, MATCH_TOL).any(axis=1)
+    paired = _coincide(z_raw, z_raw, DEFECT_PAIR_TOL)
+    np.fill_diagonal(paired, False)
+    rows = np.flatnonzero(~matched & paired.any(axis=1))
+    gap = np.where(paired[rows], np.abs(z_raw[rows, None] - z_raw), np.inf)
+    mean_c = 0.5 * (z_raw[rows] + z_raw[np.argmin(gap, axis=1)])
+    nearest = np.argsort(np.abs(z_ref - mean_c[:, None]), axis=1)[:, :2]
+    mean_f = np.mean(z_ref[nearest], axis=1)
+    # row k of the diagonal holds coarse pair mean k against its fine mean
+    matched[rows] = np.diagonal(_coincide(mean_c, mean_f, MATCH_TOL))
     return matched
 
 
@@ -366,18 +373,19 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
     modes are PARITY_MIXED by structure: a profile of either reflection
     parity that is clamped on one face would be clamped and traction-free
     on the other as well, and so vanish.  A pair is kept when (a) its
-    eigenvalue reappears within MATCH_TOL * max(1, |beta|) in the block
-    of the same parity of an independent solve at twice the resolution
-    and (b) its pencil backward error is at most accept_tol; raw_count
-    sums the finite eigenvalues of all blocks.  A defective eigenvalue
-    splits into a pair wandering ~sqrt(backward error) in opposite
-    directions, differently on each grid, so individually unmatched
-    eigenvalues are rescued when a coarse partner in the same block sits
-    within DEFECT_PAIR_TOL and the pair mean agrees with the mean of the
-    two nearest fine eigenvalues (the means are as accurate as simple
-    eigenvalues).  Retained states
-    are rebuilt as exactly (v, mu v), normalized to unit energy norm,
-    phase-fixed, and sorted by (|beta|, Re beta, Im beta).
+    eigenvalue coincides to MATCH_TOL (see _coincide) with one in the
+    block of the same parity of an independent solve at twice the
+    resolution and (b) its pencil backward error is at most accept_tol;
+    raw_count sums the finite eigenvalues of all blocks.  A defective
+    eigenvalue splits into a pair wandering ~sqrt(backward error) in
+    opposite directions, differently on each grid, so an individually
+    unmatched eigenvalue is rescued when a coarse partner in the same
+    block coincides with it to DEFECT_PAIR_TOL and its mean with the
+    nearest such partner coincides to MATCH_TOL with the mean of the two
+    nearest fine eigenvalues (the means are as accurate as simple
+    eigenvalues).  Retained states are rebuilt as exactly (v, mu v),
+    normalized to unit energy norm, phase-fixed, and sorted by
+    (|beta|, Re beta, Im beta).
     """
     pencil = op.pencil
     dim = pencil.n_channels * pencil.grid.n
@@ -412,30 +420,15 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
 
 
 def _cluster_indices(zs: np.ndarray, tol: float):
-    """Group indices whose eigenvalues coincide within tol * max(1, |z|).
+    """Group indices whose eigenvalues coincide within tol (see _coincide).
 
-    Single-linkage via union-find; groups are returned sorted internally
-    and ordered by their first member, so the output is deterministic.
+    Groups are the connected components of the coincidence graph (single
+    linkage), each sorted and ordered by its first member, so the output
+    is deterministic.
     """
-    m = zs.size
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(zs[i] - zs[j]) <= tol * max(1.0, abs(zs[i]), abs(zs[j])):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return [tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0])]
+    count, labels = scipy.sparse.csgraph.connected_components(
+        _coincide(zs, zs, tol), directed=False)
+    return sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(count))
 
 
 def _relation_residuals(pencil: DiscretePencil, mu: complex, vectors) -> tuple:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,16 @@ def test_nonorthogonality_witness_benchmark(bench_modes, bench_op):
     assert i != j
     assert value == pytest.approx(WITNESS_VALUE, rel=1e-9)
     assert 0.01 <= value <= 1.0 + 1e-12
+
+
+def test_nonorthogonality_witness_skips_coinciding_eigenvalues(bench_modes):
+    # a copy of a mode has gram product 1 with it, above every admissible
+    # pair, but its eigenvalue coincides with the original's
+    first = bench_modes.modes[0]
+    doubled = dataclasses.replace(bench_modes, modes=bench_modes.modes + (first,))
+    assert nonorthogonality_witness(doubled) == nonorthogonality_witness(bench_modes)
+    alone = dataclasses.replace(bench_modes, modes=(first, first))
+    assert nonorthogonality_witness(alone) == ((0, 1), -1.0)
 
 
 def test_adjoint_defect_benchmark(bench_op):

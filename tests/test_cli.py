@@ -211,6 +211,14 @@ def test_dispersion_csv(tmp_path, capsys):
     assert omegas == {2.8, 2.9, 3.0}
 
 
+def test_resolvent_at_smallest_admissible_theta0(tmp_path):
+    # ray 4 then lies on the sector's edge, where rounding the direction of
+    # a probe must not reject a config that parse_config accepted
+    theta0 = float(np.nextafter(2.0 * np.pi / 5.0, np.pi / 2.0))
+    path = write_config(tmp_path, {"n_colloc": 16, "theta0": theta0})
+    assert run(["resolvent", "--config", path]) == 0
+
+
 def test_resolvent_csv(tmp_path, capsys):
     path = write_config(tmp_path, {"n_colloc": 24, "moduli": [15.0, 40.0]})
     assert run(["resolvent", "--config", path]) == 0

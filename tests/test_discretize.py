@@ -13,7 +13,6 @@ from lambspec import (
     pencil_residual,
     pencil_value,
     reduced_operator,
-    sesquilinear_forms,
 )
 
 # ----------------------------------------------------------------------

@@ -227,6 +227,17 @@ def test_semisimple_double_eigenvalue_at_cutoff_coincidence():
     assert all(max(chain.relation_residuals) <= 1e-10 for chain in near_zero)
 
 
+@pytest.mark.parametrize("zs, groups", [
+    # 0 ~ 2 and 2 ~ 4 coincide but 0 and 4 do not: single linkage joins the
+    # chain into one group, and groups come ordered by their first member
+    ([0.0, 5.0, 0.6e-6, 3.0, 1.2e-6], [(0, 2, 4), (1,), (3,)]),
+    # at |z| = 100 the tolerance 1e-6 scales to a gap of about 1e-4
+    ([100j + 1.1e-4, 100.0, 100j, 100.0 + 0.9e-4], [(0,), (1, 3), (2,)]),
+])
+def test_cluster_indices(zs, groups):
+    assert _cluster_indices(np.array(zs), 1e-6) == groups
+
+
 @pytest.fixture(scope="module")
 def zgv_modes():
     # the split double root of the ZGV frequency: two pairs of singletons
