@@ -334,12 +334,13 @@ def _two_resolution_matches(z_raw: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
     paired = _coincide(z_raw, z_raw, DEFECT_PAIR_TOL)
     np.fill_diagonal(paired, False)
     rows = np.flatnonzero(~matched & paired.any(axis=1))
-    gap = np.where(paired[rows], np.abs(z_raw[rows, None] - z_raw), np.inf)
-    mean_c = 0.5 * (z_raw[rows] + z_raw[np.argmin(gap, axis=1)])
-    nearest = np.argsort(np.abs(z_ref - mean_c[:, None]), axis=1)[:, :2]
-    mean_f = np.mean(z_ref[nearest], axis=1)
-    # row k of the diagonal holds coarse pair mean k against its fine mean
-    matched[rows] = np.diagonal(_coincide(mean_c, mean_f, MATCH_TOL))
+    if rows.size:
+        gap = np.where(paired[rows], np.abs(z_raw[rows, None] - z_raw), np.inf)
+        mean_c = 0.5 * (z_raw[rows] + z_raw[np.argmin(gap, axis=1)])
+        nearest = np.argsort(np.abs(z_ref - mean_c[:, None]), axis=1)[:, :2]
+        mean_f = np.mean(z_ref[nearest], axis=1)
+        # row k of the diagonal holds coarse pair mean k against its fine mean
+        matched[rows] = np.diagonal(_coincide(mean_c, mean_f, MATCH_TOL))
     return matched
 
 

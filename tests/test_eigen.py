@@ -27,6 +27,7 @@ from lambspec.eigen import (
     _eigensolve,
     _relation_residuals,
     _try_extend,
+    _two_resolution_matches,
 )
 from reference_data import (
     ANTI_REAL,
@@ -236,6 +237,17 @@ def test_semisimple_double_eigenvalue_at_cutoff_coincidence():
 ])
 def test_cluster_indices(zs, groups):
     assert _cluster_indices(np.array(zs), 1e-6) == groups
+
+
+def test_two_resolution_matches_rescues_split_pairs():
+    # a defective eigenvalue at 10 splits by +-3e-5 on the coarse grid and
+    # by +-1e-5 on the fine one: neither half matches alone, the pair mean
+    # does; a lone value and a pair whose mean moved stay unmatched
+    coarse = np.array([10 + 3e-5, 10 - 3e-5, 20.0, 30 + 3e-5, 30 - 3e-5])
+    fine = np.array([10 + 1e-5, 10 - 1e-5, 30.001 + 1e-5, 30.001 - 1e-5])
+    assert _two_resolution_matches(coarse, fine).tolist() == [True, True, False,
+                                                              False, False]
+    assert _two_resolution_matches(coarse[:0], fine).tolist() == []
 
 
 @pytest.fixture(scope="module")
