@@ -129,8 +129,7 @@ def _metric_transform(s: np.ndarray, chol: np.ndarray) -> np.ndarray:
     return chol.conj().T @ right
 
 
-def _resolvent_probe(op: DiscreteOperator, z: complex, chol: np.ndarray,
-                     rcond_min: float):
+def _resolvent_probe(op: DiscreteOperator, z: complex, rcond_min: float):
     """Energy-metric norms of (m - z E)^-1 E behind a conditioning gate.
 
     Returns None, without solving, when the reciprocal condition of the
@@ -144,7 +143,7 @@ def _resolvent_probe(op: DiscreteOperator, z: complex, chol: np.ndarray,
     if rcond < rcond_min:
         return None
     res = scipy.linalg.lu_solve((lu, piv), np.diag(e))
-    t = _metric_transform(res, chol)
+    t = _metric_transform(res, op.gram_cholesky)
     return float(np.linalg.norm(t, 2)), float(np.linalg.norm(t, "fro"))
 
 
@@ -155,7 +154,7 @@ def resolvent_norms(op: DiscreteOperator, z: complex):
     there; the norms just grow without bound (resolvent_scan skips such
     probes by their reciprocal condition).
     """
-    return _resolvent_probe(op, z, op.gram_cholesky, 0.0)
+    return _resolvent_probe(op, z, 0.0)
 
 
 def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan:
@@ -183,8 +182,7 @@ def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan
     skipped = []
     for j, theta in enumerate(rays):
         for k, mod in enumerate(moduli):
-            probe = _resolvent_probe(op, mod * np.exp(1j * theta), op.gram_cholesky,
-                                     RCOND_MIN)
+            probe = _resolvent_probe(op, mod * np.exp(1j * theta), RCOND_MIN)
             if probe is None:
                 skipped.append((j, mod))
             else:

@@ -76,16 +76,6 @@ class Material:
         if not self.omega > 0.0:
             raise ValueError("invalid material: ω ≤ 0")
 
-    @property
-    def c_l(self) -> float:
-        """Longitudinal (pressure) bulk wave speed sqrt((lam + 2 mu)/rho)."""
-        return float(np.sqrt((self.lam + 2.0 * self.mu) / self.rho))
-
-    @property
-    def c_t(self) -> float:
-        """Transverse (shear) bulk wave speed sqrt(mu/rho)."""
-        return float(np.sqrt(self.mu / self.rho))
-
 
 def make_material(lam: float, mu: float, rho: float, h: float, omega: float) -> Material:
     """Validate and build a Material record.

@@ -11,11 +11,12 @@ each half-size block is solved on its own; the block fixes the parity
 label exactly.  Raw eigenpairs are filtered by two-resolution agreement
 and normalized in the energy metric with a fixed phase convention.  On
 top of that sit the defectiveness machinery and the left/right
-biorthogonal systems used by modal expansions.  Both read one set of
-energy-metric left vectors per mode set: the left vectors screen the
-Jordan probe to first order (an eigenvalue can be defective only where
-its left and right vectors are nearly orthogonal), and bordered least
-squares builds chains only where that screen cannot rule a chain out.
+biorthogonal systems used by modal expansions.  Each mode keeps the
+left eigenvector of the QZ that gave its right vector; the left vectors
+screen the Jordan probe to first order (an eigenvalue can be defective
+only where its left and right vectors are nearly orthogonal), and
+bordered least squares builds chains only where that screen cannot rule
+a chain out.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.csgraph
 
 from .core import BCKind
 from .discretize import (
@@ -92,7 +92,8 @@ class Mode:
     of the displacement profile, big_v the stacked state (v, mu*v) with
     unit energy norm and the largest-magnitude entry of v made real
     positive.  residual is the normwise backward error of (mu, v) against
-    the quadratic pencil.
+    the quadratic pencil.  w is the full-length left eigenvector
+    (w^H m = mu w^H E) from the same QZ, unnormalized.
     """
 
     mu: complex
@@ -101,10 +102,12 @@ class Mode:
     big_v: np.ndarray
     residual: float
     parity: str
+    w: np.ndarray
 
     def __post_init__(self):
         self.v.flags.writeable = False
         self.big_v.flags.writeable = False
+        self.w.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -135,21 +138,14 @@ class ModeSet:
     def left_vectors(self) -> np.ndarray:
         """Energy-metric left vectors W_k = G^{-1} E w_k, column k for modes[k].
 
-        w_k is the left eigenvector (w^H m = z w^H E) whose eigenvalue lies
-        nearest mu_k in the QZ block of the mode's parity, so that
-        <V_n, W_k>_gram equals w_k^H E V_n and vanishes across distinct
-        eigenvalues.  One left solve serves the Jordan screen and the
-        biorthogonal system; a mode whose nearest left eigenvalue does not
-        coincide with mu within MATCH_TOL raises.  Read-only.
+        w_k is the mode's own left eigenvector Mode.w, so <V_n, W_k>_gram
+        equals w_k^H E V_n and vanishes across distinct eigenvalues.  The
+        Jordan screen and the biorthogonal system share this one solve
+        against the Gram factor; an empty mode set gives a (4n, 0) array.
         """
-        spectrum = _eigensolve(self.op, left=True)
         w = np.empty((self.op.m.shape[0], len(self.modes)), dtype=complex)
         for k, mode in enumerate(self.modes):
-            block = next(b for b in spectrum if b.parity in (None, mode.parity))
-            j = int(np.argmin(np.abs(block.z - mode.mu)))
-            if not _coincide([mode.mu], block.z, MATCH_TOL)[0, j]:
-                raise ValueError(f"no left eigenvector matches mu = {mode.mu:.6g}")
-            w[:, k] = block.left[:, j]
+            w[:, k] = mode.w
         left = scipy.linalg.cho_solve((self.op.gram_cholesky, True),
                                       self.op.mask[:, None] * w)
         left.flags.writeable = False
@@ -209,11 +205,11 @@ class BiorthogonalSystem:
 
 
 class _Block(NamedTuple):
-    """Finite eigenvalues of one QZ block with the vectors asked for.
+    """Finite eigenvalues of one QZ block, with its eigenvectors if asked.
 
     parity is the reflection family of the block, or None for an
-    operator solved whole; left and right hold full-length state vectors
-    column by column (None when not requested).
+    operator solved whole; left and right hold the block's full-length
+    eigenvectors column by column (None when vectors were not asked for).
     """
 
     parity: str | None
@@ -243,13 +239,13 @@ def _reflection(op: DiscreteOperator):
     return rep, mir, sign, row_sign
 
 
-def _qz(a: np.ndarray, b: np.ndarray, left: bool, right: bool):
-    """Finite eigenvalues of a x = z b x and the requested eigenvectors."""
-    out = scipy.linalg.eig(a, b, left=left, right=right)
-    w, *vectors = out if (left or right) else (out,)
+def _qz(a: np.ndarray, b: np.ndarray, vectors: bool):
+    """Finite eigenvalues of a x = z b x, with left and right vectors if asked."""
+    out = scipy.linalg.eig(a, b, left=vectors, right=vectors)
+    w, vl, vr = out if vectors else (out, None, None)
     good = np.isfinite(w)
-    vl = vectors[0][:, good] if left else None
-    vr = vectors[-1][:, good] if right else None
+    if vectors:
+        vl, vr = vl[:, good], vr[:, good]
     return w[good], vl, vr
 
 
@@ -275,8 +271,7 @@ def _unfold(y: np.ndarray, rep: np.ndarray, mir: np.ndarray,
     return x
 
 
-def _eigensolve(op: DiscreteOperator, left: bool = False,
-                right: bool = False) -> list:
+def _eigensolve(op: DiscreteOperator, vectors: bool = False) -> list:
     """Finite spectrum of m V = z E V, one _Block per QZ problem.
 
     A traction-free operator splits into the symmetric and antisymmetric
@@ -286,10 +281,11 @@ def _eigensolve(op: DiscreteOperator, left: bool = False,
     adds the mirrored row with sign p T (a middle node, being its own
     mirror, enters once).  Each block is about half the size of m, so
     the two QZ solves cost about a quarter of one full solve.  The
-    clamped plate has no reflection symmetry and is solved whole.
+    clamped plate has no reflection symmetry and is solved whole.  With
+    vectors, left vectors unfold with T and right vectors with S.
     """
     if op.pencil.bc is not BCKind.FREE_FREE:
-        return [_Block(None, *_qz(op.m, np.diag(op.mask), left, right))]
+        return [_Block(None, *_qz(op.m, np.diag(op.mask), vectors))]
     rep, mir, sign, row_sign = _reflection(op)
     size = op.m.shape[0]
     blocks = []
@@ -300,11 +296,9 @@ def _eigensolve(op: DiscreteOperator, left: bool = False,
         # the fold of the diagonal E is diagonal: built at block size, it
         # equals _fold(np.diag(op.mask), r, q, s, t) entry for entry
         e = np.diag(np.where(r == q, 0.5, 1.0) * (op.mask[r] + s * t * op.mask[q]))
-        z, vl, vr = _qz(_fold(op.m, r, q, s, t), e, left, right)
-        if vl is not None:
-            vl = _unfold(vl, r, q, t, size)
-        if vr is not None:
-            vr = _unfold(vr, r, q, s, size)
+        z, vl, vr = _qz(_fold(op.m, r, q, s, t), e, vectors)
+        if vectors:
+            vl, vr = _unfold(vl, r, q, t, size), _unfold(vr, r, q, s, size)
         blocks.append(_Block(parity, z, vl, vr))
     return blocks
 
@@ -386,13 +380,14 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
     nearest fine eigenvalues (the means are as accurate as simple
     eigenvalues).  Retained states are rebuilt as exactly (v, mu v),
     normalized to unit energy norm, phase-fixed, and sorted by
-    (|beta|, Re beta, Im beta).
+    (|beta|, Re beta, Im beta).  The left eigenvector of each mode comes
+    from the same QZ; the 2n reference runs first, before those are held.
     """
     pencil = op.pencil
     dim = pencil.n_channels * pencil.grid.n
 
-    blocks = _eigensolve(op, right=True)
     references = _reference_spectrum(pencil)
+    blocks = _eigensolve(op, vectors=True)
     modes = []
     for block, reference in zip(blocks, references):
         matched = _two_resolution_matches(block.z, reference.z)
@@ -413,7 +408,8 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
             v = big_v[:dim].copy()
             modes.append(Mode(mu=z, beta=z / 1j, v=v, big_v=big_v,
                               residual=float(res),
-                              parity=block.parity or PARITY_MIXED))
+                              parity=block.parity or PARITY_MIXED,
+                              w=block.left[:, k].copy()))
 
     modes.sort(key=lambda md: (abs(md.beta), md.beta.real, md.beta.imag))
     return ModeSet(modes=tuple(modes), op=op, accept_tol=float(accept_tol),
@@ -427,6 +423,7 @@ def _cluster_indices(zs: np.ndarray, tol: float):
     linkage), each sorted and ordered by its first member, so the output
     is deterministic.
     """
+    import scipy.sparse.csgraph  # loaded only by commands that cluster
     count, labels = scipy.sparse.csgraph.connected_components(
         _coincide(zs, zs, tol), directed=False)
     return sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(count))

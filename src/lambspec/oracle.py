@@ -10,8 +10,8 @@ thickness ODE system, independently of any collocation machinery:
 * the shear-horizontal spectrum, which is available in closed form,
 * the half-space stable solutions and their boundary system, whose
   determinant must come out as -beta,
-* bulk/Rayleigh/plate speeds, cutoff frequencies, and a locator for
-  double roots of the dispersion function (zero-group-velocity points).
+* a locator for double roots of the dispersion function
+  (zero-group-velocity points).
 
 All determinants are premultiplied by a positive real scale
 exp(-h(|Im p| + |Im q|)) so they stay bounded for large |beta|; a positive
@@ -33,11 +33,8 @@ __all__ = [
     "DispersionFunction",
     "RootCertificationError",
     "StableSolutionReport",
-    "cutoff_frequencies",
     "find_zero_group_velocity_point",
-    "low_frequency_plate_speed",
     "rayleigh_lamb_roots",
-    "rayleigh_speed",
     "sh_modes_closed_form",
     "stable_solution_check",
     "winding_number",
@@ -546,39 +543,7 @@ def stable_solution_check(material, beta, gamma):
 
 
 # ----------------------------------------------------------------------
-# speeds, cutoffs, double roots
-
-def rayleigh_speed(material):
-    """Rayleigh surface wave speed: the root of the Rayleigh function in (0, c_t)."""
-    ct2 = material.c_t ** 2
-    cl2 = material.c_l ** 2
-
-    def rayleigh_fn(c):
-        c2 = c * c
-        return (2.0 - c2 / ct2) ** 2 - 4.0 * np.sqrt(1.0 - c2 / cl2) * np.sqrt(1.0 - c2 / ct2)
-
-    return float(brentq(rayleigh_fn, 1e-6 * material.c_t,
-                        material.c_t * (1.0 - 1e-13), xtol=1e-15, rtol=8.9e-16))
-
-
-def low_frequency_plate_speed(material):
-    """Long-wave symmetric plate speed 2 sqrt(mu (lam + mu) / (rho (lam + 2 mu)))."""
-    lam, mu, rho = material.lam, material.mu, material.rho
-    return float(2.0 * np.sqrt(mu * (lam + mu) / (rho * (lam + 2.0 * mu))))
-
-
-def cutoff_frequencies(material, count):
-    """The first `count` thickness-resonance frequencies n pi c/(2h), both families."""
-    freqs = []
-    for c in (material.c_l, material.c_t):
-        for n in range(1, count + 1):
-            freqs.append(n * np.pi * c / (2.0 * material.h))
-    out = []
-    for w in sorted(freqs):
-        if not out or abs(w - out[-1]) > 1e-12 * w:
-            out.append(w)
-    return out[:count]
-
+# double roots
 
 def find_zero_group_velocity_point(material, parity, beta_bracket, omega_bracket,
                                    bc=BCKind.FREE_FREE):

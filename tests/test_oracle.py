@@ -14,12 +14,9 @@ from lambspec import (
     PARITY_SYMMETRIC,
     RootCertificationError,
     chebyshev_grid,
-    cutoff_frequencies,
     find_zero_group_velocity_point,
-    low_frequency_plate_speed,
     make_material,
     rayleigh_lamb_roots,
-    rayleigh_speed,
     sh_modes_closed_form,
     stable_solution_check,
     winding_number,
@@ -27,9 +24,6 @@ from lambspec import (
 from reference_data import (
     ANTI_ROOTS,
     CLAMPED_ROOTS,
-    CUTOFF_FREQUENCIES,
-    PLATE_SPEED,
-    RAYLEIGH_SPEED,
     SH_BETAS,
     SYM_ROOTS,
     ZGV_BETA,
@@ -197,26 +191,7 @@ def test_stable_solution_validation(bench):
 
 
 # ----------------------------------------------------------------------
-# scalar oracles
-
-
-def test_rayleigh_speed_frozen(bench):
-    speed = rayleigh_speed(bench)
-    assert speed == pytest.approx(RAYLEIGH_SPEED, rel=1e-12)
-    assert 0.0 < speed < bench.c_t
-
-
-def test_low_frequency_plate_speed(bench):
-    # 2 c_t sqrt(1 - c_t^2/c_l^2) = sqrt(3) for this material
-    assert low_frequency_plate_speed(bench) == pytest.approx(PLATE_SPEED, rel=1e-14)
-    assert low_frequency_plate_speed(bench) == pytest.approx(np.sqrt(3.0), rel=1e-14)
-
-
-def test_cutoff_frequencies_frozen(bench):
-    freqs = cutoff_frequencies(bench, 8)
-    np.testing.assert_allclose(freqs, CUTOFF_FREQUENCIES, rtol=1e-14)
-    # omega = pi appears in both thickness-resonance families at once
-    assert freqs[1] == pytest.approx(np.pi, rel=1e-14)
+# double roots
 
 
 def test_zero_group_velocity_point_frozen(bench):
