@@ -93,7 +93,7 @@ class Mode:
     unit energy norm and the largest-magnitude entry of v made real
     positive.  residual is the normwise backward error of (mu, v) against
     the quadratic pencil.  w is the full-length left eigenvector
-    (w^H m = mu w^H E) from the same QZ, unnormalized.
+    (w^H m = mu w^H E) from the same QZ, at the scale QZ returns.
     """
 
     mu: complex

@@ -322,10 +322,10 @@ def test_one_left_solve_per_mode_set(request, monkeypatch, name, n_blocks, probe
     monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     mode_set = solve_modes(op)
-    sizes, vectors = zip(*((size, (left, right)) for size, left, right in eigs))
-    assert vectors == ((False, False),) * n_blocks + ((True, True),) * n_blocks
-    assert sum(sizes[:n_blocks]) == 2 * op.m.shape[0]
-    assert sum(sizes[n_blocks:]) == op.m.shape[0]
+    assert [call[1:] for call in eigs] == ([(False, False)] * n_blocks
+                                           + [(True, True)] * n_blocks)
+    assert sum(call[0] for call in eigs[:n_blocks]) == 2 * op.m.shape[0]
+    assert sum(call[0] for call in eigs[n_blocks:]) == op.m.shape[0]
     eigs.clear()
     detect_jordan_chains(mode_set)
     biorthogonalize(mode_set)
