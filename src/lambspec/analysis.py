@@ -8,6 +8,13 @@ from its energy-metric adjoint.  All norms are taken in the energy
 metric: for a matrix S that means the Euclidean norm of L^H S L^-H where
 gram = L L^H is the Cholesky factorization.
 
+On a traction-free plate the resolvent probes split like the QZ solves
+(eigen._reflection_blocks): R(z) = (m - z E)^-1 E commutes with the state
+reflection and the Gram matrix is reflection-invariant, so each probe
+factors the two half-size blocks of m - z E, the operator norm is the
+larger block norm and the squared Hilbert-Schmidt norm the sum of the
+blocks' squares.  The clamped plate is probed whole.
+
 Ray geometry: the five companion-plane ray angles are
 theta_j = 2(j-1) pi/5 + pi/2, which under z = i beta place beta on the
 directions {0, 72, 144, 216, 288} degrees -- all inside the admissible
@@ -22,7 +29,14 @@ import numpy as np
 import scipy.linalg
 
 from .discretize import DiscreteOperator, FormMatrices, reduced_operator
-from .eigen import CLUSTER_TOL, ModeSet, BiorthogonalSystem, _coincide
+from .eigen import (
+    CLUSTER_TOL,
+    BiorthogonalSystem,
+    ModeSet,
+    _coincide,
+    _fold,
+    _reflection_blocks,
+)
 
 __all__ = [
     "CoercivityReport",
@@ -46,9 +60,10 @@ THETA0_MIN = 2.0 * np.pi / 5.0
 #: largest admissible sector half-angle (exclusive)
 THETA0_MAX = np.pi / 2.0
 #: LU reciprocal condition below which a resolvent probe counts as lying
-#: on the spectrum: the verify ray probes measure 8e-11 .. 1.1e-7 at
-#: n = 64 (free-free and clamped-free), a probe at a retained eigenvalue
-#: about 1e-20
+#: on the spectrum, tested per reflection block: at n = 64 the verify ray
+#: probes measure 1.7e-9 .. 1.1e-7 in each free-free block and
+#: 8.1e-11 .. 1.9e-9 on the whole clamped-free operator; at a retained
+#: eigenvalue the block holding it reads about 4e-20, the other block 1.6e-8
 RCOND_MIN = 1e-13
 #: measured_b looks at retained eigenvalues within this angle (radians) of
 #: a ray direction and stretches the largest such |beta| by B_SAFETY
@@ -129,22 +144,60 @@ def _metric_transform(s: np.ndarray, chol: np.ndarray) -> np.ndarray:
     return chol.conj().T @ right
 
 
-def _resolvent_probe(op: DiscreteOperator, z: complex, rcond_min: float):
-    """Energy-metric norms of (m - z E)^-1 E behind a conditioning gate.
+def _probe_blocks(op: DiscreteOperator) -> list:
+    """(m, e, chol) for each reflection block of op, chol the block's Gram factor.
+
+    The Gram matrix is reflection-invariant, so folding it with the state
+    signs gives each block's metric; an operator taken whole keeps its own
+    factor.
+    """
+    out = []
+    for block in _reflection_blocks(op):
+        if block.pairing is None:
+            chol = op.gram_cholesky
+        else:
+            r, q, s, _t = block.pairing
+            chol = np.linalg.cholesky(_fold(op.gram, r, q, s, s))
+        out.append((block.m, block.e, chol))
+    return out
+
+
+def _block_probe(m: np.ndarray, e: np.ndarray, chol: np.ndarray, z: complex,
+                 rcond_min: float):
+    """Energy-metric norms of (m - z diag(e))^-1 diag(e) behind a conditioning gate.
 
     Returns None, without solving, when the reciprocal condition of the
     LU (1-norm, LAPACK gecon) falls below rcond_min.
     """
-    e = op.mask
-    a = op.m - z * np.diag(e)
-    lu, piv = scipy.linalg.lu_factor(a)
+    a = m.astype(complex)
+    a[np.diag_indices_from(a)] -= z * e
+    a_norm = np.linalg.norm(a, 1)
+    lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True)
     gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-    rcond, _info = gecon(lu, np.linalg.norm(a, 1))
+    rcond, _info = gecon(lu, a_norm)
     if rcond < rcond_min:
         return None
     res = scipy.linalg.lu_solve((lu, piv), np.diag(e))
-    t = _metric_transform(res, op.gram_cholesky)
+    t = _metric_transform(res, chol)
     return float(np.linalg.norm(t, 2)), float(np.linalg.norm(t, "fro"))
+
+
+def _resolvent_probe(blocks: list, z: complex, rcond_min: float):
+    """Norms of the resolvent from its blocks, or None if any block is gated.
+
+    The resolvent commutes with the reflection and the blocks are
+    orthogonal in the energy metric, so the operator norm is the largest
+    block norm and the squared Hilbert-Schmidt norm the sum of the
+    blocks' squares.
+    """
+    probes = []
+    for block in blocks:
+        probe = _block_probe(*block, z, rcond_min)
+        if probe is None:
+            return None
+        probes.append(probe)
+    op_norms, hs_norms = zip(*probes)
+    return max(op_norms), float(np.linalg.norm(hs_norms))
 
 
 def resolvent_norms(op: DiscreteOperator, z: complex):
@@ -154,7 +207,7 @@ def resolvent_norms(op: DiscreteOperator, z: complex):
     there; the norms just grow without bound (resolvent_scan skips such
     probes by their reciprocal condition).
     """
-    return _resolvent_probe(op, z, 0.0)
+    return _resolvent_probe(_probe_blocks(op), z, 0.0)
 
 
 def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan:
@@ -162,27 +215,31 @@ def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan
 
     Validates 2 pi/5 < theta0 < pi/2, which puts every ray direction, and
     so every probed beta = -i z, in the double sector of half-angle
-    theta0 (see the module docstring); moduli must be positive and
-    strictly increasing.  Probes whose LU has a reciprocal
-    condition below RCOND_MIN sit on the spectrum to working precision;
-    they are recorded as NaN and listed in skipped, deterministically
-    ordered by (ray index, modulus).
+    theta0 (see the module docstring); moduli must be finite, positive
+    and strictly increasing.  Each probe factors the reflection blocks of
+    m - z E (the Gram factors of the blocks once per scan).  A probe where
+    some block's LU has a reciprocal condition below RCOND_MIN sits on
+    the spectrum to working precision; it is recorded as NaN and listed
+    in skipped, deterministically ordered by (ray index, modulus).
     """
     if not (THETA0_MIN < theta0 < THETA0_MAX):
         raise ValueError("theta0 outside the admissible interval (2*pi/5, pi/2)")
     moduli = tuple(float(m) for m in moduli)
+    if not all(np.isfinite(moduli)):
+        raise ValueError("moduli must be finite")
     if not moduli or any(m <= 0 for m in moduli):
         raise ValueError("moduli must be positive")
     if any(b <= a for a, b in zip(moduli, moduli[1:])):
         raise ValueError("moduli must be strictly increasing")
 
+    blocks = _probe_blocks(op)
     rays = five_rays()
     norms = np.full((len(rays), len(moduli)), np.nan)
     hs = np.full_like(norms, np.nan)
     skipped = []
     for j, theta in enumerate(rays):
         for k, mod in enumerate(moduli):
-            probe = _resolvent_probe(op, mod * np.exp(1j * theta), RCOND_MIN)
+            probe = _resolvent_probe(blocks, mod * np.exp(1j * theta), RCOND_MIN)
             if probe is None:
                 skipped.append((j, mod))
             else:

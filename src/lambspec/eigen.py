@@ -271,23 +271,34 @@ def _unfold(y: np.ndarray, rep: np.ndarray, mir: np.ndarray,
     return x
 
 
-def _eigensolve(op: DiscreteOperator, vectors: bool = False) -> list:
-    """Finite spectrum of m V = z E V, one _Block per QZ problem.
+class _Fold(NamedTuple):
+    """One reflection block of the masked pencil: m V = z diag(e) V.
+
+    pairing is the signed index pairing (r, q, s, t) the block was folded
+    on (see _fold and _unfold), or None for an operator taken whole, whose
+    m and e are op.m and op.mask themselves.
+    """
+
+    parity: str | None
+    pairing: tuple | None
+    m: np.ndarray
+    e: np.ndarray
+
+
+def _reflection_blocks(op: DiscreteOperator) -> list:
+    """The pencil (m, E) as one _Fold per independent block.
 
     A traction-free operator splits into the symmetric and antisymmetric
     families.  Each block is the pencil restricted to the +-1 eigenspace
     of S on states and of T on equations, built by signed index folding:
     a column of the block adds the mirrored column with sign p S, a row
     adds the mirrored row with sign p T (a middle node, being its own
-    mirror, enters once).  Each block is about half the size of m, so
-    the two QZ solves cost about a quarter of one full solve.  The
-    clamped plate has no reflection symmetry and is solved whole.  With
-    vectors, left vectors unfold with T and right vectors with S.
+    mirror, enters once).  The clamped plate has no reflection symmetry
+    and comes back whole.
     """
     if op.pencil.bc is not BCKind.FREE_FREE:
-        return [_Block(None, *_qz(op.m, np.diag(op.mask), vectors))]
+        return [_Fold(None, None, op.m, op.mask)]
     rep, mir, sign, row_sign = _reflection(op)
-    size = op.m.shape[0]
     blocks = []
     for parity, p in ((PARITY_SYMMETRIC, 1.0), (PARITY_ANTISYMMETRIC, -1.0)):
         keep = (rep != mir) | (p * sign > 0.0)
@@ -295,12 +306,28 @@ def _eigensolve(op: DiscreteOperator, vectors: bool = False) -> list:
         s, t = p * sign[keep], p * row_sign[keep]
         # the fold of the diagonal E is diagonal: built at block size, it
         # equals _fold(np.diag(op.mask), r, q, s, t) entry for entry
-        e = np.diag(np.where(r == q, 0.5, 1.0) * (op.mask[r] + s * t * op.mask[q]))
-        z, vl, vr = _qz(_fold(op.m, r, q, s, t), e, vectors)
-        if vectors:
-            vl, vr = _unfold(vl, r, q, t, size), _unfold(vr, r, q, s, size)
-        blocks.append(_Block(parity, z, vl, vr))
+        e = np.where(r == q, 0.5, 1.0) * (op.mask[r] + s * t * op.mask[q])
+        blocks.append(_Fold(parity, (r, q, s, t), _fold(op.m, r, q, s, t), e))
     return blocks
+
+
+def _eigensolve(op: DiscreteOperator, vectors: bool = False) -> list:
+    """Finite spectrum of m V = z E V, one _Block per QZ problem.
+
+    One QZ per block of _reflection_blocks: on a traction-free plate each
+    block is about half the size of m, so the two solves cost about a
+    quarter of one full solve.  With vectors, a folded block's left
+    vectors unfold with T and its right vectors with S.
+    """
+    size = op.m.shape[0]
+    out = []
+    for block in _reflection_blocks(op):
+        z, vl, vr = _qz(block.m, np.diag(block.e), vectors)
+        if vectors and block.pairing is not None:
+            r, q, s, t = block.pairing
+            vl, vr = _unfold(vl, r, q, t, size), _unfold(vr, r, q, s, size)
+        out.append(_Block(block.parity, z, vl, vr))
+    return out
 
 
 def _reference_spectrum(pencil: DiscretePencil) -> list:

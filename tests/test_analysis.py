@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambspec import (
+    BCKind,
     adjoint_defect,
+    assemble_operator,
     coercivity_scan,
     expand_field,
     five_rays,
@@ -21,7 +23,10 @@ from lambspec import (
     random_trig_fields,
     resolvent_norms,
     resolvent_scan,
+    solve_modes,
 )
+from lambspec.analysis import RCOND_MIN, _block_probe, _probe_blocks, _resolvent_probe
+from lambspec.eigen import _reflection_blocks
 from reference_data import (
     ADJOINT_DEFECT_VALUE,
     COERCIVITY_CONST_1000,
@@ -178,6 +183,36 @@ def test_resolvent_scan_validation(bench_op):
         resolvent_scan(bench_op, THETA0, (20.0, 10.0))
     with pytest.raises(ValueError, match="positive"):
         resolvent_scan(bench_op, THETA0, ())
+    # rejected by name before LAPACK sees them (inf would warn in numpy first)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="moduli must be finite"):
+            resolvent_scan(bench_op, THETA0, (1.0, bad))
+
+
+@pytest.mark.parametrize("n", [24, 25])
+def test_resolvent_split_matches_whole(bench, n):
+    # the scan factors the two reflection blocks; the same probe routine
+    # run on the whole operator must give the same norms on every ray
+    op = assemble_operator(bench, n, BCKind.FREE_FREE)
+    moduli = (0.3, 1.1, 4.0, 15.0)
+    scan = resolvent_scan(op, THETA0, moduli)
+    assert scan.skipped == ()
+    for j, theta in enumerate(scan.rays):
+        for k, modulus in enumerate(moduli):
+            whole = _block_probe(op.m, op.mask, op.gram_cholesky,
+                                 modulus * np.exp(1j * theta), 0.0)
+            assert scan.norms[j, k] == pytest.approx(whole[0], rel=1e-10)
+            assert scan.hs_norms[j, k] == pytest.approx(whole[1], rel=1e-10)
+    # at a retained eigenvalue only the block of the mode's parity is
+    # singular, and that one block gates the whole probe
+    blocks = _probe_blocks(op)
+    parities = [block.parity for block in _reflection_blocks(op)]
+    modes = solve_modes(op).modes
+    for mode in (next(mode for mode in modes if mode.parity == parity)
+                 for parity in parities):
+        gated = [_block_probe(*block, mode.mu, RCOND_MIN) is None for block in blocks]
+        assert gated == [parity == mode.parity for parity in parities]
+        assert _resolvent_probe(blocks, mode.mu, RCOND_MIN) is None
 
 
 def test_measured_b_benchmark(bench_modes):

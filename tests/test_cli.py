@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from lambspec import BCKind
-from lambspec.cli import N_COLLOC_MAX, THETA0_DEFAULT, ConfigError, parse_config, run
+from lambspec.cli import (
+    N_COLLOC_MAX,
+    THETA0_DEFAULT,
+    ConfigError,
+    _closure_defects,
+    parse_config,
+    run,
+)
 from reference_data import ZGV_BETA, ZGV_OMEGA
 
 BASE = {"lambda": 2.0, "mu": 1.0, "rho": 1.0, "h": 1.0, "omega": 3.0}
@@ -319,6 +326,28 @@ def test_verify_ray_ratio_can_fail(tmp_path, capsys, bench_modes):
     assert payload["passed"] is False
     failing = [c["name"] for c in payload["checks"] if not c["pass"]]
     assert failing == ["resolvent_ray_ratio"]
+
+
+def test_verify_passes_at_zgv(tmp_path, capsys):
+    # the split double root's halves are only sqrt(eps) accurate, so the
+    # closures compare the means of its DEFECT_PAIR_TOL groups; the halves
+    # alone miss their conjugates and negatives by about 2e-6
+    path = write_config(tmp_path, {"omega": ZGV_OMEGA, "n_colloc": 64})
+    assert run(["verify", "--config", path]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for name in ("conjugation_closure", "negation_closure"):
+        assert checks[name]["measured"] <= 1e-9
+
+
+def test_closures_fail_on_a_moved_eigenvalue(bench_modes):
+    betas = bench_modes.betas
+    assert max(_closure_defects(betas)) <= 1e-6
+    # beta_0 is real, so it is its own conjugate until it moves off the axis
+    moved = betas.copy()
+    moved[0] += 1e-5j
+    conj_d, neg_d = _closure_defects(moved)
+    assert conj_d > 1e-6 and neg_d > 1e-6
+    assert _closure_defects(betas[:0]) == (np.inf, np.inf)
 
 
 def test_verify_reports_empty_spectrum(tmp_path, capsys):
