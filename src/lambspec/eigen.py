@@ -21,6 +21,7 @@ a chain out.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -285,8 +286,8 @@ class _Fold(NamedTuple):
     e: np.ndarray
 
 
-def _reflection_blocks(op: DiscreteOperator) -> list:
-    """The pencil (m, E) as one _Fold per independent block.
+def _reflection_blocks(op: DiscreteOperator) -> Iterator[_Fold]:
+    """The pencil (m, E) as one _Fold per independent block, built lazily.
 
     A traction-free operator splits into the symmetric and antisymmetric
     families.  Each block is the pencil restricted to the +-1 eigenspace
@@ -294,12 +295,13 @@ def _reflection_blocks(op: DiscreteOperator) -> list:
     a column of the block adds the mirrored column with sign p S, a row
     adds the mirrored row with sign p T (a middle node, being its own
     mirror, enters once).  The clamped plate has no reflection symmetry
-    and comes back whole.
+    and comes back whole.  A block is folded only when the caller asks
+    for it, so a solve holds one folded block at a time.
     """
     if op.pencil.bc is not BCKind.FREE_FREE:
-        return [_Fold(None, None, op.m, op.mask)]
+        yield _Fold(None, None, op.m, op.mask)
+        return
     rep, mir, sign, row_sign = _reflection(op)
-    blocks = []
     for parity, p in ((PARITY_SYMMETRIC, 1.0), (PARITY_ANTISYMMETRIC, -1.0)):
         keep = (rep != mir) | (p * sign > 0.0)
         r, q = rep[keep], mir[keep]
@@ -307,8 +309,7 @@ def _reflection_blocks(op: DiscreteOperator) -> list:
         # the fold of the diagonal E is diagonal: built at block size, it
         # equals _fold(np.diag(op.mask), r, q, s, t) entry for entry
         e = np.where(r == q, 0.5, 1.0) * (op.mask[r] + s * t * op.mask[q])
-        blocks.append(_Fold(parity, (r, q, s, t), _fold(op.m, r, q, s, t), e))
-    return blocks
+        yield _Fold(parity, (r, q, s, t), _fold(op.m, r, q, s, t), e)
 
 
 def _eigensolve(op: DiscreteOperator, vectors: bool = False) -> list:
