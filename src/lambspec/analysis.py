@@ -31,11 +31,13 @@ import scipy.linalg
 from .discretize import DiscreteOperator, FormMatrices, reduced_operator
 from .eigen import (
     CLUSTER_TOL,
+    RCOND_MIN,
     BiorthogonalSystem,
     ModeSet,
     _coincide,
     _fold,
     _reflection_blocks,
+    _shifted_lu,
 )
 
 __all__ = [
@@ -59,12 +61,6 @@ __all__ = [
 THETA0_MIN = 2.0 * np.pi / 5.0
 #: largest admissible sector half-angle (exclusive)
 THETA0_MAX = np.pi / 2.0
-#: LU reciprocal condition below which a resolvent probe counts as lying
-#: on the spectrum, tested per reflection block: at n = 64 the verify ray
-#: probes measure 1.7e-9 .. 1.1e-7 in each free-free block and
-#: 8.1e-11 .. 1.9e-9 on the whole clamped-free operator; at a retained
-#: eigenvalue the block holding it reads about 4e-20, the other block 1.6e-8
-RCOND_MIN = 1e-13
 #: measured_b looks at retained eigenvalues within this angle (radians) of
 #: a ray direction and stretches the largest such |beta| by B_SAFETY
 B_ANGULAR_MARGIN = 0.1
@@ -166,18 +162,13 @@ def _block_probe(m: np.ndarray, e: np.ndarray, chol: np.ndarray, z: complex,
                  rcond_min: float):
     """Energy-metric norms of (m - z diag(e))^-1 diag(e) behind a conditioning gate.
 
-    Returns None, without solving, when the reciprocal condition of the
-    LU (1-norm, LAPACK gecon) falls below rcond_min.
+    Returns None, without solving, when the LU fails the gate of
+    eigen._shifted_lu at rcond_min.
     """
-    a = m.astype(complex)
-    a[np.diag_indices_from(a)] -= z * e
-    a_norm = np.linalg.norm(a, 1)
-    lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True)
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-    rcond, _info = gecon(lu, a_norm)
-    if rcond < rcond_min:
+    factors = _shifted_lu(m, e, complex(z), rcond_min)
+    if factors is None:
         return None
-    res = scipy.linalg.lu_solve((lu, piv), np.diag(e))
+    res = scipy.linalg.lu_solve(factors, np.diag(e))
     t = _metric_transform(res, chol)
     return float(np.linalg.norm(t, 2)), float(np.linalg.norm(t, "fro"))
 

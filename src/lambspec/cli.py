@@ -67,8 +67,9 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "run", "ma
 THETA0_DEFAULT = 0.45 * np.pi
 
 #: memory the 2n reference solve may take; on the clamped plate it peaks at
-#: about seven 8n x 8n float64 arrays (operator, mask and QZ copies; 6.9
-#: measured at n = 96 and 160), and the bound allows eight
+#: about four 8n x 8n float64 arrays (the assembled operator, the
+#: shift-invert's copy of it and the norm's temporary; 3.9 measured at
+#: n = 96 and 160), and the bound allows eight
 MEMORY_BUDGET = 4 * 2 ** 30
 N_COLLOC_MAX = math.isqrt(MEMORY_BUDGET // (8 * 64 * 8))
 

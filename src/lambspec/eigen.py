@@ -1,22 +1,29 @@
 """Mode extraction for the discretized plate pencil.
 
 The masked companion problem m V = z E V is solved with the QZ
-factorization; E is singular on the constraint rows, so a generalized
-solve is the only uniformly valid route (explicit constraint elimination
-breaks down whenever some constrained state is supported purely on the
-replaced rows, as happens for the scalar SH channel).  A traction-free
-plate is symmetric under reflection through its midplane, so there the
-pencil is projected onto the symmetric and antisymmetric subspaces and
-each half-size block is solved on its own; the block fixes the parity
-label exactly.  Raw eigenpairs are filtered by two-resolution agreement
-and normalized in the energy metric with a fixed phase convention.  On
-top of that sit the defectiveness machinery and the left/right
-biorthogonal systems used by modal expansions.  Each mode keeps the
-left eigenvector of the QZ that gave its right vector; the left vectors
-screen the Jordan probe to first order (an eigenvalue can be defective
-only where its left and right vectors are nearly orthogonal), and
-bordered least squares builds chains only where that screen cannot rule
-a chain out.
+factorization at the requested resolution: E is singular on the
+constraint rows, and a generalized solve gives both eigenvector sets
+without eliminating the constraints (explicit elimination breaks down
+whenever some constrained state is supported purely on the replaced rows,
+as happens for the scalar SH channel).  The independent reference solve
+at twice the resolution needs eigenvalues only, and only to MATCH_TOL, so
+it takes the spectral transformation instead (Ericsson & Ruhe, Math.
+Comp. 1980): with a real shift sigma off the spectrum, K = (m - sigma E)^-1 E
+has the eigenvalues theta = 1/(z - sigma), one LU and a standard
+Hessenberg-QR eigensolve replace QZ, and the singular E is harmless
+because K's columns on the constraint rows vanish, so the infinite
+eigenvalues map to theta = 0 and are cut.  A traction-free plate is
+symmetric under reflection through its midplane, so there the pencil is
+projected onto the symmetric and antisymmetric subspaces and each
+half-size block is solved on its own; the block fixes the parity label
+exactly.  Raw eigenpairs are filtered by two-resolution agreement and
+normalized in the energy metric with a fixed phase convention.  On top of
+that sit the defectiveness machinery and the left/right biorthogonal
+systems used by modal expansions.  Each mode keeps the left eigenvector
+of the QZ that gave its right vector; the left vectors screen the Jordan
+probe to first order (an eigenvalue can be defective only where its left
+and right vectors are nearly orthogonal), and bordered least squares
+builds chains only where that screen cannot rule a chain out.
 """
 
 from __future__ import annotations
@@ -83,6 +90,28 @@ CLUSTER_TOL = 1e-6
 #: deviation from an exact reflection, relative to the largest entry of the
 #: profile, that classify_parity still accepts as a parity
 PARITY_TOL = 1e-6
+
+#: LU reciprocal condition of m - z E (1-norm, LAPACK gecon) below which
+#: z counts as lying on the spectrum (see _shifted_lu).  Resolvent probes,
+#: per reflection block: at n = 64 the verify ray probes measure
+#: 1.7e-9 .. 1.1e-7 in each free-free block and 8.1e-11 .. 1.9e-9 on the
+#: whole clamped-free operator; at a retained eigenvalue the block holding
+#: it reads about 4e-20, the other block 1.6e-8.  Reference shifts: at the
+#: first of REFERENCE_SHIFTS the smallest block rcond of a 2n solve is
+#: 1.3e-11 .. 4.7e-7 over n = 16 .. 96, the ZGV point and a clamped-free
+#: sweep of omega 2 .. 4
+RCOND_MIN = 1e-13
+
+#: real shifts sigma of the 2n reference solve, tried in order until the
+#: LU of m - sigma E passes the RCOND_MIN gate; real, because a complex
+#: shift doubles the cost of the LU and of the eigensolve
+REFERENCE_SHIFTS = (0.37, 0.61, 1.13)
+
+#: eigenvalues theta of K = (m - sigma E)^-1 E below this fraction of the
+#: largest |theta| are the pencil's infinite eigenvalues: they come out as
+#: exact zeros, and the smallest finite |theta| measures 2.3e-5 of the
+#: largest (free-free, n = 128)
+THETA_CUT = 1e-13
 
 
 @dataclass(frozen=True)
@@ -206,17 +235,17 @@ class BiorthogonalSystem:
 
 
 class _Block(NamedTuple):
-    """Finite eigenvalues of one QZ block, with its eigenvectors if asked.
+    """Finite eigenvalues of one QZ block with its eigenvectors.
 
     parity is the reflection family of the block, or None for an
     operator solved whole; left and right hold the block's full-length
-    eigenvectors column by column (None when vectors were not asked for).
+    eigenvectors column by column.
     """
 
     parity: str | None
     z: np.ndarray
-    left: np.ndarray | None
-    right: np.ndarray | None
+    left: np.ndarray
+    right: np.ndarray
 
 
 def _reflection(op: DiscreteOperator):
@@ -240,14 +269,11 @@ def _reflection(op: DiscreteOperator):
     return rep, mir, sign, row_sign
 
 
-def _qz(a: np.ndarray, b: np.ndarray, vectors: bool):
-    """Finite eigenvalues of a x = z b x, with left and right vectors if asked."""
-    out = scipy.linalg.eig(a, b, left=vectors, right=vectors)
-    w, vl, vr = out if vectors else (out, None, None)
+def _qz(a: np.ndarray, b: np.ndarray):
+    """Finite eigenvalues of a x = z b x with their left and right vectors."""
+    w, vl, vr = scipy.linalg.eig(a, b, left=True, right=True)
     good = np.isfinite(w)
-    if vectors:
-        vl, vr = vl[:, good], vr[:, good]
-    return w[good], vl, vr
+    return w[good], vl[:, good], vr[:, good]
 
 
 def _fold(x: np.ndarray, rep: np.ndarray, mir: np.ndarray,
@@ -259,8 +285,16 @@ def _fold(x: np.ndarray, rep: np.ndarray, mir: np.ndarray,
     once.
     """
     weight = np.where(rep == mir, 0.5, 1.0)
-    cols = x[:, rep] + col_sign * x[:, mir]
-    return np.outer(weight, weight) * (cols[rep] + row_sign[:, None] * cols[mir])
+    # in place, so that one column fold of x is the largest temporary
+    cols = x[:, mir]
+    cols *= col_sign
+    cols += x[:, rep]
+    block = cols[mir]
+    block *= row_sign[:, None]
+    block += cols[rep]
+    block *= weight[:, None]
+    block *= weight
+    return block
 
 
 def _unfold(y: np.ndarray, rep: np.ndarray, mir: np.ndarray,
@@ -312,29 +346,96 @@ def _reflection_blocks(op: DiscreteOperator) -> Iterator[_Fold]:
         yield _Fold(parity, (r, q, s, t), _fold(op.m, r, q, s, t), e)
 
 
-def _eigensolve(op: DiscreteOperator, vectors: bool = False) -> list:
-    """Finite spectrum of m V = z E V, one _Block per QZ problem.
+def _eigensolve(op: DiscreteOperator) -> list:
+    """Finite spectrum of m V = z E V with both vector sets, one _Block per QZ.
 
     One QZ per block of _reflection_blocks: on a traction-free plate each
     block is about half the size of m, so the two solves cost about a
-    quarter of one full solve.  With vectors, a folded block's left
-    vectors unfold with T and its right vectors with S.
+    quarter of one full solve.  A folded block's left vectors unfold with
+    T and its right vectors with S.
     """
     size = op.m.shape[0]
     out = []
     for block in _reflection_blocks(op):
-        z, vl, vr = _qz(block.m, np.diag(block.e), vectors)
-        if vectors and block.pairing is not None:
+        z, vl, vr = _qz(block.m, np.diag(block.e))
+        if block.pairing is not None:
             r, q, s, t = block.pairing
             vl, vr = _unfold(vl, r, q, t, size), _unfold(vr, r, q, s, size)
         out.append(_Block(block.parity, z, vl, vr))
     return out
 
 
+def _shifted_lu(m: np.ndarray, e: np.ndarray, z, rcond_min: float,
+                overwrite: bool = False):
+    """LU factors (lu, piv) of m - z diag(e), or None when the LU is too singular.
+
+    The gate is the reciprocal condition of the LU (1-norm, LAPACK gecon):
+    below rcond_min, z counts as lying on the spectrum and nothing is
+    returned.  LAPACK factors a column-major array where it lies, so with
+    overwrite a writable column-major m of z's type is shifted and
+    factored in place (pass a row-major block transposed); any other m,
+    such as a whole operator's read-only op.m, is copied first.
+    """
+    dtype = np.result_type(m.dtype, z)
+    a = m
+    if not (overwrite and m.flags.writeable and m.flags.f_contiguous
+            and m.dtype == dtype):
+        a = np.array(m, dtype=dtype, order="F")
+    a[np.diag_indices_from(a)] -= z * e
+    a_norm = np.linalg.norm(a, 1)
+    lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
+    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
+    rcond, _info = gecon(lu, a_norm)
+    if rcond < rcond_min:
+        return None
+    return lu, piv
+
+
+def _shift_invert(op: DiscreteOperator, block: _Fold) -> np.ndarray:
+    """Finite eigenvalues of one block of op by real shift-invert.
+
+    The LU of (m - sigma E)^T, inverted in place by getri and scaled by
+    rows with e, is K^T for K = (m - sigma E)^-1 E, whose eigenvalues are
+    theta = 1/(z - sigma); theta below THETA_CUT of the largest is an
+    infinite eigenvalue.  The shifts of REFERENCE_SHIFTS are tried in
+    order; a gated LU has overwritten the folded m, so the block is
+    refolded from op.m before the next shift.  Every block-sized array
+    lives in the block's own m (a whole block's read-only op.m is copied
+    once per shift).
+    """
+    m = block.m
+    for shift in REFERENCE_SHIFTS:
+        factors = _shifted_lu(m.T, block.e, shift, RCOND_MIN, overwrite=True)
+        if factors is not None:
+            break
+        if block.pairing is not None:
+            m = _fold(op.m, *block.pairing)
+    else:
+        raise ValueError("every shift in REFERENCE_SHIFTS lies on the reference "
+                         "spectrum (LU reciprocal condition below RCOND_MIN)")
+    lu, piv = factors
+    getri = scipy.linalg.get_lapack_funcs("getri", (lu,))
+    k_t, _info = getri(lu, piv, overwrite_lu=True)
+    k_t *= block.e[:, None]
+    theta = scipy.linalg.eigvals(k_t, overwrite_a=True, check_finite=False)
+    theta = theta[np.abs(theta) > THETA_CUT * np.max(np.abs(theta))]
+    return shift + 1.0 / theta
+
+
 def _reference_spectrum(pencil: DiscretePencil) -> list:
-    """Finite spectrum of the pencil's problem re-assembled at resolution 2n."""
-    return _eigensolve(assemble_operator(pencil.material, 2 * pencil.grid.n,
-                                         pencil.bc, pencil.n_channels))
+    """Finite eigenvalues of each reflection block of the problem at resolution 2n.
+
+    The reference is read only through MATCH_TOL, so each block is solved
+    for eigenvalues alone by _shift_invert; one array per block, in the
+    block order of _reflection_blocks.
+    """
+    op = assemble_operator(pencil.material, 2 * pencil.grid.n, pencil.bc,
+                           pencil.n_channels)
+    out = []
+    for block in _reflection_blocks(op):
+        out.append(_shift_invert(op, block))
+        del block  # or the spent block outlives the folding of the next
+    return out
 
 
 def _coincide(a, b, tol: float) -> np.ndarray:
@@ -398,14 +499,15 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
     on the other as well, and so vanish.  A pair is kept when (a) its
     eigenvalue coincides to MATCH_TOL (see _coincide) with one in the
     block of the same parity of an independent solve at twice the
-    resolution and (b) its pencil backward error is at most accept_tol;
-    raw_count sums the finite eigenvalues of all blocks.  A defective
-    eigenvalue splits into a pair wandering ~sqrt(backward error) in
-    opposite directions, differently on each grid, so an individually
-    unmatched eigenvalue is rescued when a coarse partner in the same
-    block coincides with it to DEFECT_PAIR_TOL and its mean with the
-    nearest such partner coincides to MATCH_TOL with the mean of the two
-    nearest fine eigenvalues (the means are as accurate as simple
+    resolution (eigenvalues only, by real shift-invert rather than QZ;
+    see _shift_invert) and (b) its pencil backward error is at most
+    accept_tol; raw_count sums the finite eigenvalues of all blocks.  A
+    defective eigenvalue splits into a pair wandering ~sqrt(backward
+    error) in opposite directions, differently on each grid, so an
+    individually unmatched eigenvalue is rescued when a coarse partner in
+    the same block coincides with it to DEFECT_PAIR_TOL and its mean with
+    the nearest such partner coincides to MATCH_TOL with the mean of the
+    two nearest fine eigenvalues (the means are as accurate as simple
     eigenvalues).  Retained states are rebuilt as exactly (v, mu v),
     normalized to unit energy norm, phase-fixed, and sorted by
     (|beta|, Re beta, Im beta).  The left eigenvector of each mode comes
@@ -415,10 +517,10 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
     dim = pencil.n_channels * pencil.grid.n
 
     references = _reference_spectrum(pencil)
-    blocks = _eigensolve(op, vectors=True)
+    blocks = _eigensolve(op)
     modes = []
     for block, reference in zip(blocks, references):
-        matched = _two_resolution_matches(block.z, reference.z)
+        matched = _two_resolution_matches(block.z, reference)
         for k in np.flatnonzero(matched):
             z = complex(block.z[k])
             u1 = block.right[:dim, k]

@@ -19,10 +19,16 @@ from lambspec import (
     make_material,
     solve_modes,
 )
+from lambspec import eigen
 from lambspec.eigen import (
     CLUSTER_TOL,
+    DEFECT_PAIR_TOL,
+    REFERENCE_SHIFTS,
     _cluster_indices,
+    _coincide,
     _eigensolve,
+    _reference_spectrum,
+    _reflection_blocks,
     _relation_residuals,
     _try_extend,
     _two_resolution_matches,
@@ -111,7 +117,7 @@ def test_no_mixed_parity_in_symmetric_geometry(bench_modes):
 @pytest.mark.parametrize("n", [24, 25])
 def test_split_spectrum_matches_unsplit(bench, n, n_channels):
     op = assemble_operator(bench, n, BCKind.FREE_FREE, n_channels=n_channels)
-    blocks = _eigensolve(op, vectors=True)
+    blocks = _eigensolve(op)
     assert [block.parity for block in blocks] == [PARITY_SYMMETRIC,
                                                   PARITY_ANTISYMMETRIC]
     split = np.concatenate([block.z for block in blocks])
@@ -303,33 +309,141 @@ def test_jordan_screen_never_hides_a_chain(request, name, extended):
                                                     ("clamped_modes", 1, 0),
                                                     ("zgv_modes", 2, 4)])
 def test_one_left_solve_per_mode_set(request, monkeypatch, name, n_blocks, probes):
-    # solve_modes factors each 2n reference block for eigenvalues only,
-    # then each n-level block once for both vector sets; the Jordan screen
-    # and the biorthogonal system run no eigensolver, and the bordered
-    # least squares runs only on the screened singletons
+    # solve_modes solves each 2n reference block by one standard eigensolve
+    # (shift-invert, no generalized eig), then factors each n-level block
+    # by one QZ for both vector sets; the Jordan screen and the
+    # biorthogonal system run no eigensolver, and the bordered least
+    # squares runs only on the screened singletons
     op = request.getfixturevalue(name).op
-    eigs, lstsqs = [], []
-    eig, lstsq = scipy.linalg.eig, np.linalg.lstsq
+    calls, lstsqs = [], []
 
-    def counting_eig(a, b, **kwargs):
-        eigs.append((a.shape[0], kwargs.get("left", False), kwargs.get("right", True)))
-        return eig(a, b, **kwargs)
+    def spy(module, fname):
+        solver = getattr(module, fname)
+
+        def counting(a, *args, **kwargs):
+            generalized = (args and args[0] is not None) or kwargs.get("b") is not None
+            calls.append((f"{module.__name__}.{fname}", a.shape[0], bool(generalized),
+                          kwargs.get("left", False), kwargs.get("right", fname == "eig")))
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, fname, counting)
+
+    for module in (scipy.linalg, np.linalg):
+        for fname in ("eig", "eigvals"):
+            spy(module, fname)
+    lstsq = np.linalg.lstsq
 
     def counting_lstsq(*args, **kwargs):
         lstsqs.append(1)
         return lstsq(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     mode_set = solve_modes(op)
-    assert [call[1:] for call in eigs] == ([(False, False)] * n_blocks
-                                           + [(True, True)] * n_blocks)
-    assert sum(call[0] for call in eigs[:n_blocks]) == 2 * op.m.shape[0]
-    assert sum(call[0] for call in eigs[n_blocks:]) == op.m.shape[0]
-    eigs.clear()
+    reference, level = calls[:n_blocks], calls[n_blocks:]
+    assert ([call[:1] + call[2:] for call in reference]
+            == [("scipy.linalg.eigvals", False, False, False)] * n_blocks)
+    assert sum(call[1] for call in reference) == 2 * op.m.shape[0]
+    assert ([call[:1] + call[2:] for call in level]
+            == [("scipy.linalg.eig", True, True, True)] * n_blocks)
+    assert sum(call[1] for call in level) == op.m.shape[0]
+    calls.clear()
     detect_jordan_chains(mode_set)
     biorthogonalize(mode_set)
-    assert eigs == [] and len(lstsqs) == probes
+    assert calls == [] and len(lstsqs) == probes
+
+
+def _qz_reference(pencil) -> list:
+    """The 2n reference spectrum by QZ, block by block: the shift-invert oracle."""
+    op = assemble_operator(pencil.material, 2 * pencil.grid.n, pencil.bc,
+                           pencil.n_channels)
+    out = []
+    for block in _reflection_blocks(op):
+        z = scipy.linalg.eig(block.m, np.diag(block.e), right=False)
+        out.append(z[np.isfinite(z)])
+    return out
+
+
+def _simple_below(zs: np.ndarray, bound: float) -> np.ndarray:
+    """Eigenvalues under bound that are not half of a DEFECT_PAIR_TOL pair."""
+    paired = _coincide(zs, zs, DEFECT_PAIR_TOL)
+    np.fill_diagonal(paired, False)
+    return zs[(np.abs(zs) < bound) & ~paired.any(axis=1)]
+
+
+@pytest.mark.parametrize("omega, n, bc, n_channels", [
+    (3.0, 24, BCKind.FREE_FREE, 2),
+    (3.0, 24, BCKind.FREE_FREE, 1),
+    (3.0, 25, BCKind.FREE_FREE, 2),
+    (3.0, 25, BCKind.FREE_FREE, 1),
+    (2.0, 32, BCKind.CLAMPED_FREE, 2),
+    (4.0, 32, BCKind.CLAMPED_FREE, 2),
+    (ZGV_OMEGA, 64, BCKind.FREE_FREE, 2),
+])
+def test_reference_filter_matches_qz(omega, n, bc, n_channels):
+    # the shift-invert reference keeps exactly the modes a QZ reference
+    # keeps: same finite count per block, same filter mask, and the
+    # eigenvalues agree far inside MATCH_TOL, except the halves of a split
+    # double root, which are only sqrt(eps)-accurate under either solver
+    material = make_material(2.0, 1.0, 1.0, 1.0, omega)
+    op = assemble_operator(material, n, bc, n_channels=n_channels)
+    blocks = _eigensolve(op)
+    fast, oracle = _reference_spectrum(op.pencil), _qz_reference(op.pencil)
+    assert len(fast) == len(oracle) == len(blocks)
+    for block, z_fast, z_qz in zip(blocks, fast, oracle):
+        assert z_fast.size == z_qz.size
+        assert np.array_equal(_two_resolution_matches(block.z, z_fast),
+                              _two_resolution_matches(block.z, z_qz))
+        for found, reference in ((z_fast, z_qz), (z_qz, z_fast)):
+            simple = _simple_below(found, 30.0)
+            assert simple.size > 0
+            assert _coincide(simple, reference, 1e-8).any(axis=1).all()
+
+
+def _spy_shifted_lu(monkeypatch) -> list:
+    """Record (shift, gated) for every LU the reference solve tries."""
+    calls, shifted_lu = [], eigen._shifted_lu
+
+    def spy(m, e, z, rcond_min, overwrite=False):
+        factors = shifted_lu(m, e, z, rcond_min, overwrite)
+        calls.append((z, factors is None))
+        return factors
+
+    monkeypatch.setattr(eigen, "_shifted_lu", spy)
+    return calls
+
+
+def test_reference_shift_on_the_spectrum_moves_to_the_next(bench, monkeypatch):
+    # a shift that is a real eigenvalue of the antisymmetric 2n block makes
+    # its LU singular: the gate trips, the block is refolded, and the next
+    # shift gives the same filter; the symmetric block keeps the shift
+    op = assemble_operator(bench, 24, BCKind.FREE_FREE)
+    blocks = _eigensolve(op)
+    expected = [_two_resolution_matches(block.z, z_ref)
+                for block, z_ref in zip(blocks, _reference_spectrum(op.pencil))]
+    antisymmetric = _qz_reference(op.pencil)[1]
+    on_spectrum = float(antisymmetric[antisymmetric.imag == 0.0].real.max())
+    calls = _spy_shifted_lu(monkeypatch)
+    monkeypatch.setattr(eigen, "REFERENCE_SHIFTS", (on_spectrum,) + REFERENCE_SHIFTS)
+    references = _reference_spectrum(op.pencil)
+    assert calls == [(on_spectrum, False), (on_spectrum, True),
+                     (REFERENCE_SHIFTS[0], False)]
+    for block, z_ref, mask in zip(blocks, references, expected):
+        assert np.array_equal(_two_resolution_matches(block.z, z_ref), mask)
+
+
+def test_reference_shifts_all_on_the_spectrum_raise(bench, monkeypatch):
+    # with every shift on the spectrum no shift-invert is valid: a named
+    # ValueError, not a LAPACK failure or a silently wrong spectrum
+    op = assemble_operator(bench, 16, BCKind.CLAMPED_FREE)
+    whole = _qz_reference(op.pencil)[0]
+    real = whole[whole.imag == 0.0].real
+    real = real[np.argsort(np.abs(real))][:2]
+    assert real.size == 2
+    calls = _spy_shifted_lu(monkeypatch)
+    monkeypatch.setattr(eigen, "REFERENCE_SHIFTS", tuple(real))
+    with pytest.raises(ValueError, match="every shift in REFERENCE_SHIFTS"):
+        solve_modes(op)
+    assert calls == [(z, True) for z in real]
 
 
 def test_empty_mode_set_has_no_left_vectors(bench):
