@@ -20,10 +20,12 @@ verify
     The full invariant suite as a JSON report; exit code 0 only if
     every check passes.
 
-Determinism: all randomness is derived from the config seed and every
-float is written with 17 significant digits, so identical configs give
-byte-identical output.  Exit codes: 0 success, 1 failed verification or
-runtime error, 2 config violation (the message names the constraint).
+Determinism: all randomness is derived from the config seed, every float
+is written with 17 significant digits, and every subcommand runs on one
+BLAS thread whatever the environment asks for (`_blas.one_thread`), so
+identical configs give byte-identical output at any BLAS thread count.
+Exit codes: 0 success, 1 failed verification or runtime error, 2 config
+violation (the message names the constraint).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import one_thread
 from .analysis import (
     adjoint_defect,
     coercivity_scan,
@@ -484,31 +487,32 @@ def _emit(payload: str, out) -> None:
 
 
 def run(argv) -> int:
-    """Parse arguments, execute one subcommand, and return the exit code."""
+    """Parse arguments, run one subcommand on one BLAS thread, return the exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    try:
-        config = load_config(args.config)
-        if args.command == "verify":
-            payload, passed = _cmd_verify(config)
-            _emit(payload, args.out)
-            return 0 if passed else 1
-        handler = {"modes": _cmd_modes, "dispersion": _cmd_dispersion,
-                   "resolvent": _cmd_resolvent,
-                   "completeness": _cmd_completeness}[args.command]
-        payload = handler(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit(payload, args.out)
-    return 0
+    with one_thread():
+        try:
+            config = load_config(args.config)
+            if args.command == "verify":
+                payload, passed = _cmd_verify(config)
+                _emit(payload, args.out)
+                return 0 if passed else 1
+            handler = {"modes": _cmd_modes, "dispersion": _cmd_dispersion,
+                       "resolvent": _cmd_resolvent,
+                       "completeness": _cmd_completeness}[args.command]
+            payload = handler(config)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        _emit(payload, args.out)
+        return 0
 
 
 def main() -> None:

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lambspec import BCKind
+import lambspec
+from lambspec import BCKind, _blas, cli
 from lambspec.cli import (
     N_COLLOC_MAX,
     THETA0_DEFAULT,
@@ -362,3 +367,80 @@ def test_verify_reports_empty_spectrum(tmp_path, capsys):
     assert failing >= {"retained_modes", "mode_residual_max", "conjugation_closure",
                        "negation_closure", "sh_closed_form_error",
                        "nonorthogonality_witness", "completeness_mode_fraction"}
+
+
+# ----------------------------------------------------------------------
+# BLAS thread policy
+
+
+@pytest.fixture
+def blas_at_two():
+    """Every loaded OpenBLAS at two threads, so a one can only come from the
+    policy; the previous counts are restored afterwards."""
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("library discovery reads /proc/self/maps")
+    libraries = _blas.openblas_libraries()
+    assert libraries, "numpy and scipy load OpenBLAS, but none was found"
+    previous = [lib.get_num_threads() for lib in libraries]
+    for lib in libraries:
+        lib.set_num_threads(2)
+    yield libraries
+    for lib, count in zip(libraries, previous):
+        lib.set_num_threads(count)
+
+
+@pytest.mark.parametrize(("error", "code"), [
+    (None, 0),
+    (ConfigError("bad config"), 2),
+    (ValueError("bad value"), 1),
+    (RuntimeError("unexpected"), None),
+], ids=["exit-0", "config-error", "value-error", "propagates"])
+def test_subcommand_runs_on_one_blas_thread(tmp_path, monkeypatch, blas_at_two,
+                                            error, code):
+    seen = []
+
+    def handler(config):
+        seen.append([lib.get_num_threads() for lib in blas_at_two])
+        if error is not None:
+            raise error
+        return "done\n"
+
+    monkeypatch.setattr(cli, "_cmd_modes", handler)
+    argv = ["modes", "--config", write_config(tmp_path)]
+    if code is None:
+        with pytest.raises(RuntimeError, match="unexpected"):
+            run(argv)
+    else:
+        assert run(argv) == code
+    assert seen == [[1] * len(blas_at_two)]
+    assert [lib.get_num_threads() for lib in blas_at_two] == [2] * len(blas_at_two)
+
+
+def test_run_without_openblas(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, {"n_colloc": 16})
+    assert run(["modes", "--config", path]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(_blas, "openblas_libraries", lambda: ())
+    assert run(["modes", "--config", path]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(("command", "n_colloc"), [("verify", 32), ("modes", 64)])
+def test_output_bytes_do_not_follow_blas_threads(tmp_path, command, n_colloc):
+    # at these sizes the bytes differ between one and two threads unless
+    # the CLI sets its own thread count; verify exits 1 at n = 32, where the
+    # shear-horizontal modes miss their closed form
+    path = write_config(tmp_path, {"n_colloc": n_colloc})
+    src = str(Path(lambspec.__file__).resolve().parents[1])
+    base = {key: value for key, value in os.environ.items()
+            if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lambspec.cli", command, "--config", path],
+            env={**base, **threads}, capture_output=True, timeout=600)
+        assert proc.stderr == b"" and proc.stdout
+        outputs.append((proc.returncode, proc.stdout))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
