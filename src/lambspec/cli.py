@@ -24,8 +24,11 @@ Determinism: all randomness is derived from the config seed, every float
 is written with 17 significant digits, and every subcommand runs on one
 BLAS thread whatever the environment asks for (`_blas.one_thread`), so
 identical configs give byte-identical output at any BLAS thread count.
-Exit codes: 0 success, 1 failed verification or runtime error, 2 config
-violation (the message names the constraint).
+Large arrays are mapped afresh rather than carved from the heap
+(`_heap.map_large_arrays`), so a run's peak memory does not depend on
+the runs before it in the same process.  Exit codes: 0 success, 1
+failed verification or runtime error, 2 config violation (the message
+names the constraint).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from ._blas import one_thread
+from ._heap import map_large_arrays
 from .analysis import (
     adjoint_defect,
     coercivity_scan,
@@ -494,6 +498,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    map_large_arrays()
     with one_thread():
         try:
             config = load_config(args.config)

@@ -309,15 +309,17 @@ def _companion_form(pencil: DiscretePencil) -> DiscreteOperator:
     n, nch = pencil.grid.n, pencil.n_channels
     dim = nch * n
     cinv = np.linalg.inv(pencil.coefficients.c)
-    rows = np.hstack([pencil.k0, pencil.k1])
-    interior = rows[:dim].reshape(nch, n, 2 * dim)
     m = np.zeros((2 * dim, 2 * dim))
-    m[:dim, dim:] = np.eye(dim)
-    m[dim:] = np.einsum("ij,jrk->irk", -cinv, interior).reshape(dim, 2 * dim)
+    np.fill_diagonal(m[:dim, dim:], 1.0)
+    # written in place, one coefficient matrix at a time, so that no
+    # temporary of the size of m's lower half is made
+    lower = m[dim:].reshape(nch, n, 2 * dim)
+    for k, half in ((pencil.k0, lower[..., :dim]), (pencil.k1, lower[..., dim:])):
+        np.einsum("ij,jrk->irk", -cinv, k[:dim].reshape(nch, n, dim), out=half)
 
     # the pencil lists the boundary rows of every component at +h, then at -h
     targets = [dim + i * n + node for node in (n - 1, 0) for i in range(nch)]
-    m[targets] = rows[dim:]
+    m[targets] = np.hstack([pencil.k0[dim:], pencil.k1[dim:]])
     boundary = tuple(sorted(targets))
 
     mask = np.ones(2 * dim)

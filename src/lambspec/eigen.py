@@ -285,13 +285,15 @@ def _fold(x: np.ndarray, rep: np.ndarray, mir: np.ndarray,
     once.
     """
     weight = np.where(rep == mir, 0.5, 1.0)
-    # in place, so that one column fold of x is the largest temporary
-    cols = x[:, mir]
-    cols *= col_sign
-    cols += x[:, rep]
-    block = cols[mir]
+    # folded from block-sized pieces, so no temporary outgrows the block
+    block = x[np.ix_(mir, mir)]
+    block *= col_sign
+    block += x[np.ix_(mir, rep)]
     block *= row_sign[:, None]
-    block += cols[rep]
+    rows = x[np.ix_(rep, mir)]
+    rows *= col_sign
+    rows += x[np.ix_(rep, rep)]
+    block += rows
     block *= weight[:, None]
     block *= weight
     return block
@@ -320,6 +322,23 @@ class _Fold(NamedTuple):
     e: np.ndarray
 
 
+def _block_pairings(op: DiscreteOperator) -> list:
+    """(parity, pairing, e) of each block of _reflection_blocks, unfolded."""
+    if op.pencil.bc is not BCKind.FREE_FREE:
+        return [(None, None, op.mask)]
+    rep, mir, sign, row_sign = _reflection(op)
+    out = []
+    for parity, p in ((PARITY_SYMMETRIC, 1.0), (PARITY_ANTISYMMETRIC, -1.0)):
+        keep = (rep != mir) | (p * sign > 0.0)
+        r, q = rep[keep], mir[keep]
+        s, t = p * sign[keep], p * row_sign[keep]
+        # the fold of the diagonal E is diagonal: built at block size, it
+        # equals _fold(np.diag(op.mask), r, q, s, t) entry for entry
+        e = np.where(r == q, 0.5, 1.0) * (op.mask[r] + s * t * op.mask[q])
+        out.append((parity, (r, q, s, t), e))
+    return out
+
+
 def _reflection_blocks(op: DiscreteOperator) -> Iterator[_Fold]:
     """The pencil (m, E) as one _Fold per independent block, built lazily.
 
@@ -332,18 +351,13 @@ def _reflection_blocks(op: DiscreteOperator) -> Iterator[_Fold]:
     and comes back whole.  A block is folded only when the caller asks
     for it, so a solve holds one folded block at a time.
     """
-    if op.pencil.bc is not BCKind.FREE_FREE:
-        yield _Fold(None, None, op.m, op.mask)
-        return
-    rep, mir, sign, row_sign = _reflection(op)
-    for parity, p in ((PARITY_SYMMETRIC, 1.0), (PARITY_ANTISYMMETRIC, -1.0)):
-        keep = (rep != mir) | (p * sign > 0.0)
-        r, q = rep[keep], mir[keep]
-        s, t = p * sign[keep], p * row_sign[keep]
-        # the fold of the diagonal E is diagonal: built at block size, it
-        # equals _fold(np.diag(op.mask), r, q, s, t) entry for entry
-        e = np.where(r == q, 0.5, 1.0) * (op.mask[r] + s * t * op.mask[q])
-        yield _Fold(parity, (r, q, s, t), _fold(op.m, r, q, s, t), e)
+    for pairing in _block_pairings(op):
+        yield _folded(op.m, *pairing)
+
+
+def _folded(m: np.ndarray, parity, pairing, e: np.ndarray) -> _Fold:
+    """The _Fold of m on one entry of _block_pairings."""
+    return _Fold(parity, pairing, m if pairing is None else _fold(m, *pairing), e)
 
 
 def _eigensolve(op: DiscreteOperator) -> list:
@@ -391,16 +405,16 @@ def _shifted_lu(m: np.ndarray, e: np.ndarray, z, rcond_min: float,
     return lu, piv
 
 
-def _shift_invert(op: DiscreteOperator, block: _Fold) -> np.ndarray:
-    """Finite eigenvalues of one block of op by real shift-invert.
+def _shift_invert(m_whole: np.ndarray, block: _Fold) -> np.ndarray:
+    """Finite eigenvalues of one block of m_whole by real shift-invert.
 
     The LU of (m - sigma E)^T, inverted in place by getri and scaled by
     rows with e, is K^T for K = (m - sigma E)^-1 E, whose eigenvalues are
     theta = 1/(z - sigma); theta below THETA_CUT of the largest is an
     infinite eigenvalue.  The shifts of REFERENCE_SHIFTS are tried in
     order; a gated LU has overwritten the folded m, so the block is
-    refolded from op.m before the next shift.  Every block-sized array
-    lives in the block's own m (a whole block's read-only op.m is copied
+    refolded from m_whole before the next shift.  Every block-sized array
+    lives in the block's own m (a whole block's read-only m is copied
     once per shift).
     """
     m = block.m
@@ -409,7 +423,7 @@ def _shift_invert(op: DiscreteOperator, block: _Fold) -> np.ndarray:
         if factors is not None:
             break
         if block.pairing is not None:
-            m = _fold(op.m, *block.pairing)
+            m = _fold(m_whole, *block.pairing)
     else:
         raise ValueError("every shift in REFERENCE_SHIFTS lies on the reference "
                          "spectrum (LU reciprocal condition below RCOND_MIN)")
@@ -431,9 +445,12 @@ def _reference_spectrum(pencil: DiscretePencil) -> list:
     """
     op = assemble_operator(pencil.material, 2 * pencil.grid.n, pencil.bc,
                            pencil.n_channels)
+    m, pairings = op.m, _block_pairings(op)
+    del op  # and with it the 2n pencil, which the blocks do not need
     out = []
-    for block in _reflection_blocks(op):
-        out.append(_shift_invert(op, block))
+    for pairing in pairings:
+        block = _folded(m, *pairing)
+        out.append(_shift_invert(m, block))
         del block  # or the spent block outlives the folding of the next
     return out
 
@@ -518,6 +535,7 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
 
     references = _reference_spectrum(pencil)
     blocks = _eigensolve(op)
+    gram = op.gram.astype(complex)  # cast once, not by every product below
     modes = []
     for block, reference in zip(blocks, references):
         matched = _two_resolution_matches(block.z, reference)
@@ -530,7 +548,7 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
             if res > accept_tol:
                 continue
             big_v = np.concatenate([u1, z * u1])
-            nrm = np.sqrt(abs(np.vdot(big_v, op.gram @ big_v)))
+            nrm = np.sqrt(abs(np.vdot(big_v, gram @ big_v)))
             big_v = big_v / nrm
             top = big_v[:dim]
             j = int(np.argmax(np.abs(top)))

@@ -205,6 +205,26 @@ def test_companion_form_linearizes_pencil(n, bc, n_channels):
     assert np.linalg.norm(got[dim:] - expected[dim:]) <= 1e-13 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("bc,n_channels", [(BCKind.FREE_FREE, 2),
+                                           (BCKind.CLAMPED_FREE, 2),
+                                           (BCKind.FREE_FREE, 1)])
+def test_companion_form_equals_stacked_construction(n, bc, n_channels):
+    # m is written in place, half by half; it must equal, bit for bit, the
+    # companion matrix built from the stacked rows [k0 | k1] in one product
+    material = make_material(lam=-0.3, mu=1.7, rho=2.3, h=0.8, omega=2.2)
+    op = assemble_operator(material, n, bc, n_channels=n_channels)
+    pencil, dim = op.pencil, n_channels * n
+    rows = np.hstack([pencil.k0, pencil.k1])
+    cinv = np.linalg.inv(pencil.coefficients.c)
+    m = np.zeros((2 * dim, 2 * dim))
+    m[:dim, dim:] = np.eye(dim)
+    m[dim:] = np.einsum("ij,jrk->irk", -cinv,
+                        rows[:dim].reshape(n_channels, n, 2 * dim)).reshape(dim, 2 * dim)
+    m[[dim + i * n + node for node in (n - 1, 0) for i in range(n_channels)]] = rows[dim:]
+    assert np.array_equal(op.m, m)
+
+
 # ----------------------------------------------------------------------
 # constraint elimination
 

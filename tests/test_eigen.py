@@ -27,6 +27,7 @@ from lambspec.eigen import (
     _cluster_indices,
     _coincide,
     _eigensolve,
+    _fold,
     _reference_spectrum,
     _reflection_blocks,
     _relation_residuals,
@@ -350,6 +351,24 @@ def test_one_left_solve_per_mode_set(request, monkeypatch, name, n_blocks, probe
     detect_jordan_chains(mode_set)
     biorthogonalize(mode_set)
     assert calls == [] and len(lstsqs) == probes
+
+
+def _column_then_row_fold(x, r, q, s, t):
+    """The fold of all columns of x first, then of the rows of that fold."""
+    weight = np.where(r == q, 0.5, 1.0)
+    cols = x[:, q] * s + x[:, r]
+    return (cols[q] * t[:, None] + cols[r]) * weight[:, None] * weight
+
+
+@pytest.mark.parametrize("n", [24, 25])
+def test_fold_equals_column_then_row_fold(n):
+    # _fold works on block-sized pieces; it must agree bit for bit
+    op = assemble_operator(make_material(2.0, 1.0, 1.0, 1.0, 3.0), n, BCKind.FREE_FREE)
+    for block in _reflection_blocks(op):
+        r, q, s, t = block.pairing
+        assert np.array_equal(block.m, _column_then_row_fold(op.m, r, q, s, t))
+        assert np.array_equal(_fold(op.gram, r, q, s, s),
+                              _column_then_row_fold(op.gram, r, q, s, s))
 
 
 def _qz_reference(pencil) -> list:

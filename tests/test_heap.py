@@ -1,0 +1,55 @@
+"""The CLI's heap policy: large arrays are mapped, not carved from the heap."""
+
+from __future__ import annotations
+
+import ctypes
+import json
+
+import numpy as np
+import pytest
+
+from lambspec import _heap, cli
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def _mallinfo():
+    """glibc's mallinfo2 (fordblks: free heap bytes, hblkhd: mapped bytes), or None."""
+    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    if mallinfo2 is None:
+        return None
+    mallinfo2.restype = _MallInfo2
+    return mallinfo2()
+
+
+def test_block_the_heap_cannot_hold_is_mapped():
+    if not _heap.map_large_arrays() or _mallinfo() is None:
+        pytest.skip("needs glibc malloc")
+    size = max(_mallinfo().fordblks, _heap.MMAP_THRESHOLD) + 2**20
+    # without the policy, freeing this larger mapped block would raise
+    # glibc's threshold past size, and the heap would grow to hold it
+    np.ones((size + 2**22) // 8)
+    before = _mallinfo().hblkhd
+    held = np.ones(size // 8)
+    assert _mallinfo().hblkhd - before >= held.nbytes
+    small = np.ones(_heap.MMAP_THRESHOLD // 16)
+    assert _mallinfo().hblkhd - before < held.nbytes + small.nbytes
+
+
+def test_policy_without_mallopt_does_nothing(monkeypatch):
+    monkeypatch.setattr(_heap, "_mallopt", lambda: None)
+    assert _heap.map_large_arrays.__wrapped__() is False
+
+
+def test_cli_run_applies_policy(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "map_large_arrays", lambda: calls.append(1))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lambda": 2.0, "mu": 1.0, "rho": 1.0, "h": 1.0,
+                                "omega": 3.0, "n_colloc": 0}))
+    assert cli.run(["modes", "--config", str(path)]) == 2
+    assert calls == [1]
