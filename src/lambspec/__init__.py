@@ -12,9 +12,9 @@ The package splits into five layers:
 - `discretize`: Chebyshev collocation of the quadratic pencil, the
   sesquilinear forms, and the energy metric and masked companion
   linearization, both read off the pencil.
-- `eigen`: the QZ eigensolve, split into symmetric and antisymmetric
-  blocks on the traction-free plate, with two-resolution filtering,
-  parity labels, Jordan-chain detection, and biorthogonal systems.
+- `eigen`: the shift-invert eigensolve, split into symmetric and
+  antisymmetric blocks on the traction-free plate, with two-resolution
+  filtering, parity labels, Jordan-chain detection, and biorthogonal systems.
 - `analysis`: measured verification of the operator-level claims —
   coercivity constants, resolvent norms on the five admissible rays, a
   Hilbert-Schmidt proxy, non-self-adjointness witnesses, and modal

@@ -8,7 +8,7 @@ from its energy-metric adjoint.  All norms are taken in the energy
 metric: for a matrix S that means the Euclidean norm of L^H S L^-H where
 gram = L L^H is the Cholesky factorization.
 
-On a traction-free plate the resolvent probes split like the QZ solves
+On a traction-free plate the resolvent probes split like the eigensolves
 (eigen._reflection_blocks): R(z) = (m - z E)^-1 E commutes with the state
 reflection and the Gram matrix is reflection-invariant, so each probe
 factors the two half-size blocks of m - z E, the operator norm is the

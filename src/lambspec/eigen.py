@@ -1,29 +1,24 @@
 """Mode extraction for the discretized plate pencil.
 
-The masked companion problem m V = z E V is solved with the QZ
-factorization at the requested resolution: E is singular on the
-constraint rows, and a generalized solve gives both eigenvector sets
-without eliminating the constraints (explicit elimination breaks down
-whenever some constrained state is supported purely on the replaced rows,
-as happens for the scalar SH channel).  The independent reference solve
-at twice the resolution needs eigenvalues only, and only to MATCH_TOL, so
-it takes the spectral transformation instead (Ericsson & Ruhe, Math.
-Comp. 1980): with a real shift sigma off the spectrum, K = (m - sigma E)^-1 E
-has the eigenvalues theta = 1/(z - sigma), one LU and a standard
-Hessenberg-QR eigensolve replace QZ, and the singular E is harmless
-because K's columns on the constraint rows vanish, so the infinite
-eigenvalues map to theta = 0 and are cut.  A traction-free plate is
-symmetric under reflection through its midplane, so there the pencil is
-projected onto the symmetric and antisymmetric subspaces and each
-half-size block is solved on its own; the block fixes the parity label
-exactly.  Raw eigenpairs are filtered by two-resolution agreement and
-normalized in the energy metric with a fixed phase convention.  On top of
-that sit the defectiveness machinery and the left/right biorthogonal
-systems used by modal expansions.  Each mode keeps the left eigenvector
-of the QZ that gave its right vector; the left vectors screen the Jordan
-probe to first order (an eigenvalue can be defective only where its left
-and right vectors are nearly orthogonal), and bordered least squares
-builds chains only where that screen cannot rule a chain out.
+The masked companion problem m V = z E V is solved at the requested
+resolution n and at 2n by one spectral transformation (Ericsson & Ruhe,
+Math. Comp. 1980): for a real shift sigma off the spectrum,
+K = (m - sigma E)^-1 E has the eigenvalues theta = 1/(z - sigma), so an LU
+and a standard Hessenberg-QR eigensolve take the place of QZ.  K's columns
+vanish on the constraint rows, where E is singular, so the infinite
+eigenvalues map to theta = 0 and are cut, and no constraint is eliminated
+(see discretize.reduced_operator).  At n the eigensolve gives both vector
+sets (Tisseur & Meerbergen, SIAM Rev. 2001, section 3); the 2n reference
+is read only through MATCH_TOL and takes eigenvalues alone.  A
+traction-free plate is symmetric under reflection through its midplane, so
+there the pencil splits into symmetric and antisymmetric half-size blocks,
+each solved on its own; the block fixes the parity label exactly.  Raw
+eigenpairs are filtered by two-resolution agreement and normalized in the
+energy metric with a fixed phase convention.  On top sit the Jordan-chain
+machinery, whose bordered least squares runs only where a first-order
+screen with each mode's left vector cannot rule a chain out (an eigenvalue
+can be defective only where its left and right vectors are nearly
+orthogonal), and the left/right biorthogonal systems of modal expansions.
 """
 
 from __future__ import annotations
@@ -41,6 +36,7 @@ from .discretize import (
     DiscreteOperator,
     DiscretePencil,
     Grid,
+    _real_matmul,
     assemble_operator,
     pencil_residual,
     pencil_scale,
@@ -96,14 +92,13 @@ PARITY_TOL = 1e-6
 #: per reflection block: at n = 64 the verify ray probes measure
 #: 1.7e-9 .. 1.1e-7 in each free-free block and 8.1e-11 .. 1.9e-9 on the
 #: whole clamped-free operator; at a retained eigenvalue the block holding
-#: it reads about 4e-20, the other block 1.6e-8.  Reference shifts: at the
-#: first of REFERENCE_SHIFTS the smallest block rcond of a 2n solve is
-#: 1.3e-11 .. 4.7e-7 over n = 16 .. 96, the ZGV point and a clamped-free
-#: sweep of omega 2 .. 4
+#: it reads about 4e-20, the other block 1.6e-8.  Shifts: at the first of
+#: REFERENCE_SHIFTS the smallest block rcond is 1.3e-11 at 2n (n = 16 .. 96,
+#: ZGV, clamped-free omega 2 .. 4) and 8.8e-11 at n (n = 128, the smallest)
 RCOND_MIN = 1e-13
 
-#: real shifts sigma of the 2n reference solve, tried in order until the
-#: LU of m - sigma E passes the RCOND_MIN gate; real, because a complex
+#: real shifts sigma of every shift-invert solve (n and 2n), tried in order
+#: until the LU of m - sigma E passes RCOND_MIN; real, because a complex
 #: shift doubles the cost of the LU and of the eigensolve
 REFERENCE_SHIFTS = (0.37, 0.61, 1.13)
 
@@ -123,7 +118,7 @@ class Mode:
     unit energy norm and the largest-magnitude entry of v made real
     positive.  residual is the normwise backward error of (mu, v) against
     the quadratic pencil.  w is the full-length left eigenvector
-    (w^H m = mu w^H E) from the same QZ, at the scale QZ returns.
+    (w^H m = mu w^H E) from the same LU and eigensolve, at no fixed scale.
     """
 
     mu: complex
@@ -173,11 +168,11 @@ class ModeSet:
         Jordan screen and the biorthogonal system share this one solve
         against the Gram factor; an empty mode set gives a (4n, 0) array.
         """
-        w = np.empty((self.op.m.shape[0], len(self.modes)), dtype=complex)
+        w = np.empty((self.op.m.shape[0], len(self.modes)), dtype=complex, order="F")
         for k, mode in enumerate(self.modes):
-            w[:, k] = mode.w
-        left = scipy.linalg.cho_solve((self.op.gram_cholesky, True),
-                                      self.op.mask[:, None] * w)
+            np.multiply(self.op.mask, mode.w, out=w[:, k])
+        left = scipy.linalg.cho_solve((self.op.gram_cholesky, True), w,
+                                      overwrite_b=True)
         left.flags.writeable = False
         return left
 
@@ -235,7 +230,7 @@ class BiorthogonalSystem:
 
 
 class _Block(NamedTuple):
-    """Finite eigenvalues of one QZ block with its eigenvectors.
+    """Finite eigenvalues of one shift-invert block with its eigenvectors.
 
     parity is the reflection family of the block, or None for an
     operator solved whole; left and right hold the block's full-length
@@ -267,13 +262,6 @@ def _reflection(op: DiscreteOperator):
     sign = np.repeat(np.tile(_SYMMETRIC_SIGNS[nch], 2), half.size)
     row_sign = np.where(op.mask[rep] == 0.0, -sign, sign)
     return rep, mir, sign, row_sign
-
-
-def _qz(a: np.ndarray, b: np.ndarray):
-    """Finite eigenvalues of a x = z b x with their left and right vectors."""
-    w, vl, vr = scipy.linalg.eig(a, b, left=True, right=True)
-    good = np.isfinite(w)
-    return w[good], vl[:, good], vr[:, good]
 
 
 def _fold(x: np.ndarray, rep: np.ndarray, mir: np.ndarray,
@@ -351,32 +339,9 @@ def _reflection_blocks(op: DiscreteOperator) -> Iterator[_Fold]:
     and comes back whole.  A block is folded only when the caller asks
     for it, so a solve holds one folded block at a time.
     """
-    for pairing in _block_pairings(op):
-        yield _folded(op.m, *pairing)
-
-
-def _folded(m: np.ndarray, parity, pairing, e: np.ndarray) -> _Fold:
-    """The _Fold of m on one entry of _block_pairings."""
-    return _Fold(parity, pairing, m if pairing is None else _fold(m, *pairing), e)
-
-
-def _eigensolve(op: DiscreteOperator) -> list:
-    """Finite spectrum of m V = z E V with both vector sets, one _Block per QZ.
-
-    One QZ per block of _reflection_blocks: on a traction-free plate each
-    block is about half the size of m, so the two solves cost about a
-    quarter of one full solve.  A folded block's left vectors unfold with
-    T and its right vectors with S.
-    """
-    size = op.m.shape[0]
-    out = []
-    for block in _reflection_blocks(op):
-        z, vl, vr = _qz(block.m, np.diag(block.e))
-        if block.pairing is not None:
-            r, q, s, t = block.pairing
-            vl, vr = _unfold(vl, r, q, t, size), _unfold(vr, r, q, s, size)
-        out.append(_Block(block.parity, z, vl, vr))
-    return out
+    for parity, pairing, e in _block_pairings(op):
+        m = op.m if pairing is None else _fold(op.m, *pairing)
+        yield _Fold(parity, pairing, m, e)
 
 
 def _shifted_lu(m: np.ndarray, e: np.ndarray, z, rcond_min: float,
@@ -405,53 +370,82 @@ def _shifted_lu(m: np.ndarray, e: np.ndarray, z, rcond_min: float,
     return lu, piv
 
 
-def _shift_invert(m_whole: np.ndarray, block: _Fold) -> np.ndarray:
-    """Finite eigenvalues of one block of m_whole by real shift-invert.
+def _shift_invert(m_whole: np.ndarray, pairing, e: np.ndarray):
+    """(sigma, K^T, tail) for K = (m - sigma E)^-1 E on one block of m_whole.
 
-    The LU of (m - sigma E)^T, inverted in place by getri and scaled by
-    rows with e, is K^T for K = (m - sigma E)^-1 E, whose eigenvalues are
-    theta = 1/(z - sigma); theta below THETA_CUT of the largest is an
-    infinite eigenvalue.  The shifts of REFERENCE_SHIFTS are tried in
-    order; a gated LU has overwritten the folded m, so the block is
-    refolded from m_whole before the next shift.  Every block-sized array
-    lives in the block's own m (a whole block's read-only m is copied
-    once per shift).
+    The block, one entry of _block_pairings, is folded afresh for each shift
+    of REFERENCE_SHIFTS (a gated LU overwrites it) until its LU passes the
+    RCOND_MIN gate; a whole block's read-only m is copied instead.  getri
+    inverts the LU of (m - sigma E)^T in place: tail is the inverse's rows
+    where e vanishes, and its rows scaled by e are K^T.
     """
-    m = block.m
     for shift in REFERENCE_SHIFTS:
-        factors = _shifted_lu(m.T, block.e, shift, RCOND_MIN, overwrite=True)
+        m = m_whole if pairing is None else _fold(m_whole, *pairing)
+        factors = _shifted_lu(m.T, e, shift, RCOND_MIN, overwrite=True)
         if factors is not None:
             break
-        if block.pairing is not None:
-            m = _fold(m_whole, *block.pairing)
     else:
-        raise ValueError("every shift in REFERENCE_SHIFTS lies on the reference "
-                         "spectrum (LU reciprocal condition below RCOND_MIN)")
-    lu, piv = factors
-    getri = scipy.linalg.get_lapack_funcs("getri", (lu,))
-    k_t, _info = getri(lu, piv, overwrite_lu=True)
-    k_t *= block.e[:, None]
-    theta = scipy.linalg.eigvals(k_t, overwrite_a=True, check_finite=False)
-    theta = theta[np.abs(theta) > THETA_CUT * np.max(np.abs(theta))]
-    return shift + 1.0 / theta
+        raise ValueError("every shift in REFERENCE_SHIFTS lies on the spectrum "
+                         "(LU reciprocal condition below RCOND_MIN)")
+    getri = scipy.linalg.get_lapack_funcs("getri", factors[:1])
+    k_t, _info = getri(*factors, overwrite_lu=True)
+    tail = k_t[e == 0.0]
+    k_t *= e[:, None]
+    return shift, k_t, tail
+
+
+def _finite(theta: np.ndarray) -> np.ndarray:
+    """Which theta of a shift-invert are finite eigenvalues (see THETA_CUT)."""
+    return np.abs(theta) > THETA_CUT * np.max(np.abs(theta))
+
+
+def _eigensolve(op: DiscreteOperator) -> list:
+    """Finite spectrum of m V = z E V with both vector sets, one _Block per block.
+
+    One eigensolve of each block's K^T (_shift_invert): its left and right
+    vectors, conjugated, are the pencil's right vectors and K's left vectors
+    y.  The pencil's left vector w = (m - sigma E)^-T y has E w = K^T y =
+    conj(theta) y, so only rows where e vanishes need the tail.  Left
+    vectors of a folded block unfold with T, right vectors with S.
+    """
+    size, out = op.m.shape[0], []
+    for parity, pairing, e in _block_pairings(op):
+        shift, k_t, tail = _shift_invert(op.m, pairing, e)
+        theta, vl, vr = scipy.linalg.eig(k_t, left=True, right=True,
+                                         overwrite_a=True, check_finite=False)
+        keep = _finite(theta)
+        theta, right, left = theta[keep], vl[:, keep], vr[:, keep]
+        del vl, vr
+        np.conjugate(right, out=right)
+        np.conjugate(left, out=left)  # y, made into w in place
+        tail_rows = tail @ left
+        left *= np.conj(theta)
+        left /= np.where(e == 0.0, 1.0, e)[:, None]
+        left[e == 0.0] = tail_rows
+        if pairing is not None:
+            r, q, s, t = pairing
+            left, right = _unfold(left, r, q, t, size), _unfold(right, r, q, s, size)
+        out.append(_Block(parity, shift + 1.0 / theta, left, right))
+    return out
 
 
 def _reference_spectrum(pencil: DiscretePencil) -> list:
     """Finite eigenvalues of each reflection block of the problem at resolution 2n.
 
-    The reference is read only through MATCH_TOL, so each block is solved
-    for eigenvalues alone by _shift_invert; one array per block, in the
-    block order of _reflection_blocks.
+    The reference is read only through MATCH_TOL, so each block's K^T from
+    _shift_invert gets an eigenvalues-only eigensolve; one array per block,
+    in the block order of _reflection_blocks.
     """
     op = assemble_operator(pencil.material, 2 * pencil.grid.n, pencil.bc,
                            pencil.n_channels)
     m, pairings = op.m, _block_pairings(op)
     del op  # and with it the 2n pencil, which the blocks do not need
     out = []
-    for pairing in pairings:
-        block = _folded(m, *pairing)
-        out.append(_shift_invert(m, block))
-        del block  # or the spent block outlives the folding of the next
+    for _parity, pairing, e in pairings:
+        shift, k_t, _tail = _shift_invert(m, pairing, e)
+        theta = scipy.linalg.eigvals(k_t, overwrite_a=True, check_finite=False)
+        out.append(shift + 1.0 / theta[_finite(theta)])
+        del k_t  # or the spent block outlives the folding of the next
     return out
 
 
@@ -467,7 +461,14 @@ def _coincide(a, b, tol: float) -> np.ndarray:
 
 
 def _two_resolution_matches(z_raw: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
-    """Which coarse eigenvalues reappear in the fine spectrum (see solve_modes)."""
+    """Which coarse eigenvalues reappear in the fine spectrum, to MATCH_TOL.
+
+    A defective eigenvalue splits into a pair ~sqrt(backward error) apart,
+    differently on each grid, so an unmatched eigenvalue is rescued when a
+    coarse partner coincides with it to DEFECT_PAIR_TOL and their mean, as
+    accurate as a simple eigenvalue, coincides to MATCH_TOL with the mean of
+    the two nearest fine eigenvalues.
+    """
     if z_ref.size < 2:
         raise ValueError("reference solve returned no usable spectrum")
     matched = _coincide(z_raw, z_ref, MATCH_TOL).any(axis=1)
@@ -508,56 +509,38 @@ def classify_parity(mode, grid: Grid) -> str:
 def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
     """Solve, filter, normalize, and classify the discrete spectrum.
 
-    Eigenpairs come from the QZ factorization of (m, E), split on a
-    traction-free plate into a symmetric and an antisymmetric block whose
-    label each mode inherits.  The clamped plate is solved whole and its
-    modes are PARITY_MIXED by structure: a profile of either reflection
-    parity that is clamped on one face would be clamped and traction-free
-    on the other as well, and so vanish.  A pair is kept when (a) its
-    eigenvalue coincides to MATCH_TOL (see _coincide) with one in the
-    block of the same parity of an independent solve at twice the
-    resolution (eigenvalues only, by real shift-invert rather than QZ;
-    see _shift_invert) and (b) its pencil backward error is at most
-    accept_tol; raw_count sums the finite eigenvalues of all blocks.  A
-    defective eigenvalue splits into a pair wandering ~sqrt(backward
-    error) in opposite directions, differently on each grid, so an
-    individually unmatched eigenvalue is rescued when a coarse partner in
-    the same block coincides with it to DEFECT_PAIR_TOL and its mean with
-    the nearest such partner coincides to MATCH_TOL with the mean of the
-    two nearest fine eigenvalues (the means are as accurate as simple
-    eigenvalues).  Retained states are rebuilt as exactly (v, mu v),
-    normalized to unit energy norm, phase-fixed, and sorted by
-    (|beta|, Re beta, Im beta).  The left eigenvector of each mode comes
-    from the same QZ; the 2n reference runs first, before those are held.
+    Eigenpairs come from _eigensolve, whose block label each mode inherits;
+    the clamped plate is solved whole and its modes are PARITY_MIXED by
+    structure (a profile of either parity clamped on one face would be
+    clamped and traction-free on the other too, and so vanish).  A pair is
+    kept when (a) its eigenvalue coincides to MATCH_TOL (see _coincide) with
+    one in the same-parity block of the 2n reference and (b) its pencil
+    backward error is at most accept_tol; raw_count sums the finite
+    eigenvalues of all blocks (_two_resolution_matches rescues split
+    defective pairs).  Retained states are rebuilt as exactly (v, mu v),
+    normalized to unit energy norm, phase-fixed, and sorted by (|beta|,
+    Re beta, Im beta); residuals and norms are taken for a block's columns
+    at once.  The 2n reference runs first, before the eigenvectors are held.
     """
-    pencil = op.pencil
-    dim = pencil.n_channels * pencil.grid.n
-
-    references = _reference_spectrum(pencil)
+    dim = op.pencil.n_channels * op.pencil.grid.n
+    references = _reference_spectrum(op.pencil)
     blocks = _eigensolve(op)
-    gram = op.gram.astype(complex)  # cast once, not by every product below
     modes = []
     for block, reference in zip(blocks, references):
-        matched = _two_resolution_matches(block.z, reference)
-        for k in np.flatnonzero(matched):
-            z = complex(block.z[k])
-            u1 = block.right[:dim, k]
-            if np.linalg.norm(u1) == 0.0:
-                continue
-            res = pencil_residual(pencil, z, u1)
-            if res > accept_tol:
-                continue
-            big_v = np.concatenate([u1, z * u1])
-            nrm = np.sqrt(abs(np.vdot(big_v, gram @ big_v)))
-            big_v = big_v / nrm
-            top = big_v[:dim]
-            j = int(np.argmax(np.abs(top)))
-            big_v = big_v * (abs(top[j]) / top[j])
-            v = big_v[:dim].copy()
-            modes.append(Mode(mu=z, beta=z / 1j, v=v, big_v=big_v,
-                              residual=float(res),
-                              parity=block.parity or PARITY_MIXED,
-                              w=block.left[:, k].copy()))
+        cols = np.flatnonzero(_two_resolution_matches(block.z, reference))
+        cols = cols[np.linalg.norm(block.right[:dim, cols], axis=0) != 0.0]
+        res = pencil_residual(op.pencil, block.z[cols], block.right[:dim, cols])
+        cols, res = cols[res <= accept_tol], res[res <= accept_tol]
+        z, u1 = block.z[cols], block.right[:dim, cols]
+        big_v = np.vstack([u1, u1 * z])
+        big_v /= np.sqrt(np.abs(np.einsum("ij,ij->j", big_v.conj(),
+                                          _real_matmul(op.gram, big_v))))
+        top = big_v[np.argmax(np.abs(big_v[:dim]), axis=0), np.arange(cols.size)]
+        big_v *= np.abs(top) / top
+        modes += [Mode(mu=complex(mu), beta=complex(mu) / 1j, v=big_v[:dim, k].copy(),
+                       big_v=big_v[:, k].copy(), residual=float(res[k]),
+                       parity=block.parity or PARITY_MIXED, w=block.left[:, col].copy())
+                  for k, (mu, col) in enumerate(zip(z, cols))]
 
     modes.sort(key=lambda md: (abs(md.beta), md.beta.real, md.beta.imag))
     return ModeSet(modes=tuple(modes), op=op, accept_tol=float(accept_tol),
@@ -639,10 +622,12 @@ def detect_jordan_chains(mode_set: ModeSet, cluster_tol: float = CLUSTER_TOL,
     if not modes:
         return []
     zs = np.array([mode.mu for mode in modes])
-    left, gram = mode_set.left_vectors, mode_set.op.gram
+    # G W_k = E w_k: <V, W_k>_gram = (E w_k)^H V, |W_k|_gram^2 = (E w_k)^H W_k
+    ew = np.column_stack([mode_set.op.mask * mode.w for mode in modes]).conj()
     right = np.column_stack([mode.big_v for mode in modes])
-    condition = (np.abs(np.sum(left.conj() * (gram @ right), axis=0))
-                 / np.sqrt(np.abs(np.sum(left.conj() * (gram @ left), axis=0))))
+    condition = (np.abs(np.einsum("ij,ij->j", ew, right))
+                 / np.sqrt(np.abs(np.einsum("ij,ij->j", ew, mode_set.left_vectors))))
+    del ew, right
     chains = []
     for group in _cluster_indices(zs, cluster_tol):
         mu = complex(np.mean(zs[list(group)]))
@@ -666,10 +651,12 @@ def detect_jordan_chains(mode_set: ModeSet, cluster_tol: float = CLUSTER_TOL,
                 if _relation_residuals(pencil, mu, chain + [v_next])[-1] > chain_tol:
                     break
                 chain.append(v_next)
+            # an unprobed head is its mode's v: its one relation is Mode.residual
             chains.append(JordanChain(
                 mu=mu,
                 vectors=tuple(np.array(v) for v in chain),
-                relation_residuals=_relation_residuals(pencil, mu, chain),
+                relation_residuals=((modes[group[0]].residual,) if cap == 1 else
+                                    _relation_residuals(pencil, mu, chain)),
                 mode_indices=group))
     return chains
 

@@ -11,6 +11,7 @@ from lambspec import (
     chebyshev_grid,
     make_material,
     pencil_residual,
+    pencil_scale,
     pencil_value,
     reduced_operator,
 )
@@ -116,6 +117,26 @@ def test_pencil_residual_scale_invariant(bench):
     r2 = pencil_residual(pencil, mu, 7.3 * v)
     assert r1 == pytest.approx(r2, rel=1e-12)
     assert r1 > 1e-6  # a random vector is nowhere near an eigenvector
+
+
+@pytest.mark.parametrize("n_channels", [1, 2])
+@pytest.mark.parametrize("n", [16, 17])
+def test_pencil_residual_by_columns_matches_per_vector(bench, n, n_channels):
+    # the columnwise form k0 V + (k1 V) diag(mu) + (k2 V) diag(mu^2) gives
+    # each column the residual |P(mu_k) v_k| / (pencil_scale(mu_k) |v_k|)
+    pencil = assemble_operator(bench, n, BCKind.FREE_FREE, n_channels=n_channels).pencil
+    rng = np.random.default_rng(n + 10 * n_channels)
+    dim, k = n_channels * n, 9
+    mu = 5.0 * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    vs = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    by_columns = pencil_residual(pencil, mu, vs)
+    assert by_columns.shape == (k,)
+    per_vector = [np.linalg.norm(pencil_value(pencil, z) @ v)
+                  / (pencil_scale(pencil, z) * np.linalg.norm(v))
+                  for z, v in zip(mu, vs.T)]
+    np.testing.assert_allclose(by_columns, per_vector, rtol=1e-12, atol=0.0)
+    assert pencil_residual(pencil, mu[3], vs[:, 3]) == pytest.approx(per_vector[3],
+                                                                   rel=1e-12)
 
 
 def test_sh_boundary_rows_are_pure_flux(bench):

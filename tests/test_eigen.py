@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from lambspec import (
     BCKind,
@@ -36,12 +37,15 @@ from lambspec.eigen import (
 )
 from reference_data import (
     ANTI_REAL,
+    ANTI_ROOTS,
     BENCH_RAW,
     BENCH_RETAINED,
     CLAMPED_RETAINED,
     SH_BETAS,
     SYM_REAL,
+    SYM_ROOTS,
     ZGV_OMEGA,
+    bijection_defect,
     one_sided_match,
 )
 
@@ -310,11 +314,12 @@ def test_jordan_screen_never_hides_a_chain(request, name, extended):
                                                     ("clamped_modes", 1, 0),
                                                     ("zgv_modes", 2, 4)])
 def test_one_left_solve_per_mode_set(request, monkeypatch, name, n_blocks, probes):
-    # solve_modes solves each 2n reference block by one standard eigensolve
-    # (shift-invert, no generalized eig), then factors each n-level block
-    # by one QZ for both vector sets; the Jordan screen and the
-    # biorthogonal system run no eigensolver, and the bordered least
-    # squares runs only on the screened singletons
+    # solve_modes solves each 2n reference block by one standard
+    # eigenvalues-only eigensolve, then each n-level block by one standard
+    # eigensolve with both vector sets (shift-invert at both levels, no
+    # generalized eig anywhere); the Jordan screen and the biorthogonal
+    # system run no eigensolver, and the bordered least squares runs only
+    # on the screened singletons
     op = request.getfixturevalue(name).op
     calls, lstsqs = [], []
 
@@ -345,7 +350,7 @@ def test_one_left_solve_per_mode_set(request, monkeypatch, name, n_blocks, probe
             == [("scipy.linalg.eigvals", False, False, False)] * n_blocks)
     assert sum(call[1] for call in reference) == 2 * op.m.shape[0]
     assert ([call[:1] + call[2:] for call in level]
-            == [("scipy.linalg.eig", True, True, True)] * n_blocks)
+            == [("scipy.linalg.eig", False, True, True)] * n_blocks)
     assert sum(call[1] for call in level) == op.m.shape[0]
     calls.clear()
     detect_jordan_chains(mode_set)
@@ -418,6 +423,61 @@ def test_reference_filter_matches_qz(omega, n, bc, n_channels):
             assert _coincide(simple, reference, 1e-8).any(axis=1).all()
 
 
+def _qz_blocks(op) -> list:
+    """The finite spectrum of each block of op by QZ: the n-level oracle."""
+    out = []
+    for block in _reflection_blocks(op):
+        z = scipy.linalg.eig(block.m, np.diag(block.e), right=False)
+        out.append(z[np.isfinite(z)])
+    return out
+
+
+@pytest.mark.parametrize("omega, n, bc, n_channels", [
+    (3.0, 24, BCKind.FREE_FREE, 2),
+    (3.0, 24, BCKind.FREE_FREE, 1),
+    (3.0, 25, BCKind.FREE_FREE, 2),
+    (3.0, 25, BCKind.FREE_FREE, 1),
+    (2.0, 32, BCKind.CLAMPED_FREE, 2),
+    (4.0, 32, BCKind.CLAMPED_FREE, 2),
+    (ZGV_OMEGA, 64, BCKind.FREE_FREE, 2),
+])
+def test_eigensolve_matches_qz(omega, n, bc, n_channels):
+    # the n-level shift-invert keeps what a QZ of the same blocks keeps:
+    # same finite count per block, same filter mask against the 2n
+    # reference (eigenvalues paired one to one), and simple eigenvalues
+    # that agree far inside MATCH_TOL
+    material = make_material(2.0, 1.0, 1.0, 1.0, omega)
+    op = assemble_operator(material, n, bc, n_channels=n_channels)
+    blocks, oracle = _eigensolve(op), _qz_blocks(op)
+    references = _reference_spectrum(op.pencil)
+    assert len(blocks) == len(oracle) == len(references)
+    for block, z_qz, z_ref in zip(blocks, oracle, references):
+        assert block.z.size == z_qz.size
+        rows, cols = scipy.optimize.linear_sum_assignment(
+            np.abs(block.z[:, None] - z_qz[None, :]))
+        assert np.array_equal(_two_resolution_matches(block.z, z_ref)[rows],
+                              _two_resolution_matches(z_qz, z_ref)[cols])
+        for found, reference in ((block.z, z_qz), (z_qz, block.z)):
+            simple = _simple_below(found, 30.0)
+            assert simple.size > 0
+            assert _coincide(simple, reference, 1e-9).any(axis=1).all()
+
+
+def test_eigensolve_pairs_roots_no_worse_than_qz(bench):
+    # against the certified roots with |beta| <= 10, family by family, the
+    # shift-invert eigenvalues at n = 128 lie no farther than QZ's
+    op = assemble_operator(bench, 128, BCKind.FREE_FREE)
+    worst = {"shift-invert": 0.0, "qz": 0.0}
+    for block, z_qz in zip(_eigensolve(op), _qz_blocks(op)):
+        roots = SYM_ROOTS if block.parity == PARITY_SYMMETRIC else ANTI_ROOTS
+        roots = [root for root in roots if abs(root) <= 10.0]
+        for name, zs in (("shift-invert", block.z), ("qz", z_qz)):
+            betas = zs[np.abs(zs) <= 10.0] / 1j
+            assert betas.size == len(roots)
+            worst[name] = max(worst[name], bijection_defect(roots, betas))
+    assert worst["shift-invert"] <= worst["qz"]
+
+
 def _spy_shifted_lu(monkeypatch) -> list:
     """Record (shift, gated) for every LU the reference solve tries."""
     calls, shifted_lu = [], eigen._shifted_lu
@@ -462,6 +522,38 @@ def test_reference_shifts_all_on_the_spectrum_raise(bench, monkeypatch):
     monkeypatch.setattr(eigen, "REFERENCE_SHIFTS", tuple(real))
     with pytest.raises(ValueError, match="every shift in REFERENCE_SHIFTS"):
         solve_modes(op)
+    assert calls == [(z, True) for z in real]
+
+
+def test_eigensolve_shift_on_the_spectrum_moves_to_the_next(bench, monkeypatch):
+    # the n-level solve passes the same gate: a shift that is a real
+    # eigenvalue of the antisymmetric block is refused, that block is
+    # refolded and takes the next shift, and the spectrum is unchanged
+    op = assemble_operator(bench, 24, BCKind.FREE_FREE)
+    expected = _eigensolve(op)
+    antisymmetric = _qz_blocks(op)[1]
+    on_spectrum = float(antisymmetric[antisymmetric.imag == 0.0].real.max())
+    calls = _spy_shifted_lu(monkeypatch)
+    monkeypatch.setattr(eigen, "REFERENCE_SHIFTS", (on_spectrum,) + REFERENCE_SHIFTS)
+    blocks = _eigensolve(op)
+    assert calls == [(on_spectrum, False), (on_spectrum, True),
+                     (REFERENCE_SHIFTS[0], False)]
+    for block, before in zip(blocks, expected):
+        assert block.z.size == before.z.size
+        simple = _simple_below(block.z, 30.0)
+        assert _coincide(simple, before.z, 1e-9).any(axis=1).all()
+
+
+def test_eigensolve_shifts_all_on_the_spectrum_raise(bench, monkeypatch):
+    op = assemble_operator(bench, 16, BCKind.CLAMPED_FREE)
+    whole = _qz_blocks(op)[0]
+    real = whole[whole.imag == 0.0].real
+    real = real[np.argsort(np.abs(real))][:2]
+    assert real.size == 2
+    calls = _spy_shifted_lu(monkeypatch)
+    monkeypatch.setattr(eigen, "REFERENCE_SHIFTS", tuple(real))
+    with pytest.raises(ValueError, match="every shift in REFERENCE_SHIFTS"):
+        _eigensolve(op)
     assert calls == [(z, True) for z in real]
 
 
