@@ -9,7 +9,7 @@ metric: for a matrix S that means the Euclidean norm of L^H S L^-H where
 gram = L L^H is the Cholesky factorization.
 
 On a traction-free plate the resolvent probes split like the eigensolves
-(eigen._reflection_blocks): R(z) = (m - z E)^-1 E commutes with the state
+(eigen._block_pairings): R(z) = (m - z E)^-1 E commutes with the state
 reflection and the Gram matrix is reflection-invariant, so each probe
 factors the two half-size blocks of m - z E, the operator norm is the
 larger block norm and the squared Hilbert-Schmidt norm the sum of the
@@ -34,9 +34,9 @@ from .eigen import (
     RCOND_MIN,
     BiorthogonalSystem,
     ModeSet,
+    _block_pairings,
     _coincide,
     _fold,
-    _reflection_blocks,
     _shifted_lu,
 )
 
@@ -141,63 +141,53 @@ def _metric_transform(s: np.ndarray, chol: np.ndarray) -> np.ndarray:
 
 
 def _probe_blocks(op: DiscreteOperator) -> list:
-    """(m, e, chol) for each reflection block of op, chol the block's Gram factor.
+    """(m, e, chol) for each block of eigen._block_pairings, chol its Gram factor.
 
     The Gram matrix is reflection-invariant, so folding it with the state
     signs gives each block's metric; an operator taken whole keeps its own
-    factor.
+    m and factor.
     """
     out = []
-    for block in _reflection_blocks(op):
-        if block.pairing is None:
-            chol = op.gram_cholesky
+    for _parity, pairing, e in _block_pairings(op):
+        if pairing is None:
+            out.append((op.m, e, op.gram_cholesky))
         else:
-            r, q, s, _t = block.pairing
-            chol = np.linalg.cholesky(_fold(op.gram, r, q, s, s))
-        out.append((block.m, block.e, chol))
+            r, q, s, _t = pairing
+            out.append((_fold(op.m, *pairing), e,
+                        np.linalg.cholesky(_fold(op.gram, r, q, s, s))))
     return out
 
 
-def _block_probe(m: np.ndarray, e: np.ndarray, chol: np.ndarray, z: complex,
-                 rcond_min: float):
-    """Energy-metric norms of (m - z diag(e))^-1 diag(e) behind a conditioning gate.
-
-    Returns None, without solving, when the LU fails the gate of
-    eigen._shifted_lu at rcond_min.
-    """
-    factors = _shifted_lu(m, e, complex(z), rcond_min)
-    if factors is None:
-        return None
-    res = scipy.linalg.lu_solve(factors, np.diag(e))
-    t = _metric_transform(res, chol)
-    return float(np.linalg.norm(t, 2)), float(np.linalg.norm(t, "fro"))
-
-
 def _resolvent_probe(blocks: list, z: complex, rcond_min: float):
-    """Norms of the resolvent from its blocks, or None if any block is gated.
+    """Energy-metric norms of (m - z E)^-1 E from its (m, e, chol) blocks.
 
-    The resolvent commutes with the reflection and the blocks are
-    orthogonal in the energy metric, so the operator norm is the largest
-    block norm and the squared Hilbert-Schmidt norm the sum of the
-    blocks' squares.
+    Returns None, without solving further, as soon as one block's LU fails
+    the gate of eigen._shifted_lu at rcond_min.  The resolvent commutes
+    with the reflection and the blocks are orthogonal in the energy
+    metric, so the operator norm is the largest block norm and the squared
+    Hilbert-Schmidt norm the sum of the blocks' squares; a whole operator
+    is a list of one block.
     """
-    probes = []
-    for block in blocks:
-        probe = _block_probe(*block, z, rcond_min)
-        if probe is None:
+    op_norms, hs_norms = [], []
+    for m, e, chol in blocks:
+        factors = _shifted_lu(m, e, complex(z), rcond_min)
+        if factors is None:
             return None
-        probes.append(probe)
-    op_norms, hs_norms = zip(*probes)
+        t = _metric_transform(scipy.linalg.lu_solve(factors, np.diag(e)), chol)
+        op_norms.append(float(np.linalg.norm(t, 2)))
+        hs_norms.append(float(np.linalg.norm(t, "fro")))
     return max(op_norms), float(np.linalg.norm(hs_norms))
 
 
 def resolvent_norms(op: DiscreteOperator, z: complex):
     """Energy-metric operator and Frobenius norms of (m - z E)^-1 E.
 
-    The LU stays backward stable at an eigenvalue, so nothing fails
-    there; the norms just grow without bound (resolvent_scan skips such
-    probes by their reciprocal condition).
+    z must be finite.  The LU stays backward stable at an eigenvalue, so
+    nothing fails there; the norms just grow without bound (resolvent_scan
+    skips such probes by their reciprocal condition).
     """
+    if not np.isfinite(z):
+        raise ValueError("z must be finite")
     return _resolvent_probe(_probe_blocks(op), z, 0.0)
 
 
@@ -326,45 +316,30 @@ def coercivity_scan(forms: FormMatrices, alpha: float,
     dim = 2 * forms.grid.n
     fields = rng.standard_normal((n_samples, dim)) + 1j * rng.standard_normal((n_samples, dim))
 
-    terms = [_field_terms(forms, v) for v in fields]
+    a0, plain_mass, rho_mass, b_term, c_term = np.array(
+        [_field_terms(forms, v) for v in fields]).T
     omega = forms.material.omega
 
-    def min_quotient(a, b):
-        worst = np.inf
-        for a0, plain_mass, rho_mass, b_term, c_term in terms:
-            num = (a0 - omega ** 2 * rho_mass + a * b_term
-                   + (a * a - b * b) * c_term)
-            worst = min(worst, num / (a0 + plain_mass))
-        return worst
-
+    # six points per |a| of the grid, in scan order: a = +-|a|, each with
+    # b = 0, +-alpha |a|; row k of num holds point k against every field
     a_grid = np.geomspace(0.25, 64.0, 33)
-    samples = []
-    grid_minima = []
-    for a_abs in a_grid:
-        worst = np.inf
-        worst_beta = complex(a_abs)
-        for a in (a_abs, -a_abs):
-            for b in (0.0, alpha * a_abs, -alpha * a_abs):
-                q = min_quotient(a, b)
-                samples.append((complex(a, b), float(q)))
-                if q < worst:
-                    worst, worst_beta = q, complex(a, b)
-        grid_minima.append((a_abs, worst))
+    a = np.outer(a_grid, [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]).ravel()
+    b = np.outer(alpha * a_grid, [0.0, 1.0, -1.0, 0.0, 1.0, -1.0]).ravel()
+    num = (a0 - omega ** 2 * rho_mass + a[:, None] * b_term
+           + (a * a - b * b)[:, None] * c_term)
+    quotients = np.min(num / (a0 + plain_mass), axis=1)
+    samples = tuple((complex(x, y), float(q)) for x, y, q in zip(a, b, quotients))
 
-    beta0 = None
-    c_const = -np.inf
-    for i, (a_abs, _) in enumerate(grid_minima):
-        tail = [q for _, q in grid_minima[i:]]
-        if min(tail) > 0.0:
-            beta0 = a_abs
-            c_const = min(tail)
-            break
-    if beta0 is None:
+    grid_minima = np.min(quotients.reshape(-1, 6), axis=1)
+    tail_minima = np.minimum.accumulate(grid_minima[::-1])[::-1]
+    positive = np.flatnonzero(tail_minima > 0.0)
+    if positive.size:
+        beta0, c_const = a_grid[positive[0]], tail_minima[positive[0]]
+    else:
         # no positive tail; report the full scan with C <= 0 verbatim
-        beta0 = float(a_grid[-1])
-        c_const = grid_minima[-1][1]
+        beta0, c_const = a_grid[-1], grid_minima[-1]
     return CoercivityReport(beta0=float(beta0), alpha=float(alpha),
-                            c_const=float(c_const), samples=tuple(samples))
+                            c_const=float(c_const), samples=samples)
 
 
 def expand_field(system: BiorthogonalSystem, target: np.ndarray, ks,

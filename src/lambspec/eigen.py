@@ -23,7 +23,6 @@ orthogonal), and the left/right biorthogonal systems of modal expansions.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -168,11 +167,17 @@ class ModeSet:
         Jordan screen and the biorthogonal system share this one solve
         against the Gram factor; an empty mode set gives a (4n, 0) array.
         """
-        w = np.empty((self.op.m.shape[0], len(self.modes)), dtype=complex, order="F")
+        size, count = self.op.m.shape[0], len(self.modes)
+        # the real and imaginary parts of E w side by side, one real
+        # right-hand side, so the real factor is never cast to complex
+        parts = np.empty((size, 2 * count), order="F")
         for k, mode in enumerate(self.modes):
-            np.multiply(self.op.mask, mode.w, out=w[:, k])
-        left = scipy.linalg.cho_solve((self.op.gram_cholesky, True), w,
-                                      overwrite_b=True)
+            ew = self.op.mask * mode.w
+            parts[:, k], parts[:, count + k] = ew.real, ew.imag
+        parts = scipy.linalg.cho_solve((self.op.gram_cholesky, True), parts,
+                                       overwrite_b=True, check_finite=False)
+        left = np.empty((size, count), dtype=complex, order="F")
+        left.real, left.imag = parts[:, :count], parts[:, count:]
         left.flags.writeable = False
         return left
 
@@ -296,22 +301,17 @@ def _unfold(y: np.ndarray, rep: np.ndarray, mir: np.ndarray,
     return x
 
 
-class _Fold(NamedTuple):
-    """One reflection block of the masked pencil: m V = z diag(e) V.
-
-    pairing is the signed index pairing (r, q, s, t) the block was folded
-    on (see _fold and _unfold), or None for an operator taken whole, whose
-    m and e are op.m and op.mask themselves.
-    """
-
-    parity: str | None
-    pairing: tuple | None
-    m: np.ndarray
-    e: np.ndarray
-
-
 def _block_pairings(op: DiscreteOperator) -> list:
-    """(parity, pairing, e) of each block of _reflection_blocks, unfolded."""
+    """(parity, pairing, e) of each independent block of the pencil (m, E).
+
+    A traction-free operator splits into the symmetric and antisymmetric
+    families.  Each block is the pencil restricted to the +-1 eigenspace
+    of S on states and of T on equations: pairing is the signed index
+    pairing (r, q, s, t) that _fold folds m on and _unfold unfolds vectors
+    with, e the block's diagonal of E.  The clamped plate has no reflection
+    symmetry: its one block has pairing None, and its m and e are op.m and
+    op.mask themselves.  Only e is built here; each caller folds m itself.
+    """
     if op.pencil.bc is not BCKind.FREE_FREE:
         return [(None, None, op.mask)]
     rep, mir, sign, row_sign = _reflection(op)
@@ -325,23 +325,6 @@ def _block_pairings(op: DiscreteOperator) -> list:
         e = np.where(r == q, 0.5, 1.0) * (op.mask[r] + s * t * op.mask[q])
         out.append((parity, (r, q, s, t), e))
     return out
-
-
-def _reflection_blocks(op: DiscreteOperator) -> Iterator[_Fold]:
-    """The pencil (m, E) as one _Fold per independent block, built lazily.
-
-    A traction-free operator splits into the symmetric and antisymmetric
-    families.  Each block is the pencil restricted to the +-1 eigenspace
-    of S on states and of T on equations, built by signed index folding:
-    a column of the block adds the mirrored column with sign p S, a row
-    adds the mirrored row with sign p T (a middle node, being its own
-    mirror, enters once).  The clamped plate has no reflection symmetry
-    and comes back whole.  A block is folded only when the caller asks
-    for it, so a solve holds one folded block at a time.
-    """
-    for parity, pairing, e in _block_pairings(op):
-        m = op.m if pairing is None else _fold(op.m, *pairing)
-        yield _Fold(parity, pairing, m, e)
 
 
 def _shifted_lu(m: np.ndarray, e: np.ndarray, z, rcond_min: float,
@@ -434,7 +417,7 @@ def _reference_spectrum(pencil: DiscretePencil) -> list:
 
     The reference is read only through MATCH_TOL, so each block's K^T from
     _shift_invert gets an eigenvalues-only eigensolve; one array per block,
-    in the block order of _reflection_blocks.
+    in the block order of _block_pairings.
     """
     op = assemble_operator(pencil.material, 2 * pencil.grid.n, pencil.bc,
                            pencil.n_channels)
@@ -679,8 +662,10 @@ def biorthogonalize(mode_set: ModeSet) -> BiorthogonalSystem:
 
     right = np.column_stack([modes[i].big_v for i in perm])
     left = mode_set.left_vectors[:, perm]
+    # G W = E w, so the pairing W^H G V is (E w)^H V, with no Gram product
+    ew_h = np.column_stack([modes[i].w for i in perm]).conj().T * op.mask
 
-    pairing = left.conj().T @ op.gram @ right
+    pairing = ew_h @ right
     start = 0
     for group in blocks:
         stop = start + len(group)
@@ -689,9 +674,11 @@ def biorthogonalize(mode_set: ModeSet) -> BiorthogonalSystem:
             mu = modes[group[0]].mu
             raise ValueError(f"pairing block at mu = {mu:.6g} is numerically "
                              "singular; biorthogonal normalization failed")
-        left[:, start:stop] = left[:, start:stop] @ np.linalg.inv(block).conj().T
+        inverse = np.linalg.inv(block)
+        left[:, start:stop] = left[:, start:stop] @ inverse.conj().T
+        ew_h[start:stop] = inverse @ ew_h[start:stop]
         start = stop
-    pairing = left.conj().T @ op.gram @ right
+    pairing = ew_h @ right
 
     grouped = tuple(tuple(modes[i] for i in group) for group in blocks)
     return BiorthogonalSystem(modes=grouped, left_vectors=left, pairing=pairing,

@@ -13,20 +13,24 @@ from lambspec import (
     BCKind,
     adjoint_defect,
     assemble_operator,
+    chebyshev_grid,
     coercivity_scan,
     expand_field,
     five_rays,
     in_sector,
+    make_material,
     measured_b,
     nonorthogonality_witness,
     quadratic_form_value,
     random_trig_fields,
     resolvent_norms,
     resolvent_scan,
+    sesquilinear_forms,
     solve_modes,
 )
-from lambspec.analysis import RCOND_MIN, _block_probe, _probe_blocks, _resolvent_probe
-from lambspec.eigen import _reflection_blocks
+from lambspec import analysis
+from lambspec.analysis import RCOND_MIN, _field_terms, _probe_blocks, _resolvent_probe
+from lambspec.eigen import _block_pairings
 from reference_data import (
     ADJOINT_DEFECT_VALUE,
     COERCIVITY_CONST_1000,
@@ -122,6 +126,56 @@ def test_coercivity_scan_is_seed_deterministic(bench_forms):
     assert first.samples == second.samples
 
 
+def _coercivity_loop(forms, alpha, n_samples, seed):
+    """(beta0, c_const, samples) by a loop over every point and field."""
+    rng = np.random.default_rng(seed)
+    dim = 2 * forms.grid.n
+    fields = rng.standard_normal((n_samples, dim)) + 1j * rng.standard_normal((n_samples, dim))
+    terms = [_field_terms(forms, v) for v in fields]
+    omega = forms.material.omega
+
+    def min_quotient(a, b):
+        worst = np.inf
+        for a0, plain_mass, rho_mass, b_term, c_term in terms:
+            num = (a0 - omega ** 2 * rho_mass + a * b_term
+                   + (a * a - b * b) * c_term)
+            worst = min(worst, num / (a0 + plain_mass))
+        return worst
+
+    a_grid = np.geomspace(0.25, 64.0, 33)
+    samples = []
+    grid_minima = []
+    for a_abs in a_grid:
+        worst = np.inf
+        for a in (a_abs, -a_abs):
+            for b in (0.0, alpha * a_abs, -alpha * a_abs):
+                q = min_quotient(a, b)
+                samples.append((complex(a, b), float(q)))
+                worst = min(worst, q)
+        grid_minima.append((a_abs, worst))
+    for i, (a_abs, _) in enumerate(grid_minima):
+        tail = [q for _, q in grid_minima[i:]]
+        if min(tail) > 0.0:
+            return float(a_abs), float(min(tail)), tuple(samples)
+    return float(a_grid[-1]), float(grid_minima[-1][1]), tuple(samples)
+
+
+@pytest.mark.parametrize("omega, n, n_samples", [
+    (3.0, 32, 200), (3.0, 32, 1000), (3.0, 64, 200), (3.0, 64, 1000),
+    (50.0, 32, 20),   # beta0 inside the grid
+    (100.0, 32, 20),  # no positive tail: the last grid point, verbatim
+])
+def test_coercivity_scan_equals_loop(omega, n, n_samples):
+    # the scan takes every quotient at once; the loop over points and
+    # fields must give the same bits
+    material = make_material(2.0, 1.0, 1.0, 1.0, omega)
+    forms = sesquilinear_forms(material, chebyshev_grid(n, 1.0))
+    for seed in (0, 1, 7):
+        report = coercivity_scan(forms, 0.5, n_samples, seed=seed)
+        assert (report.beta0, report.c_const, report.samples) == \
+            _coercivity_loop(forms, 0.5, n_samples, seed)
+
+
 @pytest.mark.parametrize("kwargs", [dict(alpha=1.0), dict(alpha=0.0),
                                     dict(n_samples=0)])
 def test_coercivity_scan_validation(bench_forms, kwargs):
@@ -193,6 +247,17 @@ def test_resolvent_scan_validation(bench_op):
             resolvent_scan(bench_op, THETA0, (1.0, bad))
 
 
+def test_resolvent_norms_rejects_non_finite_z(bench_op, monkeypatch):
+    # rejected by name before any block is folded or factored
+    def no_blocks(op):
+        raise AssertionError("blocks built for a non-finite z")
+
+    monkeypatch.setattr(analysis, "_probe_blocks", no_blocks)
+    for bad in (complex(float("nan"), 1.0), float("inf"), complex(2.0, -float("inf"))):
+        with pytest.raises(ValueError, match="z must be finite"):
+            resolvent_norms(bench_op, bad)
+
+
 @pytest.mark.parametrize("n", [24, 25])
 def test_resolvent_split_matches_whole(bench, n):
     # the scan factors the two reflection blocks; the same probe routine
@@ -203,18 +268,19 @@ def test_resolvent_split_matches_whole(bench, n):
     assert scan.skipped == ()
     for j, theta in enumerate(scan.rays):
         for k, modulus in enumerate(moduli):
-            whole = _block_probe(op.m, op.mask, op.gram_cholesky,
-                                 modulus * np.exp(1j * theta), 0.0)
+            whole = _resolvent_probe([(op.m, op.mask, op.gram_cholesky)],
+                                     modulus * np.exp(1j * theta), 0.0)
             assert scan.norms[j, k] == pytest.approx(whole[0], rel=1e-10)
             assert scan.hs_norms[j, k] == pytest.approx(whole[1], rel=1e-10)
     # at a retained eigenvalue only the block of the mode's parity is
     # singular, and that one block gates the whole probe
     blocks = _probe_blocks(op)
-    parities = [block.parity for block in _reflection_blocks(op)]
+    parities = [parity for parity, _pairing, _e in _block_pairings(op)]
     modes = solve_modes(op).modes
     for mode in (next(mode for mode in modes if mode.parity == parity)
                  for parity in parities):
-        gated = [_block_probe(*block, mode.mu, RCOND_MIN) is None for block in blocks]
+        gated = [_resolvent_probe([block], mode.mu, RCOND_MIN) is None
+                 for block in blocks]
         assert gated == [parity == mode.parity for parity in parities]
         assert _resolvent_probe(blocks, mode.mu, RCOND_MIN) is None
 
@@ -312,8 +378,6 @@ def test_expand_field_validation(bench_system, bench_op):
 
 
 def test_random_trig_fields_deterministic_and_admissible():
-    from lambspec import chebyshev_grid
-
     grid = chebyshev_grid(32, 1.0)
     first = random_trig_fields(grid, 3, seed=9)
     second = random_trig_fields(grid, 3, seed=9)

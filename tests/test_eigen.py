@@ -25,12 +25,12 @@ from lambspec.eigen import (
     CLUSTER_TOL,
     DEFECT_PAIR_TOL,
     REFERENCE_SHIFTS,
+    _block_pairings,
     _cluster_indices,
     _coincide,
     _eigensolve,
     _fold,
     _reference_spectrum,
-    _reflection_blocks,
     _relation_residuals,
     _try_extend,
     _two_resolution_matches,
@@ -369,9 +369,9 @@ def _column_then_row_fold(x, r, q, s, t):
 def test_fold_equals_column_then_row_fold(n):
     # _fold works on block-sized pieces; it must agree bit for bit
     op = assemble_operator(make_material(2.0, 1.0, 1.0, 1.0, 3.0), n, BCKind.FREE_FREE)
-    for block in _reflection_blocks(op):
-        r, q, s, t = block.pairing
-        assert np.array_equal(block.m, _column_then_row_fold(op.m, r, q, s, t))
+    for _parity, (r, q, s, t), _e in _block_pairings(op):
+        assert np.array_equal(_fold(op.m, r, q, s, t),
+                              _column_then_row_fold(op.m, r, q, s, t))
         assert np.array_equal(_fold(op.gram, r, q, s, s),
                               _column_then_row_fold(op.gram, r, q, s, s))
 
@@ -380,11 +380,7 @@ def _qz_reference(pencil) -> list:
     """The 2n reference spectrum by QZ, block by block: the shift-invert oracle."""
     op = assemble_operator(pencil.material, 2 * pencil.grid.n, pencil.bc,
                            pencil.n_channels)
-    out = []
-    for block in _reflection_blocks(op):
-        z = scipy.linalg.eig(block.m, np.diag(block.e), right=False)
-        out.append(z[np.isfinite(z)])
-    return out
+    return _qz_blocks(op)
 
 
 def _simple_below(zs: np.ndarray, bound: float) -> np.ndarray:
@@ -426,8 +422,9 @@ def test_reference_filter_matches_qz(omega, n, bc, n_channels):
 def _qz_blocks(op) -> list:
     """The finite spectrum of each block of op by QZ: the n-level oracle."""
     out = []
-    for block in _reflection_blocks(op):
-        z = scipy.linalg.eig(block.m, np.diag(block.e), right=False)
+    for _parity, pairing, e in _block_pairings(op):
+        m = op.m if pairing is None else _fold(op.m, *pairing)
+        z = scipy.linalg.eig(m, np.diag(e), right=False)
         out.append(z[np.isfinite(z)])
     return out
 
@@ -573,6 +570,16 @@ def test_biorthogonal_pairing_is_identity(bench_system):
     k = pairing.shape[0]
     assert k == len(bench_system.flat_modes)
     assert np.max(np.abs(pairing - np.eye(k))) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["bench_modes", "clamped_modes"])
+def test_biorthogonal_left_vectors_pair_through_gram(request, name):
+    # the pairing is formed from E w; the left vectors themselves must
+    # pair to the identity through the Gram matrix, W^H G V = I
+    system = biorthogonalize(request.getfixturevalue(name))
+    right = np.column_stack([mode.big_v for mode in system.flat_modes])
+    through_gram = system.left_vectors.conj().T @ system.op.gram @ right
+    assert np.max(np.abs(through_gram - np.eye(right.shape[1]))) <= 1e-8
 
 
 def test_left_vectors_live_in_the_masked_range(bench_op, bench_system):
