@@ -73,12 +73,14 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "run", "ma
 #: default sector half-angle, the midpoint of the admissible interval
 THETA0_DEFAULT = 0.45 * np.pi
 
-#: memory the 2n reference solve may take; on the clamped plate it peaks at
-#: about four 8n x 8n float64 arrays (the assembled operator, the
-#: shift-invert's copy of it and the norm's temporary; 3.9 measured at
-#: n = 96 and 160), and the bound allows eight
+#: memory one subcommand may take.  The largest path is verify on the
+#: clamped plate: its tracemalloc peak is about twenty 4n x 4n float64
+#: arrays (20.3 at n = 64, 19.7 at n = 128), most of it the complex
+#: resolvent probes of the whole operator (resolvent alone: 16.4, 16.6);
+#: the 2n reference solves half-size blocks and peaks lower.  The bound
+#: allows 32
 MEMORY_BUDGET = 4 * 2 ** 30
-N_COLLOC_MAX = math.isqrt(MEMORY_BUDGET // (8 * 64 * 8))
+N_COLLOC_MAX = math.isqrt(MEMORY_BUDGET // (32 * 16 * 8))
 
 _BC_NAMES = {"free-free": BCKind.FREE_FREE, "clamped-free": BCKind.CLAMPED_FREE}
 _REQUIRED_KEYS = ("lambda", "mu", "rho", "h", "omega")

@@ -17,8 +17,10 @@ exact discrete symmetry).  Three objects are assembled here:
   (gradient stiffness + plain mass on U1, compression mass on U2).
 
 The pencil is the one place where coefficient blocks and boundary rows
-are written; the companion form and the energy metric are read off it.
-Boundary conditions enter by row replacement only; no basis recombination.
+are written; the companion form, the energy metric and the half-size
+linear form in lam = mu^2 that the mode solver uses (_lambda_form) are
+read off it.  Boundary conditions enter by row replacement only; no basis
+recombination.
 """
 
 from __future__ import annotations
@@ -313,6 +315,38 @@ class DiscreteOperator:
         return chol
 
 
+def _face_rows(n: int, nch: int) -> list:
+    """Where the pencil's boundary rows go in a square c n system, in stack order.
+
+    The pencil lists the boundary rows of every component at +h, then at
+    -h; each replaces the collocation row of its component and face.
+    """
+    return [i * n + node for node in (n - 1, 0) for i in range(nch)]
+
+
+def _lambda_form(pencil: DiscretePencil):
+    """(A, B) of the square c n x c n pencil A + lam B in lam = mu^2.
+
+    The square pencil Q(mu) = Q0 + mu Q1 + mu^2 Q2 holds the stacks'
+    boundary rows at _face_rows.  With D = diag(I, -I) on (v1, v3) it
+    satisfies D Q0 D = Q0, D Q1 D = -Q1 and D Q2 D = Q2, because a and c
+    are diagonal, b and d off-diagonal and the clamp rows diagonal.  So
+    u = (mu x1, x3), with the v1 rows divided by mu, turns Q(mu) u = 0 into
+    (A + lam B) x = 0 with A = [[Q0_11, Q1_13], [0, Q0_33]] and
+    B = [[Q2_11, 0], [Q1_31, Q2_33]]; the scalar channel has Q1 = 0, so
+    there A = Q0 and B = Q2.  Q2 is diagonal, and zero on the boundary rows.
+    """
+    n, nch = pencil.grid.n, pencil.n_channels
+    dim, rows = nch * n, _face_rows(n, nch)
+    a, q1, b = (k[:dim].copy() for k in (pencil.k0, pencil.k1, pencil.k2))
+    for q, k in ((a, pencil.k0), (q1, pencil.k1), (b, pencil.k2)):
+        q[rows] = k[dim:]
+    if nch == 2:
+        a[:n, n:] = q1[:n, n:]
+        b[n:, :n] = q1[n:, :n]
+    return a, b
+
+
 def _companion_form(pencil: DiscretePencil) -> DiscreteOperator:
     """Companion form [[0, I], [-C^-1 k0, -C^-1 k1]] of the pencil's rows.
 
@@ -331,8 +365,7 @@ def _companion_form(pencil: DiscretePencil) -> DiscreteOperator:
     for k, half in ((pencil.k0, lower[..., :dim]), (pencil.k1, lower[..., dim:])):
         np.einsum("ij,jrk->irk", -cinv, k[:dim].reshape(nch, n, dim), out=half)
 
-    # the pencil lists the boundary rows of every component at +h, then at -h
-    targets = [dim + i * n + node for node in (n - 1, 0) for i in range(nch)]
+    targets = [dim + row for row in _face_rows(n, nch)]
     m[targets] = np.hstack([pencil.k0[dim:], pencil.k1[dim:]])
     boundary = tuple(sorted(targets))
 
@@ -380,7 +413,8 @@ def reduced_operator(op: DiscreteOperator):
     an invertible traction coupling, but not for the scalar SH channel
     (whose boundary rows never reference boundary U2 values); in that case
     S Z is singular and a LinAlgError explains the failure.  The mode
-    solver itself avoids this reduction and shift-inverts (m, E) instead.
+    solver itself avoids this reduction: it shift-inverts the lam form,
+    whose infinite eigenvalues the shift maps to zero.
     """
     rows = list(op.boundary_row_indices)
     constraints = op.m[rows, :]

@@ -1,24 +1,31 @@
 """Mode extraction for the discretized plate pencil.
 
-The masked companion problem m V = z E V is solved at the requested
-resolution n and at 2n by one spectral transformation (Ericsson & Ruhe,
-Math. Comp. 1980): for a real shift sigma off the spectrum,
-K = (m - sigma E)^-1 E has the eigenvalues theta = 1/(z - sigma), so an LU
-and a standard Hessenberg-QR eigensolve take the place of QZ.  K's columns
-vanish on the constraint rows, where E is singular, so the infinite
-eigenvalues map to theta = 0 and are cut, and no constraint is eliminated
-(see discretize.reduced_operator).  At n the eigensolve gives both vector
-sets (Tisseur & Meerbergen, SIAM Rev. 2001, section 3); the 2n reference
-is read only through MATCH_TOL and takes eigenvalues alone.  A
-traction-free plate is symmetric under reflection through its midplane, so
-there the pencil splits into symmetric and antisymmetric half-size blocks,
-each solved on its own; the block fixes the parity label exactly.  Raw
-eigenpairs are filtered by two-resolution agreement and normalized in the
-energy metric with a fixed phase convention.  On top sit the Jordan-chain
-machinery, whose bordered least squares runs only where a first-order
-screen with each mode's left vector cannot rule a chain out (an eigenvalue
-can be defective only where its left and right vectors are nearly
-orthogonal), and the left/right biorthogonal systems of modal expansions.
+The spectrum of the masked companion problem m V = z E V is solved at the
+requested resolution n and at 2n without building a companion matrix.
+Lamb modes come in +-mu pairs: with D = diag(I, -I) on (v1, v3) the
+square pencil Q(mu) (discretize._lambda_form) satisfies D Q(mu) D =
+Q(-mu), so u = (mu x1, x3) makes it linear in lam = mu^2, (A + lam B) x =
+0, at half the companion's size (Tisseur & Meerbergen, SIAM Rev. 2001,
+sections 3 and 5).  One spectral transformation solves it (Ericsson &
+Ruhe, Math. Comp. 1980): for a real shift sigma off the spectrum, K =
+B (A + sigma B)^-1 (rows scaled, see _shift_invert) has the eigenvalues
+theta = -1/(lam - sigma), so an LU and a standard Hessenberg-QR
+eigensolve take the place of QZ.  K's rows
+vanish where B's do, so the infinite eigenvalues map to theta = 0 and
+are cut, and no constraint is eliminated (see
+discretize.reduced_operator).  Each finite lam is the pair mu = +-sqrt(lam).
+At n the eigensolve gives both vector sets, and the companion's right and
+left vectors follow from them; the 2n reference is read only through
+MATCH_TOL and takes eigenvalues alone.  A traction-free plate is
+symmetric under reflection through its midplane, so there the pencil
+splits into symmetric and antisymmetric half-size blocks, each solved on
+its own; the block fixes the parity label exactly.  Raw eigenpairs are
+filtered by two-resolution agreement and normalized in the energy metric
+with a fixed phase convention.  On top sit the Jordan-chain machinery,
+whose bordered least squares runs only where a first-order screen with
+each mode's left vector cannot rule a chain out (an eigenvalue can be
+defective only where its left and right vectors are nearly orthogonal),
+and the left/right biorthogonal systems of modal expansions.
 """
 
 from __future__ import annotations
@@ -35,8 +42,11 @@ from .discretize import (
     DiscreteOperator,
     DiscretePencil,
     Grid,
+    _channel_pencil,
+    _face_rows,
+    _lambda_form,
     _real_matmul,
-    assemble_operator,
+    chebyshev_grid,
     pencil_residual,
     pencil_scale,
     pencil_value,
@@ -86,26 +96,35 @@ CLUSTER_TOL = 1e-6
 #: profile, that classify_parity still accepts as a parity
 PARITY_TOL = 1e-6
 
-#: LU reciprocal condition of m - z E (1-norm, LAPACK gecon) below which
-#: z counts as lying on the spectrum (see _shifted_lu).  Resolvent probes,
-#: per reflection block: at n = 64 the verify ray probes measure
-#: 1.7e-9 .. 1.1e-7 in each free-free block and 8.1e-11 .. 1.9e-9 on the
-#: whole clamped-free operator; at a retained eigenvalue the block holding
-#: it reads about 4e-20, the other block 1.6e-8.  Shifts: at the first of
-#: REFERENCE_SHIFTS the smallest block rcond is 1.3e-11 at 2n (n = 16 .. 96,
-#: ZGV, clamped-free omega 2 .. 4) and 8.8e-11 at n (n = 128, the smallest)
+#: LU reciprocal condition of m - z E or R (A + sigma B) (1-norm, LAPACK
+#: gecon) below which the point counts as lying on the spectrum (see
+#: _shifted_lu).  Resolvent probes, per reflection block: at n = 64 the
+#: verify ray probes measure 1.7e-9 .. 1.1e-7 in each free-free block and
+#: 8.1e-11 .. 1.9e-9 on the whole clamped-free operator; at a retained
+#: eigenvalue the block holding it reads about 4e-20, the other block
+#: 1.6e-8.  Shifts of the row-scaled lam form (_shift_invert): at the
+#: first of REFERENCE_SHIFTS the smallest block rcond is 2.3e-8 at 2n
+#: (n = 16 .. 128, ZGV, clamped-free omega 2 .. 4) and 1.9e-7 at n
+#: (n = 128); it falls like n^-3, to 4.5e-11 at 2n for n = 1024
 RCOND_MIN = 1e-13
 
-#: real shifts sigma of every shift-invert solve (n and 2n), tried in order
-#: until the LU of m - sigma E passes RCOND_MIN; real, because a complex
-#: shift doubles the cost of the LU and of the eigensolve
+#: real shifts s of every shift-invert solve (n and 2n), tried in order
+#: until the LU of A + s^2 B passes RCOND_MIN.  They are kept in mu, where
+#: s^2 is the lam shift: real, because a complex shift doubles the cost of
+#: the LU and of the eigensolve, and s and -s are the same lam shift
 REFERENCE_SHIFTS = (0.37, 0.61, 1.13)
 
-#: eigenvalues theta of K = (m - sigma E)^-1 E below this fraction of the
-#: largest |theta| are the pencil's infinite eigenvalues: they come out as
-#: exact zeros, and the smallest finite |theta| measures 2.3e-5 of the
-#: largest (free-free, n = 128)
-THETA_CUT = 1e-13
+#: eigenvalues theta of K at or below this fraction of the largest |theta|
+#: are the pencil's infinite eigenvalues.  They come out as exact zeros,
+#: one per zero row of B (one per free-free block, three on the clamped
+#: plate); the smallest finite |theta| falls like n^-4, from 9.0e-9 of the
+#: largest at n = 128 to 2.2e-12 at 2n for n = 512 (free-free; 4.9e-12
+#: clamped), so at n = 1024 it would meet a cut of 1e-13
+THETA_CUT = 1e-15
+
+#: a part of a lam-form vector below this fraction of the other part has
+#: lost more than half its digits, and _pair_ritz solves it again
+_PART_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -116,8 +135,9 @@ class Mode:
     of the displacement profile, big_v the stacked state (v, mu*v) with
     unit energy norm and the largest-magnitude entry of v made real
     positive.  residual is the normwise backward error of (mu, v) against
-    the quadratic pencil.  w is the full-length left eigenvector
-    (w^H m = mu w^H E) from the same LU and eigensolve, at no fixed scale.
+    the quadratic pencil.  w is the companion's full-length left
+    eigenvector (w^H m = mu w^H E) at no fixed scale, built from the left
+    vector of the lam form that the same LU and eigensolve give.
     """
 
     mu: complex
@@ -248,24 +268,24 @@ class _Block(NamedTuple):
     right: np.ndarray
 
 
-def _reflection(op: DiscreteOperator):
-    """The midplane reflection as a signed pairing of state indices.
+def _reflection(pencil: DiscretePencil):
+    """The midplane reflection as a signed pairing of the c n profile indices.
 
-    Each component block of the state is folded at its middle: rep holds
-    the nodes of the lower half (and the middle node when n is odd), mir
-    their mirror images (a middle node is its own mirror).  sign is the
-    state symmetry S = diag(+-J) at rep, so S V = V exactly for the
-    symmetric family; row_sign is the equation symmetry T, equal to S
-    except on the boundary rows, where the outward normal turns over with
-    the plate.  T m = m S and T E = E S hold up to rounding.
+    Each component block is folded at its middle: rep holds the nodes of
+    the lower half (and the middle node when n is odd), mir their mirror
+    images (a middle node is its own mirror).  sign is the profile
+    symmetry S = diag(+-J) at rep, so S u = u exactly for the symmetric
+    family; row_sign is the equation symmetry T of the square pencil,
+    equal to S except on the boundary rows (discretize._face_rows), where
+    the outward normal turns over with the plate.
     """
-    n, nch = op.pencil.grid.n, op.pencil.n_channels
+    n, nch = pencil.grid.n, pencil.n_channels
     half = np.arange((n + 1) // 2)
-    offsets = n * np.arange(2 * nch)
+    offsets = n * np.arange(nch)
     rep = (offsets[:, None] + half).ravel()
     mir = (offsets[:, None] + (n - 1 - half)).ravel()
-    sign = np.repeat(np.tile(_SYMMETRIC_SIGNS[nch], 2), half.size)
-    row_sign = np.where(op.mask[rep] == 0.0, -sign, sign)
+    sign = np.repeat(_SYMMETRIC_SIGNS[nch], half.size)
+    row_sign = np.where(np.isin(rep, _face_rows(n, nch)), -sign, sign)
     return rep, mir, sign, row_sign
 
 
@@ -301,25 +321,46 @@ def _unfold(y: np.ndarray, rep: np.ndarray, mir: np.ndarray,
     return x
 
 
-def _block_pairings(op: DiscreteOperator) -> list:
-    """(parity, pairing, e) of each independent block of the pencil (m, E).
+def _pairings(pencil: DiscretePencil) -> list:
+    """(parity, pairing) of each independent block of the square pencil.
 
-    A traction-free operator splits into the symmetric and antisymmetric
-    families.  Each block is the pencil restricted to the +-1 eigenspace
-    of S on states and of T on equations: pairing is the signed index
-    pairing (r, q, s, t) that _fold folds m on and _unfold unfolds vectors
-    with, e the block's diagonal of E.  The clamped plate has no reflection
-    symmetry: its one block has pairing None, and its m and e are op.m and
-    op.mask themselves.  Only e is built here; each caller folds m itself.
+    A traction-free plate splits into the symmetric and antisymmetric
+    families: each block is the pencil restricted to the +-1 eigenspace of
+    S on profiles and of T on equations, and pairing is the signed index
+    pairing (r, q, s, t) that _fold folds matrices on and _unfold unfolds
+    vectors with.  u1 = mu x1 reflects like u1, so the lam form folds on
+    the same pairing.  The clamped plate has no reflection symmetry: its
+    one block has pairing None.
     """
-    if op.pencil.bc is not BCKind.FREE_FREE:
-        return [(None, None, op.mask)]
-    rep, mir, sign, row_sign = _reflection(op)
+    if pencil.bc is not BCKind.FREE_FREE:
+        return [(None, None)]
+    rep, mir, sign, row_sign = _reflection(pencil)
     out = []
     for parity, p in ((PARITY_SYMMETRIC, 1.0), (PARITY_ANTISYMMETRIC, -1.0)):
         keep = (rep != mir) | (p * sign > 0.0)
-        r, q = rep[keep], mir[keep]
-        s, t = p * sign[keep], p * row_sign[keep]
+        pairing = (rep[keep], mir[keep], p * sign[keep], p * row_sign[keep])
+        out.append((parity, pairing))
+    return out
+
+
+def _block_pairings(op: DiscreteOperator) -> list:
+    """(parity, pairing, e) of each block of the companion pencil (m, E).
+
+    Derived from _pairings: the state (U1, U2) = (u, mu u) reflects like u
+    in both halves, and its equations are the rows U2 = mu U1, which
+    reflect like states, then the square pencil's rows.  e is the block's
+    diagonal of E; the clamped plate's one block has pairing None and e =
+    op.mask.  The resolvent probes of analysis fold m on these pairings.
+    """
+    dim = op.mask.size // 2
+    out = []
+    for parity, pairing in _pairings(op.pencil):
+        if pairing is None:
+            out.append((parity, None, op.mask))
+            continue
+        r, q, s, t = pairing
+        r, q = np.concatenate([r, r + dim]), np.concatenate([q, q + dim])
+        s, t = np.concatenate([s, s]), np.concatenate([s, t])
         # the fold of the diagonal E is diagonal: built at block size, it
         # equals _fold(np.diag(op.mask), r, q, s, t) entry for entry
         e = np.where(r == q, 0.5, 1.0) * (op.mask[r] + s * t * op.mask[q])
@@ -327,23 +368,19 @@ def _block_pairings(op: DiscreteOperator) -> list:
     return out
 
 
-def _shifted_lu(m: np.ndarray, e: np.ndarray, z, rcond_min: float,
-                overwrite: bool = False):
-    """LU factors (lu, piv) of m - z diag(e), or None when the LU is too singular.
+def _shifted_lu(m: np.ndarray, e: np.ndarray, z, rcond_min: float):
+    """LU factors (lu, piv) of m - z e, or None when the LU is too singular.
 
-    The gate is the reciprocal condition of the LU (1-norm, LAPACK gecon):
-    below rcond_min, z counts as lying on the spectrum and nothing is
-    returned.  LAPACK factors a column-major array where it lies, so with
-    overwrite a writable column-major m of z's type is shifted and
-    factored in place (pass a row-major block transposed); any other m,
-    such as a whole operator's read-only op.m, is copied first.
+    e is a matrix, or the diagonal of a diagonal one.  The gate is the
+    reciprocal condition of the LU (1-norm, LAPACK gecon): below
+    rcond_min, z counts as lying on the spectrum and nothing is returned.
+    m itself is never written.
     """
-    dtype = np.result_type(m.dtype, z)
-    a = m
-    if not (overwrite and m.flags.writeable and m.flags.f_contiguous
-            and m.dtype == dtype):
-        a = np.array(m, dtype=dtype, order="F")
-    a[np.diag_indices_from(a)] -= z * e
+    a = np.array(m, dtype=np.result_type(m.dtype, z), order="F")
+    if e.ndim == 1:
+        a[np.diag_indices_from(a)] -= z * e
+    else:
+        a -= z * e
     a_norm = np.linalg.norm(a, 1)
     lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
     gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
@@ -353,28 +390,34 @@ def _shifted_lu(m: np.ndarray, e: np.ndarray, z, rcond_min: float,
     return lu, piv
 
 
-def _shift_invert(m_whole: np.ndarray, pairing, e: np.ndarray):
-    """(sigma, K^T, tail) for K = (m - sigma E)^-1 E on one block of m_whole.
+def _shift_invert(a: np.ndarray, b: np.ndarray, pairing):
+    """(sigma, factors, K^T, r) for K = R B (R (A + sigma B))^-1 on one block.
 
-    The block, one entry of _block_pairings, is folded afresh for each shift
-    of REFERENCE_SHIFTS (a gated LU overwrites it) until its LU passes the
-    RCOND_MIN gate; a whole block's read-only m is copied instead.  getri
-    inverts the LU of (m - sigma E)^T in place: tail is the inverse's rows
-    where e vanishes, and its rows scaled by e are K^T.
+    The block, one pairing of _pairings, is folded from the lam form (a, b)
+    and its rows scaled by R = diag(r) to unit largest entry of A: the
+    collocation rows grow like n^4 and the boundary rows like n^2, and
+    unscaled the LU's reciprocal condition would fall below RCOND_MIN from
+    n = 512 on.  sigma = s^2 for the first s of REFERENCE_SHIFTS whose LU
+    of R (A + sigma B) passes the RCOND_MIN gate.  K's rows vanish where
+    B's do, so the infinite eigenvalues are exact zeros; its eigenvalues
+    theta give lam = sigma - 1/theta.  K^T comes from one transposed solve
+    with the LU.  A left vector l of K gives the lam form's left vector
+    z = R l.
     """
+    if pairing is not None:
+        a, b = _fold(a, *pairing), _fold(b, *pairing)
+    r = 1.0 / np.max(np.abs(a), axis=1)
+    a, b = a * r[:, None], b * r[:, None]
     for shift in REFERENCE_SHIFTS:
-        m = m_whole if pairing is None else _fold(m_whole, *pairing)
-        factors = _shifted_lu(m.T, e, shift, RCOND_MIN, overwrite=True)
+        sigma = shift * shift
+        factors = _shifted_lu(a, b, -sigma, RCOND_MIN)
         if factors is not None:
             break
     else:
         raise ValueError("every shift in REFERENCE_SHIFTS lies on the spectrum "
                          "(LU reciprocal condition below RCOND_MIN)")
-    getri = scipy.linalg.get_lapack_funcs("getri", factors[:1])
-    k_t, _info = getri(*factors, overwrite_lu=True)
-    tail = k_t[e == 0.0]
-    k_t *= e[:, None]
-    return shift, k_t, tail
+    k_t = scipy.linalg.lu_solve(factors, b.T, trans=1, check_finite=False)
+    return sigma, factors, k_t, r
 
 
 def _finite(theta: np.ndarray) -> np.ndarray:
@@ -382,53 +425,142 @@ def _finite(theta: np.ndarray) -> np.ndarray:
     return np.abs(theta) > THETA_CUT * np.max(np.abs(theta))
 
 
+def _both_signs(lam: np.ndarray) -> np.ndarray:
+    """mu = sqrt(lam) and then -mu: each finite lam is a pair of pencil eigenvalues."""
+    mu = np.sqrt(lam)
+    return np.concatenate([mu, -mu])
+
+
+def _companion_left(a: np.ndarray, b: np.ndarray, n_channels: int,
+                    mu: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Companion left vectors w = (-(Q1 + mu Q2)^H y, S^-1 y), column by column.
+
+    y are left null vectors of the square pencil Q(mu), and S the row
+    scaling of the companion's second block: -1/c_i on the collocation
+    rows of component i, 1 on the boundary rows.  The lam form (a, b)
+    holds Q2 on B's diagonal and Q1's two nonzero blocks as A's upper
+    right and B's lower left (discretize._lambda_form).
+    """
+    dim = a.shape[0]
+    q2 = np.diagonal(b)
+    w = np.empty((2 * dim, y.shape[1]), dtype=complex)
+    w[dim:] = y * np.where(q2 == 0.0, 1.0, -q2)[:, None]
+    w[:dim] = y * q2[:, None]
+    w[:dim] *= -np.conj(mu)
+    if n_channels == 2:
+        n = dim // 2
+        w[:n] -= _real_matmul(b[n:, :n].T, y[n:])
+        w[n:dim] -= _real_matmul(a[:n, n:].T, y[:n])
+    return w
+
+
+def _pair_ritz(a: np.ndarray, b: np.ndarray, lam: np.ndarray, x: np.ndarray,
+               z: np.ndarray):
+    """(lam, x, z) of the two-channel lam form, refined pair by pair.
+
+    Whatever mu is, the pair +-mu of one lam has its states in the span of
+    (x1, 0) and (0, x3), and its left vectors in that of (z1, 0) and
+    (0, z3).  Projected onto them, A + lam B is the 2 x 2 pencil
+    [[p, b13], [lam b31, q]] with p = a1 + lam g1 and q = a3 + lam g3.
+    One Newton step on its determinant from the computed lam, and its null
+    vectors (c1, c3) and (d1, d3) there, give (c1 x1, c3 x3) and
+    (d1 z1, d3 z3).  lam = mu^2 alone resolves mu only to about sqrt(eps)
+    near 0: where two cutoffs of one family coincide (a semisimple double
+    root at mu = 0), the pair's two states would come out parallel.
+    """
+    n = a.shape[0] // 2
+    x1, x3, z1, z3 = x[:n], x[n:], z[:n], z[n:]
+    # x = (u1 / mu, u3) and z = (conj(mu) y1, y3): where mu is small, x3
+    # and z1 keep only the digits they share with the whole vector, so
+    # they are solved again from their own block row and column
+    for k in np.flatnonzero(np.linalg.norm(x3, axis=0)
+                            < _PART_TOL * np.linalg.norm(x1, axis=0)):
+        x3[:, k] = np.linalg.solve(a[n:, n:] + lam[k] * b[n:, n:],
+                                   -lam[k] * (b[n:, :n] @ x1[:, k]))
+    for k in np.flatnonzero(np.linalg.norm(z1, axis=0)
+                            < _PART_TOL * np.linalg.norm(z3, axis=0)):
+        z1[:, k] = np.linalg.solve((a[:n, :n] + lam[k] * b[:n, :n]).conj().T,
+                                   -np.conj(lam[k]) * (b[n:, :n].T @ z3[:, k]))
+
+    def form(m, left, right):  # left_k^H m right_k, column by column
+        return np.einsum("ij,ij->j", np.conj(left), _real_matmul(m, right))
+
+    a1, a3 = form(a[:n, :n], z1, x1), form(a[n:, n:], z3, x3)
+    g1, g3 = form(b[:n, :n], z1, x1), form(b[n:, n:], z3, x3)
+    b13, b31 = form(a[:n, n:], z1, x3), form(b[n:, :n], z3, x1)
+    p, q = a1 + lam * g1, a3 + lam * g3
+    lam = lam - (p * q - lam * b13 * b31) / (g1 * q + g3 * p - b13 * b31)
+    p, q = a1 + lam * g1, a3 + lam * g3
+
+    def null(first, second):  # the null vector from the larger row (column)
+        pick = (np.abs(first[0]) ** 2 + np.abs(first[1]) ** 2
+                >= np.abs(second[0]) ** 2 + np.abs(second[1]) ** 2)
+        return np.where(pick, first, second)
+
+    c = null((b13, -p), (q, -lam * b31))
+    d = np.conj(null((lam * b31, -p), (q, -b13)))
+    return lam, np.vstack([x1 * c[0], x3 * c[1]]), np.vstack([z1 * d[0], z3 * d[1]])
+
+
 def _eigensolve(op: DiscreteOperator) -> list:
     """Finite spectrum of m V = z E V with both vector sets, one _Block per block.
 
-    One eigensolve of each block's K^T (_shift_invert): its left and right
-    vectors, conjugated, are the pencil's right vectors and K's left vectors
-    y.  The pencil's left vector w = (m - sigma E)^-T y has E w = K^T y =
-    conj(theta) y, so only rows where e vanishes need the tail.  Left
-    vectors of a folded block unfold with T, right vectors with S.
+    Each block of the lam form (discretize._lambda_form) is shift-inverted
+    (_shift_invert), and one eigensolve of K^T gives both vector sets: its
+    right vectors, conjugated and scaled by R, are the left vectors z of
+    A + lam B, and its left vectors, conjugated, are K's right vectors
+    R (A + sigma B) x, so one solve with the same LU gives x.  A folded
+    block's x unfold with S, its z with T.  Each finite lam, refined by
+    _pair_ritz, gives mu = +-sqrt(lam) with u = (mu x1, x3) and the
+    pencil's left vector y = (z1 / conj(mu), z3); right holds the companion
+    states (u, mu u) and left the companion's left vectors
+    (_companion_left).
     """
-    size, out = op.m.shape[0], []
-    for parity, pairing, e in _block_pairings(op):
-        shift, k_t, tail = _shift_invert(op.m, pairing, e)
+    pencil = op.pencil
+    n, dim = pencil.grid.n, op.mask.size // 2
+    a, b = _lambda_form(pencil)
+    out = []
+    for parity, pairing in _pairings(pencil):
+        sigma, factors, k_t, r = _shift_invert(a, b, pairing)
         theta, vl, vr = scipy.linalg.eig(k_t, left=True, right=True,
                                          overwrite_a=True, check_finite=False)
         keep = _finite(theta)
-        theta, right, left = theta[keep], vl[:, keep], vr[:, keep]
+        x = scipy.linalg.lu_solve(factors, np.conj(vl[:, keep]), check_finite=False)
+        y = np.conj(vr[:, keep]) * r[:, None]
         del vl, vr
-        np.conjugate(right, out=right)
-        np.conjugate(left, out=left)  # y, made into w in place
-        tail_rows = tail @ left
-        left *= np.conj(theta)
-        left /= np.where(e == 0.0, 1.0, e)[:, None]
-        left[e == 0.0] = tail_rows
         if pairing is not None:
             r, q, s, t = pairing
-            left, right = _unfold(left, r, q, t, size), _unfold(right, r, q, s, size)
-        out.append(_Block(parity, shift + 1.0 / theta, left, right))
+            x, y = _unfold(x, r, q, s, dim), _unfold(y, r, q, t, dim)
+        lam = sigma - 1.0 / theta[keep]
+        if pencil.n_channels == 2:
+            lam, x, y = _pair_ritz(a, b, lam, x, y)
+        mu = _both_signs(lam)
+        u, y = np.hstack([x, x]), np.hstack([y, y])
+        if pencil.n_channels == 2:
+            u[:n] *= mu
+            y[:n] /= np.conj(mu)
+        out.append(_Block(parity, mu, _companion_left(a, b, pencil.n_channels, mu, y),
+                          np.vstack([u, u * mu])))
     return out
 
 
 def _reference_spectrum(pencil: DiscretePencil) -> list:
-    """Finite eigenvalues of each reflection block of the problem at resolution 2n.
+    """Finite eigenvalues mu of each reflection block of the problem at resolution 2n.
 
-    The reference is read only through MATCH_TOL, so each block's K^T from
-    _shift_invert gets an eigenvalues-only eigensolve; one array per block,
-    in the block order of _block_pairings.
+    Only the 2n pencil is built, and from it the lam form; the reference
+    is read only through MATCH_TOL, so each block's K^T from _shift_invert
+    gets an eigenvalues-only eigensolve.  One array per block, in the block
+    order of _pairings.
     """
-    op = assemble_operator(pencil.material, 2 * pencil.grid.n, pencil.bc,
-                           pencil.n_channels)
-    m, pairings = op.m, _block_pairings(op)
-    del op  # and with it the 2n pencil, which the blocks do not need
+    fine = _channel_pencil(pencil.material,
+                           chebyshev_grid(2 * pencil.grid.n, pencil.grid.h),
+                           pencil.bc, pencil.coefficients)
+    a, b = _lambda_form(fine)
     out = []
-    for _parity, pairing, e in pairings:
-        shift, k_t, _tail = _shift_invert(m, pairing, e)
+    for _parity, pairing in _pairings(fine):
+        sigma, _factors, k_t, _r = _shift_invert(a, b, pairing)
         theta = scipy.linalg.eigvals(k_t, overwrite_a=True, check_finite=False)
-        out.append(shift + 1.0 / theta[_finite(theta)])
-        del k_t  # or the spent block outlives the folding of the next
+        out.append(_both_signs(sigma - 1.0 / theta[_finite(theta)]))
     return out
 
 
@@ -502,8 +634,10 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
     eigenvalues of all blocks (_two_resolution_matches rescues split
     defective pairs).  Retained states are rebuilt as exactly (v, mu v),
     normalized to unit energy norm, phase-fixed, and sorted by (|beta|,
-    Re beta, Im beta); residuals and norms are taken for a block's columns
-    at once.  The 2n reference runs first, before the eigenvectors are held.
+    Re beta, Im beta): every beta has its exact negative and conjugate, so
+    the |beta| ties of a group are bitwise and the row order is fixed.
+    Residuals and norms are taken for a block's columns at once.  The 2n
+    reference runs first, before the eigenvectors are held.
     """
     dim = op.pencil.n_channels * op.pencil.grid.n
     references = _reference_spectrum(op.pencil)

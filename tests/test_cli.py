@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -129,6 +130,27 @@ def test_modes_csv_structure_and_determinism(tmp_path, capsys):
         assert int(chain_length) >= 1
     assert mags == sorted(mags)
     assert len(mags) >= 10
+
+
+@pytest.mark.parametrize("bc", ["free-free", "clamped-free"])
+def test_modes_rows_come_in_exact_groups(tmp_path, capsys, bc):
+    # every beta has its exact negative and its exact conjugate, so the
+    # |beta| ties are bitwise, in groups of 2 (real or imaginary beta) or 4,
+    # and the rows inside a group follow (Re beta, Im beta)
+    path = write_config(tmp_path, {"n_colloc": 24, "bc": bc})
+    assert run(["modes", "--config", path]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")[1:]
+    betas = [complex(float(line.split(",")[0]), float(line.split(",")[1]))
+             for line in lines]
+    present = set(betas)
+    assert all(-beta in present and beta.conjugate() in present for beta in betas)
+    sizes = []
+    for _mag, group in itertools.groupby(betas, key=abs):
+        group = list(group)
+        sizes.append(len(group))
+        assert group == sorted(group, key=lambda beta: (beta.real, beta.imag))
+    assert set(sizes) == {2, 4}
+    assert sum(sizes) == len(betas) >= 10
 
 
 def test_modes_out_file(tmp_path, capsys):
@@ -358,6 +380,17 @@ def test_closures_fail_on_a_moved_eigenvalue(bench_modes):
     conj_d, neg_d = _closure_defects(moved)
     assert conj_d > 1e-6 and neg_d > 1e-6
     assert _closure_defects(betas[:0]) == (np.inf, np.inf)
+
+
+def test_negation_closure_fails_on_a_dropped_pair_member(bench_modes):
+    # +-beta come out exact, so the closures read 0 on a full mode set and a
+    # missing member of a pair is what negation_closure is left to catch; a
+    # real beta is its own conjugate, so conjugation_closure stays at 0
+    betas = bench_modes.betas
+    assert _closure_defects(betas) == (0.0, 0.0)
+    real = np.flatnonzero(betas.imag == 0.0)[0]
+    conj_d, neg_d = _closure_defects(np.delete(betas, real))
+    assert conj_d == 0.0 and neg_d > 1e-6
 
 
 def test_verify_reports_empty_spectrum(tmp_path, capsys):

@@ -15,6 +15,7 @@ from lambspec import (
     pencil_value,
     reduced_operator,
 )
+from lambspec.discretize import _face_rows, _lambda_form
 
 # ----------------------------------------------------------------------
 # grid
@@ -244,6 +245,63 @@ def test_companion_form_equals_stacked_construction(n, bc, n_channels):
                         rows[:dim].reshape(n_channels, n, 2 * dim)).reshape(dim, 2 * dim)
     m[[dim + i * n + node for node in (n - 1, 0) for i in range(n_channels)]] = rows[dim:]
     assert np.array_equal(op.m, m)
+
+
+def _square(pencil, k):
+    """Stack k with its boundary rows in place, as _companion_form places them."""
+    dim = pencil.n_channels * pencil.grid.n
+    square = k[:dim].copy()
+    square[_face_rows(pencil.grid.n, pencil.n_channels)] = k[dim:]
+    return square
+
+
+@pytest.mark.parametrize("n", [16, 17, 64])
+@pytest.mark.parametrize("bc", [BCKind.FREE_FREE, BCKind.CLAMPED_FREE])
+def test_square_pencil_is_even_under_component_signs(bench, n, bc):
+    # D = diag(I, -I) on (v1, v3): a, c and the clamp rows are diagonal, b
+    # and d off-diagonal, so D Q0 D = Q0, D Q1 D = -Q1 and D Q2 D = Q2 hold
+    # bit for bit; that makes the spectrum even in mu and the lam form exact
+    pencil = assemble_operator(bench, n, bc).pencil
+    d = np.repeat([1.0, -1.0], n)
+    q0, q1, q2 = (_square(pencil, k) for k in (pencil.k0, pencil.k1, pencil.k2))
+    assert np.array_equal(d[:, None] * q0 * d, q0)
+    assert np.array_equal(d[:, None] * q1 * d, -q1)
+    assert np.array_equal(d[:, None] * q2 * d, q2)
+    a, b = _lambda_form(pencil)
+    assert np.array_equal(a, np.block([[q0[:n, :n], q1[:n, n:]],
+                                       [q0[n:, :n], q0[n:, n:]]]))
+    assert np.array_equal(b, np.block([[q2[:n, :n], q2[:n, n:]],
+                                       [q1[n:, :n], q2[n:, n:]]]))
+
+
+def test_sh_lambda_form_is_the_square_pencil(bench):
+    # the scalar channel has no first-order term, so lam = mu^2 needs no
+    # substitution: A = Q0 and B = Q2
+    pencil = assemble_operator(bench, 17, BCKind.FREE_FREE, n_channels=1).pencil
+    assert not pencil.k1.any()
+    a, b = _lambda_form(pencil)
+    assert np.array_equal(a, _square(pencil, pencil.k0))
+    assert np.array_equal(b, _square(pencil, pencil.k2))
+
+
+@pytest.mark.parametrize("bc,n_channels", [(BCKind.FREE_FREE, 2),
+                                           (BCKind.CLAMPED_FREE, 2),
+                                           (BCKind.FREE_FREE, 1)])
+def test_lambda_form_linearizes_square_pencil(bc, n_channels):
+    # Q(mu) (mu x1, x3) = (mu [(A + mu^2 B) x]_1, [(A + mu^2 B) x]_3)
+    material = make_material(lam=-0.3, mu=1.7, rho=2.3, h=0.8, omega=2.2)
+    pencil = assemble_operator(material, 15, bc, n_channels=n_channels).pencil
+    n, dim = 15, n_channels * 15
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    mu = 0.7 - 1.9j
+    scale = np.where(np.arange(dim) < n, mu, 1.0) if n_channels == 2 else np.ones(dim)
+    q = sum(mu ** p * _square(pencil, k)
+            for p, k in enumerate((pencil.k0, pencil.k1, pencil.k2)))
+    a, b = _lambda_form(pencil)
+    got = q @ (scale * x)
+    expected = scale * ((a + mu * mu * b) @ x)
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(q) * np.linalg.norm(x)
 
 
 # ----------------------------------------------------------------------

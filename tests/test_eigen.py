@@ -163,6 +163,17 @@ def test_biorthogonalize_uses_split_left_vectors(bench_modes, bench_system):
     assert np.max(np.abs(bench_system.pairing[cross])) <= 1e-12
 
 
+@pytest.mark.parametrize("bc, n_channels", [(BCKind.FREE_FREE, 2),
+                                            (BCKind.CLAMPED_FREE, 2),
+                                            (BCKind.FREE_FREE, 1)])
+def test_raw_count_is_the_companion_finite_count(bench, bc, n_channels):
+    # each finite lam of the half-size form is the pair +-sqrt(lam) of the
+    # companion: raw_count is the finite count of a QZ of the unsplit (m, E)
+    op = assemble_operator(bench, 20, bc, n_channels=n_channels)
+    whole = scipy.linalg.eig(op.m, np.diag(op.mask), right=False)
+    assert solve_modes(op).raw_count == np.isfinite(whole).sum()
+
+
 def test_clamped_plate_is_solved_whole(clamped_op, clamped_modes):
     blocks = _eigensolve(clamped_op)
     assert len(blocks) == 1
@@ -316,10 +327,10 @@ def test_jordan_screen_never_hides_a_chain(request, name, extended):
 def test_one_left_solve_per_mode_set(request, monkeypatch, name, n_blocks, probes):
     # solve_modes solves each 2n reference block by one standard
     # eigenvalues-only eigensolve, then each n-level block by one standard
-    # eigensolve with both vector sets (shift-invert at both levels, no
-    # generalized eig anywhere); the Jordan screen and the biorthogonal
-    # system run no eigensolver, and the bordered least squares runs only
-    # on the screened singletons
+    # eigensolve with both vector sets (shift-invert of the lam form at both
+    # levels, half the companion's size, no generalized eig anywhere); the
+    # Jordan screen and the biorthogonal system run no eigensolver, and the
+    # bordered least squares runs only on the screened singletons
     op = request.getfixturevalue(name).op
     calls, lstsqs = [], []
 
@@ -348,10 +359,10 @@ def test_one_left_solve_per_mode_set(request, monkeypatch, name, n_blocks, probe
     reference, level = calls[:n_blocks], calls[n_blocks:]
     assert ([call[:1] + call[2:] for call in reference]
             == [("scipy.linalg.eigvals", False, False, False)] * n_blocks)
-    assert sum(call[1] for call in reference) == 2 * op.m.shape[0]
+    assert sum(call[1] for call in reference) == op.m.shape[0]
     assert ([call[:1] + call[2:] for call in level]
             == [("scipy.linalg.eig", False, True, True)] * n_blocks)
-    assert sum(call[1] for call in level) == op.m.shape[0]
+    assert sum(call[1] for call in level) == op.m.shape[0] // 2
     calls.clear()
     detect_jordan_chains(mode_set)
     biorthogonalize(mode_set)
@@ -476,12 +487,16 @@ def test_eigensolve_pairs_roots_no_worse_than_qz(bench):
 
 
 def _spy_shifted_lu(monkeypatch) -> list:
-    """Record (shift, gated) for every LU the reference solve tries."""
+    """Record (shift s, gated) for every LU a solve tries.
+
+    The lam form A + lam B is shifted at sigma = s^2, so the gate factors
+    A - z B with z = -s^2; the spy reports s.
+    """
     calls, shifted_lu = [], eigen._shifted_lu
 
-    def spy(m, e, z, rcond_min, overwrite=False):
-        factors = shifted_lu(m, e, z, rcond_min, overwrite)
-        calls.append((z, factors is None))
+    def spy(m, e, z, rcond_min):
+        factors = shifted_lu(m, e, z, rcond_min)
+        calls.append((float(np.sqrt(-z)), factors is None))
         return factors
 
     monkeypatch.setattr(eigen, "_shifted_lu", spy)
@@ -512,8 +527,8 @@ def test_reference_shifts_all_on_the_spectrum_raise(bench, monkeypatch):
     # ValueError, not a LAPACK failure or a silently wrong spectrum
     op = assemble_operator(bench, 16, BCKind.CLAMPED_FREE)
     whole = _qz_reference(op.pencil)[0]
-    real = whole[whole.imag == 0.0].real
-    real = real[np.argsort(np.abs(real))][:2]
+    # two distinct positive ones: s and -s are one shift s^2 of the lam form
+    real = np.sort(whole[(whole.imag == 0.0) & (whole.real > 0.0)].real)[:2]
     assert real.size == 2
     calls = _spy_shifted_lu(monkeypatch)
     monkeypatch.setattr(eigen, "REFERENCE_SHIFTS", tuple(real))
@@ -544,8 +559,8 @@ def test_eigensolve_shift_on_the_spectrum_moves_to_the_next(bench, monkeypatch):
 def test_eigensolve_shifts_all_on_the_spectrum_raise(bench, monkeypatch):
     op = assemble_operator(bench, 16, BCKind.CLAMPED_FREE)
     whole = _qz_blocks(op)[0]
-    real = whole[whole.imag == 0.0].real
-    real = real[np.argsort(np.abs(real))][:2]
+    # two distinct positive ones: s and -s are one shift s^2 of the lam form
+    real = np.sort(whole[(whole.imag == 0.0) & (whole.real > 0.0)].real)[:2]
     assert real.size == 2
     calls = _spy_shifted_lu(monkeypatch)
     monkeypatch.setattr(eigen, "REFERENCE_SHIFTS", tuple(real))
