@@ -8,12 +8,14 @@ from its energy-metric adjoint.  All norms are taken in the energy
 metric: for a matrix S that means the Euclidean norm of L^H S L^-H where
 gram = L L^H is the Cholesky factorization.
 
-On a traction-free plate the resolvent probes split like the eigensolves
-(eigen._block_pairings): R(z) = (m - z E)^-1 E commutes with the state
-reflection and the Gram matrix is reflection-invariant, so each probe
-factors the two half-size blocks of m - z E, the operator norm is the
-larger block norm and the squared Hilbert-Schmidt norm the sum of the
-blocks' squares.  The clamped plate is probed whole.
+The resolvent R(z) = (m - z E)^-1 E is probed through the lam = mu^2
+blocks the mode solver factors: its rows give U2 = z U1 + F1 and Q(z) U1
+= -(Q1 + z Q2) F1 - Q2 F2, where Q(z) = Z (A + z^2 B) Z^-1 with Z = diag(z
+on the u1 indices, 1).  R(z) commutes with the state reflection and the
+Gram matrix blockdiag(G1, G2) is reflection-invariant, so on a
+traction-free plate the probes split like the eigensolves
+(eigen._pairings): the operator norm is the larger block norm and the
+squared Hilbert-Schmidt norm the sum of the blocks' squares.
 
 Ray geometry: the five companion-plane ray angles are
 theta_j = 2(j-1) pi/5 + pi/2, which under z = i beta place beta on the
@@ -28,15 +30,23 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .discretize import DiscreteOperator, FormMatrices, reduced_operator
+from .discretize import (
+    DiscreteOperator,
+    FormMatrices,
+    _lambda_form,
+    _real_matmul,
+    _square_terms,
+    reduced_operator,
+)
 from .eigen import (
     CLUSTER_TOL,
     RCOND_MIN,
     BiorthogonalSystem,
     ModeSet,
-    _block_pairings,
     _coincide,
     _fold,
+    _pairings,
+    _scaled_block,
     _shifted_lu,
 )
 
@@ -133,47 +143,64 @@ def in_sector(beta: complex, theta0: float) -> bool:
     return a <= theta0 or np.pi - a <= theta0
 
 
-def _metric_transform(s: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """L^H S L^-H: the similarity taking gram-metric norms to Euclidean."""
-    right = scipy.linalg.solve_triangular(chol.conj().T, s.conj().T, lower=False,
-                                          trans="C").conj().T
-    return chol.conj().T @ right
-
-
 def _probe_blocks(op: DiscreteOperator) -> list:
-    """(m, e, chol) for each block of eigen._block_pairings, chol its Gram factor.
+    """(a, b, split, h, c) for each block of eigen._pairings, set up once per scan.
 
-    The Gram matrix is reflection-invariant, so folding it with the state
-    signs gives each block's metric; an operator taken whole keeps its own
-    m and factor.
+    a, b are the folded, row-scaled lam form (eigen._scaled_block), which
+    lists its split u1 indices first; h = [L1^H; L2^H] and c = L2^H L1^-H
+    for the Cholesky factors L1, L2 of G1, G2 folded with the state signs.
     """
+    pencil, dim = op.pencil, op.mask.size // 2
+    a, b = _lambda_form(pencil)
+    halves = (op.gram[:dim, :dim], op.gram[dim:, dim:])
     out = []
-    for _parity, pairing, e in _block_pairings(op):
+    for _parity, pairing in _pairings(pencil):
         if pairing is None:
-            out.append((op.m, e, op.gram_cholesky))
+            index, metrics = np.arange(dim), halves
         else:
-            r, q, s, _t = pairing
-            out.append((_fold(op.m, *pairing), e,
-                        np.linalg.cholesky(_fold(op.gram, r, q, s, s))))
+            index, mir, sign, _row_sign = pairing
+            metrics = (_fold(g, index, mir, sign, sign) for g in halves)
+        l1, l2 = (np.linalg.cholesky(g) for g in metrics)
+        split = int(np.count_nonzero(index < pencil.grid.n)) if pencil.n_channels == 2 else 0
+        out.append((*_scaled_block(a, b, pairing)[:2], split, np.vstack([l1.T, l2.T]),
+                    scipy.linalg.solve_triangular(l1, l2, lower=True).T))
     return out
 
 
 def _resolvent_probe(blocks: list, z: complex, rcond_min: float):
-    """Energy-metric norms of (m - z E)^-1 E from its (m, e, chol) blocks.
+    """Energy-metric norms of (m - z E)^-1 E from the blocks of _probe_blocks.
 
-    Returns None, without solving further, as soon as one block's LU fails
-    the gate of eigen._shifted_lu at rcond_min.  The resolvent commutes
-    with the reflection and the blocks are orthogonal in the energy
-    metric, so the operator norm is the largest block norm and the squared
-    Hilbert-Schmidt norm the sum of the blocks' squares; a whole operator
-    is a list of one block.
+    Each block's LU of R (A + z^2 B) passes the gate of eigen._shifted_lu
+    at rcond_min, or the probe returns None without solving further.  It
+    gives the U1 rows X = -Z (R (A + z^2 B))^-1 Z^-1 [Q1 + z Q2, Q2] of the
+    block of R(z), and with Y = X L^-H, L^H R(z) L^-H = [L1^H Y; z L2^H Y]
+    + [[0, 0], [c, 0]].  The operator norm is the largest block norm and
+    the squared Hilbert-Schmidt norm the sum of the blocks' squares.
     """
+    z = complex(z)
     op_norms, hs_norms = [], []
-    for m, e, chol in blocks:
-        factors = _shifted_lu(m, e, complex(z), rcond_min)
+    for a, b, split, h, c in blocks:
+        factors = _shifted_lu(a, b, -z * z, rcond_min)
         if factors is None:
             return None
-        t = _metric_transform(scipy.linalg.lu_solve(factors, np.diag(e)), chol)
+        q13, q31, q2 = _square_terms(a, b, split)
+        size, diag = q2.size, np.arange(q2.size)
+        x = np.zeros((size, 2 * size), dtype=complex, order="F")
+        x[:split, split:size], x[split:, :split] = q13, q31
+        x[diag, diag] += z * q2
+        x[diag, diag + size] = q2
+        x[:split] /= z
+        # this is -X, and t below is -L^H R(z) L^-H, which has the same norms
+        x = scipy.linalg.lu_solve(factors, x, overwrite_b=True, check_finite=False)
+        del factors
+        x[:split] *= z
+        for cols, chol in ((slice(None, size), h[:size].T), (slice(size, None), h[size:].T)):
+            x[:, cols] = scipy.linalg.solve_triangular(chol, x[:, cols].T, lower=True,
+                                                       check_finite=False).T
+        t = _real_matmul(h, x)
+        del x
+        t[size:] *= z
+        t[size:, :size] -= c
         op_norms.append(float(np.linalg.norm(t, 2)))
         hs_norms.append(float(np.linalg.norm(t, "fro")))
     return max(op_norms), float(np.linalg.norm(hs_norms))
@@ -182,12 +209,13 @@ def _resolvent_probe(blocks: list, z: complex, rcond_min: float):
 def resolvent_norms(op: DiscreteOperator, z: complex):
     """Energy-metric operator and Frobenius norms of (m - z E)^-1 E.
 
-    z must be finite.  The LU stays backward stable at an eigenvalue, so
-    nothing fails there; the norms just grow without bound (resolvent_scan
-    skips such probes by their reciprocal condition).
+    z must be finite and nonzero (Z is singular at 0, off every ray).  The
+    LU stays backward stable at an eigenvalue, so nothing fails there; the
+    norms just grow without bound (resolvent_scan skips such probes by
+    their reciprocal condition).
     """
-    if not np.isfinite(z):
-        raise ValueError("z must be finite")
+    if not np.isfinite(z) or z == 0:
+        raise ValueError("z must be finite and nonzero")
     return _resolvent_probe(_probe_blocks(op), z, 0.0)
 
 
@@ -198,10 +226,10 @@ def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan
     so every probed beta = -i z, in the double sector of half-angle
     theta0 (see the module docstring); moduli must be finite, positive
     and strictly increasing.  Each probe factors the reflection blocks of
-    m - z E (the Gram factors of the blocks once per scan).  A probe where
-    some block's LU has a reciprocal condition below RCOND_MIN sits on
-    the spectrum to working precision; it is recorded as NaN and listed
-    in skipped, deterministically ordered by (ray index, modulus).
+    the lam form at z^2 (set up once per scan).  A probe where some
+    block's LU has a reciprocal condition below RCOND_MIN sits on the
+    spectrum to working precision; it is recorded as NaN and listed in
+    skipped, deterministically ordered by (ray index, modulus).
     """
     if not (THETA0_MIN < theta0 < THETA0_MAX):
         raise ValueError("theta0 outside the admissible interval (2*pi/5, pi/2)")
@@ -370,7 +398,7 @@ def expand_field(system: BiorthogonalSystem, target: np.ndarray, ks,
     if not ks or any(k < 1 or k > len(modes) for k in ks):
         raise ValueError("each k must satisfy 1 <= k <= number of modes")
     target = np.asarray(target, dtype=complex)
-    dim_state = op.m.shape[0]
+    dim_state = op.mask.size
     if target.shape == (dim_state,):
         basis = np.column_stack([mode.big_v for mode in modes])
         chol = op.gram_cholesky
@@ -479,5 +507,7 @@ def adjoint_defect(op: DiscreteOperator) -> float:
     """
     _, t, gram_y = reduced_operator(op)
     chol = np.linalg.cholesky(gram_y)
-    s = _metric_transform(t, chol)
+    # L^H T L^-H, the similarity taking gram-metric norms to Euclidean
+    s = chol.conj().T @ scipy.linalg.solve_triangular(chol.conj().T, t.conj().T, lower=False,
+                                                       trans="C").conj().T
     return float(np.linalg.norm(s - s.conj().T, 2) / np.linalg.norm(s, 2))

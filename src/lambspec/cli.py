@@ -74,11 +74,10 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "run", "ma
 THETA0_DEFAULT = 0.45 * np.pi
 
 #: memory one subcommand may take.  The largest path is verify on the
-#: clamped plate: its tracemalloc peak is about twenty 4n x 4n float64
-#: arrays (20.3 at n = 64, 19.7 at n = 128), most of it the complex
-#: resolvent probes of the whole operator (resolvent alone: 16.4, 16.6);
-#: the 2n reference solves half-size blocks and peaks lower.  The bound
-#: allows 32
+#: free-free plate: its tracemalloc peak is about fifteen 4n x 4n float64
+#: arrays (14.5 at n = 64, 14.8 at n = 128), topped by the adjoint defect's
+#: constraint elimination; resolvent peaks at 10.8 (clamped) and the 2n
+#: reference lower still.  The bound allows 32
 MEMORY_BUDGET = 4 * 2 ** 30
 N_COLLOC_MAX = math.isqrt(MEMORY_BUDGET // (32 * 16 * 8))
 

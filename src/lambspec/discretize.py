@@ -10,17 +10,17 @@ exact discrete symmetry).  Three objects are assembled here:
 * DiscretePencil -- rectangular stacks k0, k1, k2 with the interior rows
   collocated at every node and four boundary rows appended, so
   P(mu) = k0 + mu k1 + mu^2 k2 evaluates the full boundary-value pencil;
-* DiscreteOperator -- the first-order companion form m acting on stacked
-  states (U1, U2) ~ (v, i beta v), with the boundary rows of the second
-  block replaced by the traction (or clamping) conditions, a 0/1 row mask
-  singling out those constraint rows, and the energy Gram matrix
-  (gradient stiffness + plain mass on U1, compression mass on U2).
+* DiscreteOperator -- the masked first-order companion problem on stacked
+  states (U1, U2) ~ (v, i beta v): a 0/1 row mask singling out the
+  second-block rows replaced by the traction (or clamping) conditions,
+  the energy Gram matrix (gradient stiffness + plain mass on U1,
+  compression mass on U2), and the companion matrix m, built when read.
 
 The pencil is the one place where coefficient blocks and boundary rows
-are written; the companion form, the energy metric and the half-size
-linear form in lam = mu^2 that the mode solver uses (_lambda_form) are
-read off it.  Boundary conditions enter by row replacement only; no basis
-recombination.
+are written; the energy metric, the companion matrix and the half-size
+linear form in lam = mu^2 (_lambda_form), the only form the mode solver
+and the resolvent probes factor, are read off it.  Boundary conditions
+enter by row replacement only; no basis recombination.
 """
 
 from __future__ import annotations
@@ -272,23 +272,39 @@ def _channel_pencil(material, grid, bc, coeff):
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """First-order companion form of the pencil with its energy Gram matrix.
+    """Masked first-order companion problem of the pencil, with its energy Gram matrix.
 
-    m acts on stacked states (U1, U2); eigenvectors satisfy U2 = z U1 with
-    z = i beta.  mask is the diagonal of the right-hand-side selector E:
-    one on collocation rows, zero on the 2c replaced boundary rows of the
-    second block (their indices are boundary_row_indices), so the spectral
-    problem reads m V = z E V and resolvent systems (m - z E) U = E F.
+    States stack (U1, U2); eigenvectors satisfy U2 = z U1 with z = i beta.
+    mask is the diagonal of the right-hand-side selector E: one on
+    collocation rows, zero on the 2c replaced boundary rows of the second
+    block (their indices are boundary_row_indices), so the spectral problem
+    reads m V = z E V and resolvent systems (m - z E) U = E F.
     """
 
-    m: np.ndarray
     mask: np.ndarray
     boundary_row_indices: tuple
     pencil: DiscretePencil
 
     def __post_init__(self):
-        for arr in (self.m, self.mask):
-            arr.flags.writeable = False
+        self.mask.flags.writeable = False
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """Companion form [[0, I], [-C^-1 k0, -C^-1 k1]] of the pencil's rows.
+
+        Interior rows are the pencil's, scaled by C^-1 per component block
+        (k2 = C x I there, C diagonal).  Each boundary row [k0_b | k1_b]
+        replaces the second-block row of its component and face.  Built on
+        first read, which no solve and no probe makes.  Read-only.
+        """
+        pencil, dim = self.pencil, self.mask.size // 2
+        n, nch = pencil.grid.n, pencil.n_channels
+        scale = -np.repeat(np.diagonal(np.linalg.inv(pencil.coefficients.c)), n)[:, None]
+        m = np.block([[np.zeros((dim, dim)), np.eye(dim)],
+                      [scale * pencil.k0[:dim], scale * pencil.k1[:dim]]])
+        m[dim:][_face_rows(n, nch)] = np.hstack([pencil.k0[dim:], pencil.k1[dim:]])
+        m.flags.writeable = False
+        return m
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -324,6 +340,17 @@ def _face_rows(n: int, nch: int) -> list:
     return [i * n + node for node in (n - 1, 0) for i in range(nch)]
 
 
+def _square_terms(a: np.ndarray, b: np.ndarray, split: int):
+    """(Q1_13, Q1_31, q2) of the square pencil, read off its (folded, row-scaled) lam form.
+
+    _lambda_form keeps Q1's nonzero (v1, v3) and (v3, v1) blocks as A's and
+    B's, and the diagonal Q2 as B's diagonal q2.  split is where the v3
+    indices start: n, the v1 count of a folded block (which lists them
+    first), or 0 for the scalar channel, whose Q1 is zero.
+    """
+    return a[:split, split:], b[split:, :split], np.diagonal(b)
+
+
 def _lambda_form(pencil: DiscretePencil):
     """(A, B) of the square c n x c n pencil A + lam B in lam = mu^2.
 
@@ -347,37 +374,9 @@ def _lambda_form(pencil: DiscretePencil):
     return a, b
 
 
-def _companion_form(pencil: DiscretePencil) -> DiscreteOperator:
-    """Companion form [[0, I], [-C^-1 k0, -C^-1 k1]] of the pencil's rows.
-
-    Interior rows are the pencil's, scaled by C^-1 per component block
-    (k2 = C x I there).  Each boundary row [k0_b | k1_b] of the pencil
-    replaces the second-block row of its component and face.
-    """
-    n, nch = pencil.grid.n, pencil.n_channels
-    dim = nch * n
-    cinv = np.linalg.inv(pencil.coefficients.c)
-    m = np.zeros((2 * dim, 2 * dim))
-    np.fill_diagonal(m[:dim, dim:], 1.0)
-    # written in place, one coefficient matrix at a time, so that no
-    # temporary of the size of m's lower half is made
-    lower = m[dim:].reshape(nch, n, 2 * dim)
-    for k, half in ((pencil.k0, lower[..., :dim]), (pencil.k1, lower[..., dim:])):
-        np.einsum("ij,jrk->irk", -cinv, k[:dim].reshape(nch, n, dim), out=half)
-
-    targets = [dim + row for row in _face_rows(n, nch)]
-    m[targets] = np.hstack([pencil.k0[dim:], pencil.k1[dim:]])
-    boundary = tuple(sorted(targets))
-
-    mask = np.ones(2 * dim)
-    mask[list(boundary)] = 0.0
-    return DiscreteOperator(m=m, mask=mask, boundary_row_indices=boundary,
-                            pencil=pencil)
-
-
 def assemble_operator(material: Material, n: int, bc: BCKind,
                       n_channels: int = 2) -> DiscreteOperator:
-    """Grid + pencil + companion form of one operating point.
+    """Grid + pencil + masked companion problem of one operating point.
 
     n_channels = 2 is the in-plane (Lamb) problem with the blocks of
     pencil_coefficients(material).  n_channels = 1 is the scalar
@@ -397,7 +396,12 @@ def assemble_operator(material: Material, n: int, bc: BCKind,
         coeff = pencil_coefficients(material)
     else:
         raise ValueError(f"unsupported channel count {n_channels}")
-    return _companion_form(_channel_pencil(material, grid, bc, coeff))
+    dim = n_channels * n
+    boundary = tuple(sorted(dim + row for row in _face_rows(n, n_channels)))
+    mask = np.ones(2 * dim)
+    mask[list(boundary)] = 0.0
+    return DiscreteOperator(mask=mask, boundary_row_indices=boundary,
+                            pencil=_channel_pencil(material, grid, bc, coeff))
 
 
 def reduced_operator(op: DiscreteOperator):

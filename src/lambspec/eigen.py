@@ -8,7 +8,7 @@ Q(-mu), so u = (mu x1, x3) makes it linear in lam = mu^2, (A + lam B) x =
 0, at half the companion's size (Tisseur & Meerbergen, SIAM Rev. 2001,
 sections 3 and 5).  One spectral transformation solves it (Ericsson &
 Ruhe, Math. Comp. 1980): for a real shift sigma off the spectrum, K =
-B (A + sigma B)^-1 (rows scaled, see _shift_invert) has the eigenvalues
+B (A + sigma B)^-1 (rows scaled, see _scaled_block) has the eigenvalues
 theta = -1/(lam - sigma), so an LU and a standard Hessenberg-QR
 eigensolve take the place of QZ.  K's rows
 vanish where B's do, so the infinite eigenvalues map to theta = 0 and
@@ -46,6 +46,7 @@ from .discretize import (
     _face_rows,
     _lambda_form,
     _real_matmul,
+    _square_terms,
     chebyshev_grid,
     pencil_residual,
     pencil_scale,
@@ -96,15 +97,16 @@ CLUSTER_TOL = 1e-6
 #: profile, that classify_parity still accepts as a parity
 PARITY_TOL = 1e-6
 
-#: LU reciprocal condition of m - z E or R (A + sigma B) (1-norm, LAPACK
-#: gecon) below which the point counts as lying on the spectrum (see
-#: _shifted_lu).  Resolvent probes, per reflection block: at n = 64 the
-#: verify ray probes measure 1.7e-9 .. 1.1e-7 in each free-free block and
-#: 8.1e-11 .. 1.9e-9 on the whole clamped-free operator; at a retained
-#: eigenvalue the block holding it reads about 4e-20, the other block
-#: 1.6e-8.  Shifts of the row-scaled lam form (_shift_invert): at the
-#: first of REFERENCE_SHIFTS the smallest block rcond is 2.3e-8 at 2n
-#: (n = 16 .. 128, ZGV, clamped-free omega 2 .. 4) and 1.9e-7 at n
+#: LU reciprocal condition of a row-scaled lam-form block R (A + sigma B)
+#: (1-norm, LAPACK gecon) below which the point counts as lying on the
+#: spectrum (see _shifted_lu).  Resolvent probes (sigma = z^2) over the
+#: verify rays read 5.9e-11 .. 1.2e-6 (free-free) and 5.4e-11 .. 1.1e-6
+#: (clamped) per block at n = 64, and at least 1.6e-11 at n = 128 and
+#: 1.2e-11 at n = 256 (clamped, the n = 64 moduli); at each of the first
+#: 20 retained eigenvalues the block holding it reads at most 1.3e-18, the
+#: other free-free block at least 5.4e-7 (n = 64).  Shifts (_shift_invert):
+#: at the first of REFERENCE_SHIFTS the smallest block rcond is 2.3e-8 at
+#: 2n (n = 16 .. 128, ZGV, clamped-free omega 2 .. 4) and 1.9e-7 at n
 #: (n = 128); it falls like n^-3, to 4.5e-11 at 2n for n = 1024
 RCOND_MIN = 1e-13
 
@@ -187,7 +189,7 @@ class ModeSet:
         Jordan screen and the biorthogonal system share this one solve
         against the Gram factor; an empty mode set gives a (4n, 0) array.
         """
-        size, count = self.op.m.shape[0], len(self.modes)
+        size, count = self.op.mask.size, len(self.modes)
         # the real and imaginary parts of E w side by side, one real
         # right-hand side, so the real factor is never cast to complex
         parts = np.empty((size, 2 * count), order="F")
@@ -268,27 +270,6 @@ class _Block(NamedTuple):
     right: np.ndarray
 
 
-def _reflection(pencil: DiscretePencil):
-    """The midplane reflection as a signed pairing of the c n profile indices.
-
-    Each component block is folded at its middle: rep holds the nodes of
-    the lower half (and the middle node when n is odd), mir their mirror
-    images (a middle node is its own mirror).  sign is the profile
-    symmetry S = diag(+-J) at rep, so S u = u exactly for the symmetric
-    family; row_sign is the equation symmetry T of the square pencil,
-    equal to S except on the boundary rows (discretize._face_rows), where
-    the outward normal turns over with the plate.
-    """
-    n, nch = pencil.grid.n, pencil.n_channels
-    half = np.arange((n + 1) // 2)
-    offsets = n * np.arange(nch)
-    rep = (offsets[:, None] + half).ravel()
-    mir = (offsets[:, None] + (n - 1 - half)).ravel()
-    sign = np.repeat(_SYMMETRIC_SIGNS[nch], half.size)
-    row_sign = np.where(np.isin(rep, _face_rows(n, nch)), -sign, sign)
-    return rep, mir, sign, row_sign
-
-
 def _fold(x: np.ndarray, rep: np.ndarray, mir: np.ndarray,
           col_sign: np.ndarray, row_sign: np.ndarray) -> np.ndarray:
     """Block of x on a signed index pairing.
@@ -326,63 +307,44 @@ def _pairings(pencil: DiscretePencil) -> list:
 
     A traction-free plate splits into the symmetric and antisymmetric
     families: each block is the pencil restricted to the +-1 eigenspace of
-    S on profiles and of T on equations, and pairing is the signed index
-    pairing (r, q, s, t) that _fold folds matrices on and _unfold unfolds
-    vectors with.  u1 = mu x1 reflects like u1, so the lam form folds on
-    the same pairing.  The clamped plate has no reflection symmetry: its
-    one block has pairing None.
+    the profile symmetry S = diag(+-J) and of the equation symmetry T,
+    equal to S except on the boundary rows (discretize._face_rows), where
+    the outward normal turns over with the plate.  pairing (rep, mir, s, t)
+    folds each component at its middle: rep holds the lower-half nodes
+    (and a middle node of the family's parity), mir their mirror images,
+    and s, t are S and T at rep; _fold folds matrices on it and _unfold
+    unfolds vectors.  u1 = mu x1 reflects like u1, so the lam form, and
+    with it every solve and resolvent probe, folds on the same pairing.
+    The clamped plate has no reflection symmetry: one block, pairing None.
     """
     if pencil.bc is not BCKind.FREE_FREE:
         return [(None, None)]
-    rep, mir, sign, row_sign = _reflection(pencil)
+    n, nch = pencil.grid.n, pencil.n_channels
+    half = np.arange((n + 1) // 2)
+    offsets = n * np.arange(nch)
+    rep = (offsets[:, None] + half).ravel()
+    mir = (offsets[:, None] + (n - 1 - half)).ravel()
+    sign = np.repeat(_SYMMETRIC_SIGNS[nch], half.size)
+    row_sign = np.where(np.isin(rep, _face_rows(n, nch)), -sign, sign)
     out = []
     for parity, p in ((PARITY_SYMMETRIC, 1.0), (PARITY_ANTISYMMETRIC, -1.0)):
         keep = (rep != mir) | (p * sign > 0.0)
-        pairing = (rep[keep], mir[keep], p * sign[keep], p * row_sign[keep])
-        out.append((parity, pairing))
+        out.append((parity, (rep[keep], mir[keep], p * sign[keep], p * row_sign[keep])))
     return out
 
 
-def _block_pairings(op: DiscreteOperator) -> list:
-    """(parity, pairing, e) of each block of the companion pencil (m, E).
+def _shifted_lu(a: np.ndarray, b: np.ndarray, z, rcond_min: float):
+    """LU factors (lu, piv) of a - z b, or None when the LU is too singular.
 
-    Derived from _pairings: the state (U1, U2) = (u, mu u) reflects like u
-    in both halves, and its equations are the rows U2 = mu U1, which
-    reflect like states, then the square pencil's rows.  e is the block's
-    diagonal of E; the clamped plate's one block has pairing None and e =
-    op.mask.  The resolvent probes of analysis fold m on these pairings.
+    Every LU of the package is one of these, on a lam-form block: shifts at
+    z = -sigma, resolvent probes at z = -zeta^2.  The gate is the LU's
+    reciprocal condition (1-norm, LAPACK gecon): below rcond_min, z counts
+    as lying on the spectrum and nothing is returned.  a, b are not written.
     """
-    dim = op.mask.size // 2
-    out = []
-    for parity, pairing in _pairings(op.pencil):
-        if pairing is None:
-            out.append((parity, None, op.mask))
-            continue
-        r, q, s, t = pairing
-        r, q = np.concatenate([r, r + dim]), np.concatenate([q, q + dim])
-        s, t = np.concatenate([s, s]), np.concatenate([s, t])
-        # the fold of the diagonal E is diagonal: built at block size, it
-        # equals _fold(np.diag(op.mask), r, q, s, t) entry for entry
-        e = np.where(r == q, 0.5, 1.0) * (op.mask[r] + s * t * op.mask[q])
-        out.append((parity, (r, q, s, t), e))
-    return out
-
-
-def _shifted_lu(m: np.ndarray, e: np.ndarray, z, rcond_min: float):
-    """LU factors (lu, piv) of m - z e, or None when the LU is too singular.
-
-    e is a matrix, or the diagonal of a diagonal one.  The gate is the
-    reciprocal condition of the LU (1-norm, LAPACK gecon): below
-    rcond_min, z counts as lying on the spectrum and nothing is returned.
-    m itself is never written.
-    """
-    a = np.array(m, dtype=np.result_type(m.dtype, z), order="F")
-    if e.ndim == 1:
-        a[np.diag_indices_from(a)] -= z * e
-    else:
-        a -= z * e
-    a_norm = np.linalg.norm(a, 1)
-    lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
+    shifted = np.array(a, dtype=np.result_type(a.dtype, z), order="F")
+    shifted -= z * b
+    a_norm = np.linalg.norm(shifted, 1)
+    lu, piv = scipy.linalg.lu_factor(shifted, overwrite_a=True, check_finite=False)
     gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
     rcond, _info = gecon(lu, a_norm)
     if rcond < rcond_min:
@@ -390,24 +352,30 @@ def _shifted_lu(m: np.ndarray, e: np.ndarray, z, rcond_min: float):
     return lu, piv
 
 
-def _shift_invert(a: np.ndarray, b: np.ndarray, pairing):
-    """(sigma, factors, K^T, r) for K = R B (R (A + sigma B))^-1 on one block.
+def _scaled_block(a: np.ndarray, b: np.ndarray, pairing):
+    """(R A, R B, r): the lam form (a, b) folded on pairing, rows scaled by R = diag(r).
 
-    The block, one pairing of _pairings, is folded from the lam form (a, b)
-    and its rows scaled by R = diag(r) to unit largest entry of A: the
-    collocation rows grow like n^4 and the boundary rows like n^2, and
-    unscaled the LU's reciprocal condition would fall below RCOND_MIN from
-    n = 512 on.  sigma = s^2 for the first s of REFERENCE_SHIFTS whose LU
-    of R (A + sigma B) passes the RCOND_MIN gate.  K's rows vanish where
-    B's do, so the infinite eigenvalues are exact zeros; its eigenvalues
-    theta give lam = sigma - 1/theta.  K^T comes from one transposed solve
-    with the LU.  A left vector l of K gives the lam form's left vector
-    z = R l.
+    Each row is scaled to unit largest entry of A: the collocation rows
+    grow like n^4 and the boundary rows like n^2, and unscaled the LU's
+    reciprocal condition would fall below RCOND_MIN from n = 512 on.
     """
     if pairing is not None:
         a, b = _fold(a, *pairing), _fold(b, *pairing)
     r = 1.0 / np.max(np.abs(a), axis=1)
-    a, b = a * r[:, None], b * r[:, None]
+    return a * r[:, None], b * r[:, None], r
+
+
+def _shift_invert(a: np.ndarray, b: np.ndarray, pairing):
+    """(sigma, factors, K^T, r) for K = R B (R (A + sigma B))^-1 on one block.
+
+    R A and R B are the block of _scaled_block, and sigma = s^2 for the
+    first s of REFERENCE_SHIFTS whose LU passes the RCOND_MIN gate.  K's
+    rows vanish where B's do, so the infinite eigenvalues are exact zeros;
+    its eigenvalues theta give lam = sigma - 1/theta.  K^T comes from one
+    transposed solve with the LU.  A left vector l of K gives the lam
+    form's left vector z = R l.
+    """
+    a, b, r = _scaled_block(a, b, pairing)
     for shift in REFERENCE_SHIFTS:
         sigma = shift * shift
         factors = _shifted_lu(a, b, -sigma, RCOND_MIN)
@@ -431,26 +399,23 @@ def _both_signs(lam: np.ndarray) -> np.ndarray:
     return np.concatenate([mu, -mu])
 
 
-def _companion_left(a: np.ndarray, b: np.ndarray, n_channels: int,
+def _companion_left(a: np.ndarray, b: np.ndarray, split: int,
                     mu: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Companion left vectors w = (-(Q1 + mu Q2)^H y, S^-1 y), column by column.
 
-    y are left null vectors of the square pencil Q(mu), and S the row
-    scaling of the companion's second block: -1/c_i on the collocation
-    rows of component i, 1 on the boundary rows.  The lam form (a, b)
-    holds Q2 on B's diagonal and Q1's two nonzero blocks as A's upper
-    right and B's lower left (discretize._lambda_form).
+    y are left null vectors of the square pencil Q(mu), whose Q1 and Q2
+    discretize._square_terms reads off the lam form (a, b) at split, and
+    S is the row scaling of the companion's second block: -1/c_i on the
+    collocation rows of component i, 1 on the boundary rows.
     """
     dim = a.shape[0]
-    q2 = np.diagonal(b)
+    q13, q31, q2 = _square_terms(a, b, split)
     w = np.empty((2 * dim, y.shape[1]), dtype=complex)
     w[dim:] = y * np.where(q2 == 0.0, 1.0, -q2)[:, None]
     w[:dim] = y * q2[:, None]
     w[:dim] *= -np.conj(mu)
-    if n_channels == 2:
-        n = dim // 2
-        w[:n] -= _real_matmul(b[n:, :n].T, y[n:])
-        w[n:dim] -= _real_matmul(a[:n, n:].T, y[:n])
+    w[:split] -= _real_matmul(q31.T, y[split:])
+    w[split:dim] -= _real_matmul(q13.T, y[:split])
     return w
 
 
@@ -517,7 +482,8 @@ def _eigensolve(op: DiscreteOperator) -> list:
     (_companion_left).
     """
     pencil = op.pencil
-    n, dim = pencil.grid.n, op.mask.size // 2
+    dim = op.mask.size // 2
+    split = pencil.grid.n if pencil.n_channels == 2 else 0  # u1 = mu x1 comes first
     a, b = _lambda_form(pencil)
     out = []
     for parity, pairing in _pairings(pencil):
@@ -536,10 +502,10 @@ def _eigensolve(op: DiscreteOperator) -> list:
             lam, x, y = _pair_ritz(a, b, lam, x, y)
         mu = _both_signs(lam)
         u, y = np.hstack([x, x]), np.hstack([y, y])
-        if pencil.n_channels == 2:
-            u[:n] *= mu
-            y[:n] /= np.conj(mu)
-        out.append(_Block(parity, mu, _companion_left(a, b, pencil.n_channels, mu, y),
+        if split:  # the scalar channel's vectors may be real
+            u[:split] *= mu
+            y[:split] /= np.conj(mu)
+        out.append(_Block(parity, mu, _companion_left(a, b, split, mu, y),
                           np.vstack([u, u * mu])))
     return out
 

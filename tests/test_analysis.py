@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,7 @@ from lambspec import (
 )
 from lambspec import analysis
 from lambspec.analysis import RCOND_MIN, _field_terms, _probe_blocks, _resolvent_probe
-from lambspec.eigen import _block_pairings
+from lambspec.eigen import PARITY_MIXED, _pairings, _shifted_lu
 from reference_data import (
     ADJOINT_DEFECT_VALUE,
     COERCIVITY_CONST_1000,
@@ -256,33 +257,68 @@ def test_resolvent_norms_rejects_non_finite_z(bench_op, monkeypatch):
     for bad in (complex(float("nan"), 1.0), float("inf"), complex(2.0, -float("inf"))):
         with pytest.raises(ValueError, match="z must be finite"):
             resolvent_norms(bench_op, bad)
+    # the probe's similarity diag(z on u1, 1) is singular at z = 0
+    with pytest.raises(ValueError, match="z must be finite and nonzero"):
+        resolvent_norms(bench_op, 0.0)
 
 
-@pytest.mark.parametrize("n", [24, 25])
-def test_resolvent_split_matches_whole(bench, n):
-    # the scan factors the two reflection blocks; the same probe routine
-    # run on the whole operator must give the same norms on every ray
-    op = assemble_operator(bench, n, BCKind.FREE_FREE)
+def _companion_probe(op, z):
+    """Energy-metric norms of (m - z E)^-1 E from the whole companion matrix.
+
+    The oracle of the resolvent probes: an LU of m - z E, a solve against
+    E, and the metric transform L^H R L^-H with gram = L L^H.
+    """
+    e = np.diag(op.mask).astype(complex)
+    r = scipy.linalg.lu_solve(scipy.linalg.lu_factor(op.m - z * e), e)
+    chol = op.gram_cholesky
+    t = chol.T @ scipy.linalg.solve_triangular(chol, r.T, lower=True).T
+    return np.linalg.norm(t, 2), np.linalg.norm(t, "fro")
+
+
+@pytest.mark.parametrize("bc, n", [pytest.param(BCKind.FREE_FREE, 24, id="24"),
+                                   pytest.param(BCKind.FREE_FREE, 25, id="25"),
+                                   pytest.param(BCKind.CLAMPED_FREE, 24, id="clamped-24")])
+def test_resolvent_split_matches_whole(bench, bc, n):
+    # the scan factors the lam-form blocks; a direct probe of the whole
+    # companion matrix must give the same norms on every ray
+    op = assemble_operator(bench, n, bc)
     moduli = (0.3, 1.1, 4.0, 15.0)
     scan = resolvent_scan(op, THETA0, moduli)
     assert scan.skipped == ()
     for j, theta in enumerate(scan.rays):
         for k, modulus in enumerate(moduli):
-            whole = _resolvent_probe([(op.m, op.mask, op.gram_cholesky)],
-                                     modulus * np.exp(1j * theta), 0.0)
+            whole = _companion_probe(op, modulus * np.exp(1j * theta))
             assert scan.norms[j, k] == pytest.approx(whole[0], rel=1e-10)
             assert scan.hs_norms[j, k] == pytest.approx(whole[1], rel=1e-10)
     # at a retained eigenvalue only the block of the mode's parity is
-    # singular, and that one block gates the whole probe
+    # singular (on the clamped plate, its one block), and that one block
+    # gates the whole probe; each of the first 20 trips its own block
     blocks = _probe_blocks(op)
-    parities = [parity for parity, _pairing, _e in _block_pairings(op)]
+    labels = [parity or PARITY_MIXED for parity, _pairing in _pairings(op.pencil)]
     modes = solve_modes(op).modes
-    for mode in (next(mode for mode in modes if mode.parity == parity)
-                 for parity in parities):
+    for label in labels:
+        mode = next(mode for mode in modes if mode.parity == label)
         gated = [_resolvent_probe([block], mode.mu, RCOND_MIN) is None
                  for block in blocks]
-        assert gated == [parity == mode.parity for parity in parities]
+        assert gated == [other == label for other in labels]
         assert _resolvent_probe(blocks, mode.mu, RCOND_MIN) is None
+    for mode in modes[:20]:
+        a, b = blocks[labels.index(mode.parity)][:2]
+        assert _shifted_lu(a, b, -mode.mu ** 2, RCOND_MIN) is None
+
+
+def test_clamped_probes_off_the_spectrum_pass_the_gate(bench, clamped_modes):
+    # on the clamped plate at n = 256, rays 1 and 4 at the two top moduli of
+    # the n = 64 verify scan lie 19-23% of |z| from the nearest eigenvalue;
+    # an LU of the companion read rcond 6.5e-14 .. 8.7e-14 there and skipped
+    # all four probes, while the lam-form LU passes the gate (no SVD needed)
+    bound = measured_b(clamped_modes)
+    assert bound == pytest.approx(11.3397, rel=1e-5)
+    ((a, b, *_metric),) = _probe_blocks(assemble_operator(bench, 256, BCKind.CLAMPED_FREE))
+    for j in (1, 4):
+        for modulus in np.geomspace(bound, 100.0 * bound, 9)[7:]:
+            z = modulus * np.exp(1j * five_rays()[j])
+            assert _shifted_lu(a, b, -z * z, RCOND_MIN) is not None
 
 
 def test_measured_b_benchmark(bench_modes):

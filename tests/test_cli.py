@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lambspec
-from lambspec import BCKind, _blas, cli
+from lambspec import BCKind, DiscreteOperator, _blas, cli
 from lambspec.cli import (
     N_COLLOC_MAX,
     THETA0_DEFAULT,
@@ -268,6 +268,31 @@ def test_resolvent_csv(tmp_path, capsys):
         if skipped == "0":
             assert float(op_norm) > 0
             assert float(hs_norm) >= float(op_norm)
+
+
+def test_no_solve_path_builds_the_companion(tmp_path, capsys, monkeypatch):
+    # the mode solver and the resolvent probes factor only the lam form, so
+    # with the companion matrix made unreadable every subcommand but verify
+    # (whose adjoint defect eliminates the companion's constraint rows)
+    # prints the same bytes
+    sweep = {"omega_sweep": {"start": 2.0, "stop": 4.0, "steps": 3}}
+    jobs = [(command, write_config(tmp_path, {"n_colloc": 16, "bc": bc, **extra},
+                                   name=f"{command}-{bc}.json"))
+            for bc in ("free-free", "clamped-free")
+            for command, extra in (("modes", {}), ("dispersion", sweep),
+                                   ("resolvent", {}), ("completeness", {}))]
+    expected = []
+    for command, path in jobs:
+        assert run([command, "--config", path]) == 0
+        expected.append(capsys.readouterr().out)
+
+    def unreadable(op):
+        raise AssertionError("the companion matrix was built")
+
+    monkeypatch.setattr(DiscreteOperator, "m", property(unreadable))
+    for (command, path), out in zip(jobs, expected):
+        assert run([command, "--config", path]) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_completeness_csv(tmp_path, capsys):

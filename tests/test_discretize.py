@@ -248,7 +248,7 @@ def test_companion_form_equals_stacked_construction(n, bc, n_channels):
 
 
 def _square(pencil, k):
-    """Stack k with its boundary rows in place, as _companion_form places them."""
+    """Stack k with its boundary rows in place, as DiscreteOperator.m places them."""
     dim = pencil.n_channels * pencil.grid.n
     square = k[:dim].copy()
     square[_face_rows(pencil.grid.n, pencil.n_channels)] = k[dim:]

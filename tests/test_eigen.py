@@ -25,11 +25,11 @@ from lambspec.eigen import (
     CLUSTER_TOL,
     DEFECT_PAIR_TOL,
     REFERENCE_SHIFTS,
-    _block_pairings,
     _cluster_indices,
     _coincide,
     _eigensolve,
     _fold,
+    _pairings,
     _reference_spectrum,
     _relation_residuals,
     _try_extend,
@@ -369,6 +369,29 @@ def test_one_left_solve_per_mode_set(request, monkeypatch, name, n_blocks, probe
     assert calls == [] and len(lstsqs) == probes
 
 
+def _companion_pairings(op) -> list:
+    """(parity, pairing, e) of each block of the companion pencil (m, E).
+
+    Derived from _pairings: the state (U1, U2) = (u, mu u) reflects like u
+    in both halves, and its equations are the rows U2 = mu U1, which
+    reflect like states, then the square pencil's rows.  e is the block's
+    diagonal of E; the clamped plate's one block has pairing None and
+    e = op.mask.  The package never folds the companion; the QZ oracles do.
+    """
+    dim = op.mask.size // 2
+    out = []
+    for parity, pairing in _pairings(op.pencil):
+        if pairing is None:
+            out.append((parity, None, op.mask))
+            continue
+        r, q, s, t = pairing
+        r, q = np.concatenate([r, r + dim]), np.concatenate([q, q + dim])
+        s, t = np.concatenate([s, s]), np.concatenate([s, t])
+        e = np.where(r == q, 0.5, 1.0) * (op.mask[r] + s * t * op.mask[q])
+        out.append((parity, (r, q, s, t), e))
+    return out
+
+
 def _column_then_row_fold(x, r, q, s, t):
     """The fold of all columns of x first, then of the rows of that fold."""
     weight = np.where(r == q, 0.5, 1.0)
@@ -380,7 +403,7 @@ def _column_then_row_fold(x, r, q, s, t):
 def test_fold_equals_column_then_row_fold(n):
     # _fold works on block-sized pieces; it must agree bit for bit
     op = assemble_operator(make_material(2.0, 1.0, 1.0, 1.0, 3.0), n, BCKind.FREE_FREE)
-    for _parity, (r, q, s, t), _e in _block_pairings(op):
+    for _parity, (r, q, s, t), _e in _companion_pairings(op):
         assert np.array_equal(_fold(op.m, r, q, s, t),
                               _column_then_row_fold(op.m, r, q, s, t))
         assert np.array_equal(_fold(op.gram, r, q, s, s),
@@ -433,7 +456,7 @@ def test_reference_filter_matches_qz(omega, n, bc, n_channels):
 def _qz_blocks(op) -> list:
     """The finite spectrum of each block of op by QZ: the n-level oracle."""
     out = []
-    for _parity, pairing, e in _block_pairings(op):
+    for _parity, pairing, e in _companion_pairings(op):
         m = op.m if pairing is None else _fold(op.m, *pairing)
         z = scipy.linalg.eig(m, np.diag(e), right=False)
         out.append(z[np.isfinite(z)])
