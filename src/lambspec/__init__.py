@@ -10,15 +10,15 @@ The package splits into five layers:
   and the zero-group-velocity point locator.  Nothing here touches the
   solver's discretization.
 - `discretize`: Chebyshev collocation of the quadratic pencil, the
-  sesquilinear forms, and the energy metric and masked companion
-  linearization, both read off the pencil.
+  sesquilinear forms, and what is read off the pencil: the energy metric,
+  the masked companion rows and the half-size lam = mu^2 form.
 - `eigen`: the shift-invert eigensolve, split into symmetric and
   antisymmetric blocks on the traction-free plate, with two-resolution
   filtering, parity labels, Jordan-chain detection, and biorthogonal systems.
 - `analysis`: measured verification of the operator-level claims —
   coercivity constants, resolvent norms on the five admissible rays, a
-  Hilbert-Schmidt proxy, non-self-adjointness witnesses, and modal
-  completeness residuals.
+  Hilbert-Schmidt proxy, non-self-adjointness witnesses (the adjoint
+  defect eliminates the boundary rows itself), and modal completeness.
 
 `cli` wraps everything in deterministic batch subcommands.
 """

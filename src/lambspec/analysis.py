@@ -6,7 +6,8 @@ Hilbert-Schmidt norms along the five admissible rays, the completeness
 residuals of modal expansions, and the witnesses separating the operator
 from its energy-metric adjoint.  All norms are taken in the energy
 metric: for a matrix S that means the Euclidean norm of L^H S L^-H where
-gram = L L^H is the Cholesky factorization.
+gram = L L^H is the Cholesky factorization.  Nothing here builds the
+companion matrix; the adjoint defect reads its rows off the pencil.
 
 The resolvent R(z) = (m - z E)^-1 E is probed through the lam = mu^2
 blocks the mode solver factors: its rows give U2 = z U1 + F1 and Q(z) U1
@@ -33,10 +34,10 @@ import scipy.linalg
 from .discretize import (
     DiscreteOperator,
     FormMatrices,
+    _companion_rows,
     _lambda_form,
     _real_matmul,
     _square_terms,
-    reduced_operator,
 )
 from .eigen import (
     CLUSTER_TOL,
@@ -496,16 +497,41 @@ def nonorthogonality_witness(mode_set: ModeSet):
     return (int(i[k]), int(j[k])), float(prods[k])
 
 
+def _eliminated_operator(op: DiscreteOperator):
+    """(T, G_y) of the masked problem with its boundary rows B V = 0 solved out.
+
+    B reaches U2 only at the 2c face coordinates, through its block K.  Z
+    is the identity on the kept coordinates and sets U2[face] = -K^-1
+    B[:, kept], so T = (m Z)[kept] (Z's U2 rows, then the interior rows of
+    _companion_rows times Z) has the finite eigenpairs of m V = z E V, and
+    G_y = Z^T G Z.  K is singular on the SH channel and the clamped face.
+    """
+    dim = op.mask.size // 2
+    rows = _companion_rows(op.pencil)
+    kept, face = op.mask == 1.0, op.mask == 0.0
+    boundary = rows[face[dim:]]
+    coupling = boundary[:, face]
+    if np.linalg.cond(coupling) > 1e10:
+        raise np.linalg.LinAlgError(
+            "constraint elimination is singular: the boundary rows do not fix "
+            "the U2 face values (the scalar SH channel, a clamped face)")
+    z = np.zeros((2 * dim, np.count_nonzero(kept)))
+    z[kept] = np.eye(z.shape[1])
+    z[face] = -np.linalg.solve(coupling, boundary[:, kept])
+    t = np.vstack([z[dim:], rows[kept[dim:]] @ z])
+    return t, z.T @ (op.gram @ z)
+
+
 def adjoint_defect(op: DiscreteOperator) -> float:
     """Relative energy-norm distance between the constrained operator and
     its gram adjoint.
 
-    The constraint rows are eliminated (valid for the in-plane problem),
-    the reduced operator T is transformed into the metric where the gram
-    is the identity, and |S - S^H| / |S| is returned; zero would mean the
-    operator is self-adjoint in the energy product.
+    The boundary rows are eliminated (_eliminated_operator, valid for the
+    traction-free in-plane problem), the reduced operator T is transformed
+    into the metric where the gram is the identity, and |S - S^H| / |S| is
+    returned; zero would mean the operator is self-adjoint in the energy product.
     """
-    _, t, gram_y = reduced_operator(op)
+    t, gram_y = _eliminated_operator(op)
     chol = np.linalg.cholesky(gram_y)
     # L^H T L^-H, the similarity taking gram-metric norms to Euclidean
     s = chol.conj().T @ scipy.linalg.solve_triangular(chol.conj().T, t.conj().T, lower=False,

@@ -73,11 +73,11 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "run", "ma
 #: default sector half-angle, the midpoint of the admissible interval
 THETA0_DEFAULT = 0.45 * np.pi
 
-#: memory one subcommand may take.  The largest path is verify on the
-#: free-free plate: its tracemalloc peak is about fifteen 4n x 4n float64
-#: arrays (14.5 at n = 64, 14.8 at n = 128), topped by the adjoint defect's
-#: constraint elimination; resolvent peaks at 10.8 (clamped) and the 2n
-#: reference lower still.  The bound allows 32
+#: memory one subcommand may take.  The largest path is verify: its
+#: tracemalloc peak is about fourteen 4n x 4n float64 arrays (13.6-13.9 at
+#: n = 64 and 128 on both plates), topped by biorthogonalize; the adjoint
+#: defect reaches 13.1 and the other subcommands 9.4-11.3 (plus, for
+#: dispersion, CSV rows that grow with the steps).  The bound allows 32
 MEMORY_BUDGET = 4 * 2 ** 30
 N_COLLOC_MAX = math.isqrt(MEMORY_BUDGET // (32 * 16 * 8))
 
@@ -160,8 +160,8 @@ def parse_config(doc) -> RunConfig:
     if n_colloc < 8:
         raise ConfigError("n_colloc < 8")
     if n_colloc > N_COLLOC_MAX:
-        raise ConfigError(f"n_colloc > {N_COLLOC_MAX}: the 2n reference solve would "
-                          f"exceed the {MEMORY_BUDGET / 2 ** 30:g} GiB memory budget")
+        raise ConfigError(f"n_colloc > {N_COLLOC_MAX}: a run could exceed the "
+                          f"{MEMORY_BUDGET / 2 ** 30:g} GiB memory budget")
     accept_tol = _number(doc, "accept_tol", 1e-8)
     if accept_tol <= 0.0:
         raise ConfigError("accept_tol ≤ 0")
@@ -276,8 +276,7 @@ def _cmd_dispersion(config: RunConfig) -> str:
     next_id = 0
     for omega in np.linspace(start, stop, steps):
         material = make_material(m.lam, m.mu, m.rho, m.h, float(omega))
-        modes = _solve(config, material)
-        current = list(modes.betas)
+        current = list(_solve(config, material).betas)
         used = [False] * len(current)
         survivors = []
         for branch_id, last in branches:
@@ -429,9 +428,9 @@ def _verify_checks(config: RunConfig) -> list:
     witness = nonorthogonality_witness(modes)[1] if len(modes) >= 2 else 0.0
     check("nonorthogonality_witness", witness, 0.01, witness >= 0.01)
     if config.bc is BCKind.FREE_FREE:
-        # the constraint-eliminated operator behind the adjoint defect
-        # exists only when the replaced rows couple the masked
-        # coordinates, i.e. for traction rows on both faces
+        # the boundary rows can be solved for the U2 face values only
+        # when every one of them reaches U2, i.e. for traction rows on
+        # both faces (analysis._eliminated_operator)
         defect = adjoint_defect(op)
         check("adjoint_defect", defect, 0.01, defect >= 0.01)
 

@@ -17,10 +17,10 @@ exact discrete symmetry).  Three objects are assembled here:
   compression mass on U2), and the companion matrix m, built when read.
 
 The pencil is the one place where coefficient blocks and boundary rows
-are written; the energy metric, the companion matrix and the half-size
-linear form in lam = mu^2 (_lambda_form), the only form the mode solver
-and the resolvent probes factor, are read off it.  Boundary conditions
-enter by row replacement only; no basis recombination.
+are written; the energy metric, the companion's rows (_companion_rows)
+and the half-size linear form in lam = mu^2 (_lambda_form), the only form
+the mode solver and the resolvent probes factor, are read off it.
+Boundary conditions enter by row replacement only; no basis recombination.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "pencil_residual",
     "pencil_scale",
     "pencil_value",
-    "reduced_operator",
     "sesquilinear_forms",
 ]
 
@@ -276,13 +275,12 @@ class DiscreteOperator:
 
     States stack (U1, U2); eigenvectors satisfy U2 = z U1 with z = i beta.
     mask is the diagonal of the right-hand-side selector E: one on
-    collocation rows, zero on the 2c replaced boundary rows of the second
-    block (their indices are boundary_row_indices), so the spectral problem
-    reads m V = z E V and resolvent systems (m - z E) U = E F.
+    collocation rows, zero on the 2c second-block rows that the boundary
+    rows replace (_face_rows), so the spectral problem reads m V = z E V
+    and resolvent systems (m - z E) U = E F; no solver path builds m.
     """
 
     mask: np.ndarray
-    boundary_row_indices: tuple
     pencil: DiscretePencil
 
     def __post_init__(self):
@@ -290,19 +288,15 @@ class DiscreteOperator:
 
     @cached_property
     def m(self) -> np.ndarray:
-        """Companion form [[0, I], [-C^-1 k0, -C^-1 k1]] of the pencil's rows.
+        """Companion form [[0, I], _companion_rows] of the pencil.
 
-        Interior rows are the pencil's, scaled by C^-1 per component block
-        (k2 = C x I there, C diagonal).  Each boundary row [k0_b | k1_b]
-        replaces the second-block row of its component and face.  Built on
-        first read, which no solve and no probe makes.  Read-only.
+        Built on first read, which no solve, probe or check makes; the
+        tests' QZ oracles and the benchmark's operator count read it.
+        Read-only.
         """
-        pencil, dim = self.pencil, self.mask.size // 2
-        n, nch = pencil.grid.n, pencil.n_channels
-        scale = -np.repeat(np.diagonal(np.linalg.inv(pencil.coefficients.c)), n)[:, None]
+        dim = self.mask.size // 2
         m = np.block([[np.zeros((dim, dim)), np.eye(dim)],
-                      [scale * pencil.k0[:dim], scale * pencil.k1[:dim]]])
-        m[dim:][_face_rows(n, nch)] = np.hstack([pencil.k0[dim:], pencil.k1[dim:]])
+                      [_companion_rows(self.pencil)]])
         m.flags.writeable = False
         return m
 
@@ -338,6 +332,21 @@ def _face_rows(n: int, nch: int) -> list:
     -h; each replaces the collocation row of its component and face.
     """
     return [i * n + node for node in (n - 1, 0) for i in range(nch)]
+
+
+def _companion_rows(pencil: DiscretePencil) -> np.ndarray:
+    """Second block row [-C^-1 k0 | -C^-1 k1] of the companion, boundary rows in place.
+
+    Interior rows are the pencil's, scaled by C^-1 per component block
+    (k2 = C x I there, C diagonal).  Each boundary row [k0_b | k1_b]
+    replaces the row of its component and face (_face_rows).
+    """
+    n, nch = pencil.grid.n, pencil.n_channels
+    dim = nch * n
+    scale = -np.repeat(np.diagonal(np.linalg.inv(pencil.coefficients.c)), n)[:, None]
+    rows = np.hstack([scale * pencil.k0[:dim], scale * pencil.k1[:dim]])
+    rows[_face_rows(n, nch)] = np.hstack([pencil.k0[dim:], pencil.k1[dim:]])
+    return rows
 
 
 def _square_terms(a: np.ndarray, b: np.ndarray, split: int):
@@ -397,41 +406,6 @@ def assemble_operator(material: Material, n: int, bc: BCKind,
     else:
         raise ValueError(f"unsupported channel count {n_channels}")
     dim = n_channels * n
-    boundary = tuple(sorted(dim + row for row in _face_rows(n, n_channels)))
     mask = np.ones(2 * dim)
-    mask[list(boundary)] = 0.0
-    return DiscreteOperator(mask=mask, boundary_row_indices=boundary,
-                            pencil=_channel_pencil(material, grid, bc, coeff))
-
-
-def reduced_operator(op: DiscreteOperator):
-    """Eliminate the boundary constraint rows into a square operator.
-
-    Returns (z_basis, t, gram_y): an orthonormal basis Z of the constraint
-    null space, the reduced operator T = (S Z)^-1 (S M Z) where S keeps the
-    collocation rows, and the reduced Gram Z^T G Z.  Eigenpairs of T are
-    exactly the finite eigenpairs of the masked problem m V = z E V.
-
-    Valid whenever no constraint-satisfying state is supported purely on
-    the replaced rows' coordinates -- true for the in-plane problem with
-    an invertible traction coupling, but not for the scalar SH channel
-    (whose boundary rows never reference boundary U2 values); in that case
-    S Z is singular and a LinAlgError explains the failure.  The mode
-    solver itself avoids this reduction: it shift-inverts the lam form,
-    whose infinite eigenvalues the shift maps to zero.
-    """
-    rows = list(op.boundary_row_indices)
-    constraints = op.m[rows, :]
-    z_basis = scipy.linalg.null_space(constraints)
-    keep = np.ones(op.m.shape[0], dtype=bool)
-    keep[rows] = False
-    sz = z_basis[keep, :]
-    smz = op.m[keep, :] @ z_basis
-    if np.linalg.cond(sz) > 1e10:
-        raise np.linalg.LinAlgError(
-            "constraint elimination is singular: some constrained state is "
-            "supported only on the replaced boundary rows (e.g. the scalar "
-            "SH channel); use the masked generalized form instead")
-    t = np.linalg.solve(sz, smz)
-    gram_y = z_basis.T @ op.gram @ z_basis
-    return z_basis, t, gram_y
+    mask[dim:][_face_rows(n, n_channels)] = 0.0
+    return DiscreteOperator(mask=mask, pencil=_channel_pencil(material, grid, bc, coeff))

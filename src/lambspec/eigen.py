@@ -12,8 +12,8 @@ B (A + sigma B)^-1 (rows scaled, see _scaled_block) has the eigenvalues
 theta = -1/(lam - sigma), so an LU and a standard Hessenberg-QR
 eigensolve take the place of QZ.  K's rows
 vanish where B's do, so the infinite eigenvalues map to theta = 0 and
-are cut, and no constraint is eliminated (see
-discretize.reduced_operator).  Each finite lam is the pair mu = +-sqrt(lam).
+are cut, and no constraint is eliminated (only the adjoint defect does
+that, analysis._eliminated_operator).  Each finite lam is the pair mu = +-sqrt(lam).
 At n the eigensolve gives both vector sets, and the companion's right and
 left vectors follow from them; the 2n reference is read only through
 MATCH_TOL and takes eigenvalues alone.  A traction-free plate is

@@ -356,6 +356,49 @@ def test_adjoint_defect_needs_coupled_constraints(sh_op):
         adjoint_defect(sh_op)
 
 
+@pytest.mark.parametrize("n_channels,bc", [(1, BCKind.FREE_FREE),
+                                           (2, BCKind.CLAMPED_FREE)])
+def test_adjoint_defect_structural_failures(bench, n_channels, bc):
+    # the SH boundary rows never reach U2, the clamp rows not at all
+    op = assemble_operator(bench, 16, bc, n_channels=n_channels)
+    with pytest.raises(np.linalg.LinAlgError, match="constraint elimination"):
+        adjoint_defect(op)
+
+
+def _null_space_defect(op):
+    """The adjoint defect through an orthonormal basis Z of the boundary
+    rows' null space: T = (S Z)^-1 (S m Z) with S the kept rows of the
+    companion, G_y = Z^T G Z, and S_y = L^H T L^-H for G_y = L L^H."""
+    keep = op.mask == 1
+    z_basis = scipy.linalg.null_space(op.m[~keep])
+    t = np.linalg.solve(z_basis[keep], op.m[keep] @ z_basis)
+    chol = np.linalg.cholesky(z_basis.T @ op.gram @ z_basis)
+    s = chol.T @ t @ np.linalg.inv(chol.T)
+    return np.linalg.norm(s - s.T, 2) / np.linalg.norm(s, 2)
+
+
+@pytest.mark.parametrize("n", [16, 17, 64])
+def test_adjoint_defect_matches_null_space_elimination(bench, n):
+    op = assemble_operator(bench, n, BCKind.FREE_FREE)
+    assert adjoint_defect(op) == pytest.approx(_null_space_defect(op), rel=1e-12)
+
+
+def test_eliminated_operator_matches_masked_spectrum(bench):
+    op = assemble_operator(bench, 16, BCKind.FREE_FREE)
+    t, gram_y = analysis._eliminated_operator(op)
+    np.linalg.cholesky(gram_y)
+    finite = np.linalg.eigvals(t)
+    w = scipy.linalg.eigvals(op.m, np.diag(op.mask))
+    w = w[np.isfinite(w)]
+    assert finite.shape == w.shape
+
+    def rel_match(a, b):
+        return max(np.min(np.abs(b - z)) / (1.0 + abs(z)) for z in a)
+
+    assert rel_match(finite, w) <= 1e-6
+    assert rel_match(w, finite) <= 1e-6
+
+
 # ----------------------------------------------------------------------
 # modal expansions
 

@@ -271,27 +271,30 @@ def test_resolvent_csv(tmp_path, capsys):
 
 
 def test_no_solve_path_builds_the_companion(tmp_path, capsys, monkeypatch):
-    # the mode solver and the resolvent probes factor only the lam form, so
-    # with the companion matrix made unreadable every subcommand but verify
-    # (whose adjoint defect eliminates the companion's constraint rows)
-    # prints the same bytes
+    # the mode solver and the resolvent probes factor only the lam form,
+    # and the adjoint defect of verify eliminates the boundary rows from
+    # the pencil's, so with the companion matrix made unreadable every
+    # subcommand exits with the same code and prints the same bytes
     sweep = {"omega_sweep": {"start": 2.0, "stop": 4.0, "steps": 3}}
     jobs = [(command, write_config(tmp_path, {"n_colloc": 16, "bc": bc, **extra},
                                    name=f"{command}-{bc}.json"))
             for bc in ("free-free", "clamped-free")
             for command, extra in (("modes", {}), ("dispersion", sweep),
-                                   ("resolvent", {}), ("completeness", {}))]
+                                   ("resolvent", {}), ("completeness", {}),
+                                   ("verify", {}))]
     expected = []
     for command, path in jobs:
-        assert run([command, "--config", path]) == 0
-        expected.append(capsys.readouterr().out)
+        code = run([command, "--config", path])
+        expected.append((code, capsys.readouterr().out))
+    # n = 16 is too coarse for verify's SH and completeness checks
+    assert [code for code, _ in expected] == [0, 0, 0, 0, 1] * 2
 
     def unreadable(op):
         raise AssertionError("the companion matrix was built")
 
     monkeypatch.setattr(DiscreteOperator, "m", property(unreadable))
-    for (command, path), out in zip(jobs, expected):
-        assert run([command, "--config", path]) == 0
+    for (command, path), (code, out) in zip(jobs, expected):
+        assert run([command, "--config", path]) == code
         assert capsys.readouterr().out == out
 
 
@@ -363,6 +366,17 @@ def test_verify_reports_failure_with_exit_1(tmp_path, capsys):
     assert payload["passed"] is False
     failing = [c["name"] for c in payload["checks"] if not c["pass"]]
     assert failing == ["jordan_chain_certificates"]
+
+
+def test_verify_adjoint_defect_can_fail(tmp_path, capsys, monkeypatch):
+    # an operator self-adjoint in the energy product would read 0
+    monkeypatch.setattr(cli, "adjoint_defect", lambda op: 0.005)
+    path = write_config(tmp_path)
+    assert run(["verify", "--config", path]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    failing = [c["name"] for c in payload["checks"] if not c["pass"]]
+    assert failing == ["adjoint_defect"]
 
 
 def test_verify_ray_ratio_can_fail(tmp_path, capsys, bench_modes):

@@ -13,7 +13,6 @@ from lambspec import (
     pencil_residual,
     pencil_scale,
     pencil_value,
-    reduced_operator,
 )
 from lambspec.discretize import _face_rows, _lambda_form
 
@@ -173,7 +172,7 @@ def test_linearization_mask_and_indices(bench):
     assert op.m.shape == (4 * n, 4 * n)
     expected_rows = tuple(sorted(2 * n + i * n + node
                                  for i in (0, 1) for node in (0, n - 1)))
-    assert op.boundary_row_indices == expected_rows
+    assert tuple(np.flatnonzero(op.mask == 0)) == expected_rows
     assert np.all(op.mask[list(expected_rows)] == 0.0)
     keep = np.ones(4 * n, dtype=bool)
     keep[list(expected_rows)] = False
@@ -222,7 +221,7 @@ def test_companion_form_linearizes_pencil(n, bc, n_channels):
     # pencil boundary rows: every component at +h, then every one at -h
     faces = [dim + i * n + node for node in (n - 1, 0) for i in range(n_channels)]
     expected[faces] = p_v[dim:]
-    assert sorted(faces) == list(op.boundary_row_indices)
+    assert sorted(faces) == list(np.flatnonzero(op.mask == 0))
     assert np.linalg.norm(got[:dim]) <= 1e-13 * np.linalg.norm(state)
     assert np.linalg.norm(got[dim:] - expected[dim:]) <= 1e-13 * np.linalg.norm(expected)
 
@@ -303,35 +302,3 @@ def test_lambda_form_linearizes_square_pencil(bc, n_channels):
     expected = scale * ((a + mu * mu * b) @ x)
     assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(q) * np.linalg.norm(x)
 
-
-# ----------------------------------------------------------------------
-# constraint elimination
-
-
-def test_reduced_operator_matches_masked_spectrum(bench):
-    op = assemble_operator(bench, 16, BCKind.FREE_FREE)
-    z_basis, t, gram_y = reduced_operator(op)
-    np.testing.assert_allclose(z_basis.T @ z_basis, np.eye(z_basis.shape[1]),
-                               atol=1e-12)
-    np.linalg.cholesky(gram_y)
-    finite = np.linalg.eigvals(t)
-
-    import scipy.linalg
-
-    w = scipy.linalg.eigvals(op.m, np.diag(op.mask))
-    w = w[np.isfinite(w)]
-    assert finite.shape == w.shape
-
-    def rel_match(a, b):
-        return max(np.min(np.abs(b - z)) / (1.0 + abs(z)) for z in a)
-
-    assert rel_match(finite, w) <= 1e-6
-    assert rel_match(w, finite) <= 1e-6
-
-
-@pytest.mark.parametrize("n_channels,bc", [(1, BCKind.FREE_FREE),
-                                           (2, BCKind.CLAMPED_FREE)])
-def test_reduced_operator_structural_failures(bench, n_channels, bc):
-    op = assemble_operator(bench, 16, bc, n_channels=n_channels)
-    with pytest.raises(np.linalg.LinAlgError, match="constraint elimination"):
-        reduced_operator(op)
