@@ -635,12 +635,20 @@ def _cluster_indices(zs: np.ndarray, tol: float):
 
     Groups are the connected components of the coincidence graph (single
     linkage), each sorted and ordered by its first member, so the output
-    is deterministic.
+    is deterministic.  The components come from min-label propagation over
+    the coinciding pairs with pointer jumping: every label only falls and
+    names a member of its component, so at the fixed point each node is
+    labelled by its component's first member.
     """
-    import scipy.sparse.csgraph  # loaded only by commands that cluster
-    count, labels = scipy.sparse.csgraph.connected_components(
-        _coincide(zs, zs, tol), directed=False)
-    return sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(count))
+    i, j = np.nonzero(_coincide(zs, zs, tol))
+    labels = np.arange(len(zs))
+    while True:
+        low = labels.copy()
+        np.minimum.at(low, i, labels[j])
+        low = low[low]
+        if np.array_equal(low, labels):
+            return [tuple(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)]
+        labels = low
 
 
 def _relation_residuals(pencil: DiscretePencil, mu: complex, vectors) -> tuple:

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import BCKind, Material, pencil_coefficients
 
@@ -557,6 +556,7 @@ def find_zero_group_velocity_point(material, parity, beta_bracket, omega_bracket
 
     Returns (omega, beta) with both components accurate to ~1e-11 relative.
     """
+    from scipy.optimize import brentq, minimize_scalar  # no subcommand locates a ZGV
 
     def disp(beta, omega):
         mat = dataclasses.replace(material, omega=omega)
@@ -575,7 +575,6 @@ def find_zero_group_velocity_point(material, parity, beta_bracket, omega_bracket
                               xtol=1e-13, rtol=8.9e-16)
         raise ValueError(f"no dispersion branch in omega bracket at beta={beta}")
 
-    from scipy.optimize import minimize_scalar
     res = minimize_scalar(branch_omega, bounds=tuple(beta_bracket), method="bounded",
                           options={"xatol": 1e-9})
     beta, omega = float(res.x), float(res.fun)

@@ -521,3 +521,42 @@ def test_output_bytes_do_not_follow_blas_threads(tmp_path, command, n_colloc):
         outputs.append((proc.returncode, proc.stdout))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+_MODULE_AUDIT = """
+import contextlib, io, json, sys
+import lambspec.cli
+loaded = set(sys.modules)
+report = {"import": sorted(loaded), "jobs": []}
+for command, path in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = lambspec.cli.run([command, "--config", path])
+    report["jobs"].append([command, path, code, sorted(set(sys.modules) - loaded)])
+print(json.dumps(report))
+"""
+
+
+def test_cli_runs_load_no_unused_scipy_module(tmp_path):
+    # in a fresh interpreter, because the test modules themselves import
+    # scipy.optimize: neither the import nor any subcommand loads
+    # scipy.optimize or scipy.sparse, and no subcommand loads a scipy module
+    # that the import had not, so no import cost hides inside a job
+    sweep = {"omega_sweep": {"start": 2.0, "stop": 4.0, "steps": 3}}
+    jobs = [(command, write_config(tmp_path, {"n_colloc": 16, "bc": bc, **extra},
+                                   name=f"{command}-{bc}.json"))
+            for bc in ("free-free", "clamped-free")
+            for command, extra in (("modes", {}), ("dispersion", sweep),
+                                   ("verify", {}), ("resolvent", {}),
+                                   ("completeness", {}))]
+    src = str(Path(lambspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _MODULE_AUDIT, json.dumps(jobs)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    # n = 16 is too coarse for verify's SH and completeness checks
+    assert [code for _, _, code, _ in report["jobs"]] == [0, 0, 1, 0, 0] * 2
+    assert not {"scipy.optimize", "scipy.sparse"} & set(report["import"])
+    for command, path, _, added in report["jobs"]:
+        assert [name for name in added if name.split(".")[0] == "scipy"] == [], (command, path)

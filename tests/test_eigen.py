@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse.csgraph
 
 from lambspec import (
     BCKind,
@@ -263,6 +264,35 @@ def test_semisimple_double_eigenvalue_at_cutoff_coincidence():
 ])
 def test_cluster_indices(zs, groups):
     assert _cluster_indices(np.array(zs), 1e-6) == groups
+
+
+def _clustered(seed, count=200):
+    # complex centers with members scattered about the tolerance, so that
+    # some neighbours link and some do not
+    rng = np.random.default_rng(seed)
+    centers = 30.0 * (rng.normal(size=count // 4) + 1j * rng.normal(size=count // 4))
+    spread = 1e-6 * rng.choice([0.1, 1.0, 3.0], count) * max(1.0, np.abs(centers).max())
+    return (centers[rng.integers(0, centers.size, count)]
+            + spread * (rng.normal(size=count) + 1j * rng.normal(size=count)))
+
+
+def _chain(count=300):
+    # neighbours 0.9 tol apart, shuffled: single linkage joins all of them
+    # although the ends lie 269 tol apart
+    return np.random.default_rng(3).permutation(0.9e-6 * np.arange(count))
+
+
+@pytest.mark.parametrize("zs", [_clustered(0), _clustered(1), _clustered(2), _chain(),
+                                np.array([]), np.array([2.0 + 1j])],
+                         ids=["clustered-0", "clustered-1", "clustered-2", "chain",
+                              "empty", "single"])
+def test_cluster_indices_matches_connected_components(zs):
+    # scipy's connected components are the oracle; src/ does not load them
+    count, labels = scipy.sparse.csgraph.connected_components(
+        _coincide(zs, zs, 1e-6), directed=False)
+    expected = sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(count))
+    assert _cluster_indices(zs, 1e-6) == expected
+    assert sum(map(len, expected)) == zs.size
 
 
 def test_two_resolution_matches_rescues_split_pairs():
