@@ -22,6 +22,15 @@ Ray geometry: the five companion-plane ray angles are
 theta_j = 2(j-1) pi/5 + pi/2, which under z = i beta place beta on the
 directions {0, 72, 144, 216, 288} degrees -- all inside the admissible
 sector |arg(+-beta)| <= theta0 for any theta0 in (2 pi/5, pi/2).
+
+Mirrored rays: ||R(-conj z)|| = ||R(z)|| in both norms.  m, E and the
+Gram matrix G are real, so R(conj z) = conj R(z).  With the state
+reflection P = diag(D, -D), D = diag(I, -I) on (v1, v3) (D = I for the
+shear-horizontal channel), P m P = -m, P E P = E and P G P = G, so
+R(-z) = -P R(z) P with P an isometry of the energy metric.  z -> -conj z
+maps theta to pi - theta: ray 0 to itself, rays 1 and 2 to rays 4 and 3
+(in beta, the spectrum's conjugation symmetry, 72 <-> 288 and
+144 <-> 216 degrees).  resolvent_scan probes rays 0, 1 and 2 only.
 """
 
 from __future__ import annotations
@@ -231,6 +240,12 @@ def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan
     block's LU has a reciprocal condition below RCOND_MIN sits on the
     spectrum to working precision; it is recorded as NaN and listed in
     skipped, deterministically ordered by (ray index, modulus).
+
+    Only rays 0, 1 and 2 are probed, 3 len(moduli) probes in all: rays 3
+    and 4 are the mirror images z -> -conj z of rays 2 and 1, where the
+    norms are equal because m, E and G are real and P m P = -m,
+    P E P = E, P G P = G for the state reflection P (module docstring).
+    Their rows, skips included, are copies of rows 2 and 1.
     """
     if not (THETA0_MIN < theta0 < THETA0_MAX):
         raise ValueError("theta0 outside the admissible interval (2*pi/5, pi/2)")
@@ -246,16 +261,19 @@ def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan
     rays = five_rays()
     norms = np.full((len(rays), len(moduli)), np.nan)
     hs = np.full_like(norms, np.nan)
-    skipped = []
-    for j, theta in enumerate(rays):
+    gated = np.zeros(norms.shape, dtype=bool)
+    for j, theta in enumerate(rays[:3]):
         for k, mod in enumerate(moduli):
             probe = _resolvent_probe(blocks, mod * np.exp(1j * theta), RCOND_MIN)
             if probe is None:
-                skipped.append((j, mod))
+                gated[j, k] = True
             else:
                 norms[j, k], hs[j, k] = probe
+    for rows in (norms, hs, gated):
+        rows[3:] = rows[2:0:-1]
+    skipped = tuple((int(j), moduli[k]) for j, k in zip(*np.nonzero(gated)))
     return ResolventScan(rays=rays, sample_moduli=moduli, norms=norms,
-                         hs_norms=hs, skipped=tuple(skipped), theta0=float(theta0))
+                         hs_norms=hs, skipped=skipped, theta0=float(theta0))
 
 
 def measured_b(mode_set: ModeSet) -> float:

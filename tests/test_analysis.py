@@ -208,6 +208,61 @@ def test_resolvent_norm_conjugate_symmetry(bench_op):
     assert hs_norm_c == pytest.approx(hs_norm, rel=1e-10)
 
 
+@pytest.mark.parametrize("bc, n, n_channels", [
+    pytest.param(BCKind.FREE_FREE, 17, 2, id="free-17"),
+    pytest.param(BCKind.FREE_FREE, 48, 2, id="free-48"),
+    pytest.param(BCKind.CLAMPED_FREE, 17, 2, id="clamped-17"),
+    pytest.param(BCKind.FREE_FREE, 24, 1, id="sh-24"),
+])
+def test_resolvent_norms_mirror_symmetry(bench, bc, n, n_channels):
+    # m, E and G are real and the state reflection P has P m P = -m,
+    # P E P = E, P G P = G, so the norms at z and -conj(z) agree: the
+    # symmetry that lets resolvent_scan copy rays 1, 2 onto rays 4, 3
+    op = assemble_operator(bench, n, bc, n_channels=n_channels)
+    for j in (1, 2):
+        for modulus in (1.3, 7.0, 40.0):
+            z = modulus * np.exp(1j * five_rays()[j])
+            op_norm, hs_norm = resolvent_norms(op, z)
+            op_norm_m, hs_norm_m = resolvent_norms(op, -np.conj(z))
+            assert op_norm_m == pytest.approx(op_norm, rel=1e-10)
+            assert hs_norm_m == pytest.approx(hs_norm, rel=1e-10)
+
+
+def test_resolvent_scan_probes_rays_0_to_2_and_mirrors_the_rest(bench_op, monkeypatch):
+    # the verify moduli; rays 3 and 4 copy rays 2 and 1, which must be
+    # their mirrors: rays 1 and 3 differ by far more than the tolerance
+    moduli = np.geomspace(MEASURED_B_FREE, 100.0 * MEASURED_B_FREE, 9)
+    calls = []
+
+    def spy(blocks, z, rcond_min):
+        calls.append(z)
+        return _resolvent_probe(blocks, z, rcond_min)
+
+    monkeypatch.setattr(analysis, "_resolvent_probe", spy)
+    scan = resolvent_scan(bench_op, THETA0, moduli)
+    monkeypatch.undo()
+    assert len(calls) == 3 * len(moduli)
+    assert scan.skipped == ()
+    for norms in (scan.norms, scan.hs_norms):
+        assert np.array_equal(norms[3], norms[2]) and np.array_equal(norms[4], norms[1])
+    assert np.max(scan.norms[1] / scan.norms[3]) > 2.0
+    for j in (3, 4):
+        for k, modulus in enumerate(moduli):
+            op_norm, hs_norm = resolvent_norms(bench_op, modulus * np.exp(1j * scan.rays[j]))
+            assert scan.norms[j, k] == pytest.approx(op_norm, rel=1e-10)
+            assert scan.hs_norms[j, k] == pytest.approx(hs_norm, rel=1e-10)
+
+
+def test_resolvent_scan_lists_every_gated_probe(bench, monkeypatch):
+    # with every LU gated, the mirrored rays are listed too, each skip in
+    # (ray index, modulus) order
+    monkeypatch.setattr(analysis, "RCOND_MIN", 1.0)
+    moduli = (0.5, 2.0, 9.0)
+    scan = resolvent_scan(assemble_operator(bench, 17, BCKind.FREE_FREE), THETA0, moduli)
+    assert scan.skipped == tuple((j, modulus) for j in range(5) for modulus in moduli)
+    assert np.all(np.isnan(scan.norms)) and np.all(np.isnan(scan.hs_norms))
+
+
 def test_resolvent_scan_benchmark(bench_op):
     moduli = np.geomspace(MEASURED_B_FREE, 10.0 * MEASURED_B_FREE, 4)
     scan = resolvent_scan(bench_op, THETA0, moduli)
