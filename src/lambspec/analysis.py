@@ -132,14 +132,13 @@ class ResolventScan:
 class ExpansionReport:
     """Relative energy-norm residuals of k-mode approximations.
 
-    method "least_squares" projects onto the span of the first k modes
-    (nested, so residuals are nonincreasing in k); "biorthogonal" sums
-    the left-vector coefficient series, which need not be monotone.
+    residuals[i] is the distance from the target displacement profile to
+    the span of the first n_modes_used[i] mode profiles (nested, so
+    residuals are nonincreasing in k).
     """
 
     n_modes_used: tuple
     residuals: tuple
-    method: str
 
 
 def five_rays() -> tuple:
@@ -389,26 +388,23 @@ def coercivity_scan(forms: FormMatrices, alpha: float,
                             c_const=float(c_const), samples=samples)
 
 
-def expand_field(system: BiorthogonalSystem, target: np.ndarray, ks,
-                 method: str = "least_squares") -> ExpansionReport:
-    """Best k-mode approximations of a target in the energy norm.
+def expand_field(system: BiorthogonalSystem, target: np.ndarray, ks) -> ExpansionReport:
+    """Best k-mode approximations of a displacement profile in the energy norm.
 
-    The space is inferred from the target length: a full state (both
-    blocks) is expanded over the mode states, while a displacement-only
-    target (half length) is expanded over the mode displacement profiles
-    in the first-block metric.  The displacement form is the meaningful
-    completeness measurement here: under strong boundary collocation every
+    The target (length op.mask.size // 2) is expanded over the mode
+    displacement profiles in the first-block metric, the measurement of
+    completeness: the span of the generalized eigenvectors is dense.
+    Full states are not accepted: under strong boundary collocation every
     mode state satisfies the replaced boundary rows exactly, so full-state
     spans have a fixed small codimension that an arbitrary state cannot
     enter (those directions belong to the infinite eigenvalues of the
     masked linearization, which are discretization artifacts).
 
-    For "least_squares" the residual at k is the distance from the target
-    to the span of the first k modes, computed by direct projection from
-    one nested QR factorization; the running minimum over k is returned,
-    which changes float noise only (nested spans make the exact sequence
-    nonincreasing).  For "biorthogonal" (full states only) the k-term
-    partial sum with coefficients <target, W_n> is used instead.
+    ks must be strictly increasing.  The residual at k is the distance
+    from the target to the span of the first k modes, computed by direct
+    projection from one nested QR factorization; the running minimum over
+    k is returned, which changes float noise only (nested spans make the
+    exact sequence nonincreasing).
     """
     modes, op = system.flat_modes, system.op
     ks = tuple(int(k) for k in ks)
@@ -416,49 +412,32 @@ def expand_field(system: BiorthogonalSystem, target: np.ndarray, ks,
         raise ValueError("empty biorthogonal system")
     if not ks or any(k < 1 or k > len(modes) for k in ks):
         raise ValueError("each k must satisfy 1 <= k <= number of modes")
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("ks must be strictly increasing")
+    dim = op.mask.size // 2
     target = np.asarray(target, dtype=complex)
-    dim_state = op.mask.size
-    if target.shape == (dim_state,):
-        basis = np.column_stack([mode.big_v for mode in modes])
-        chol = op.gram_cholesky
-    elif target.shape == (dim_state // 2,):
-        basis = np.column_stack([mode.big_v[: dim_state // 2] for mode in modes])
-        # gram is block-diagonal, so its factor is too, and the factor's
-        # leading block is the factor of the displacement metric
-        chol = op.gram_cholesky[: dim_state // 2, : dim_state // 2]
-        if method == "biorthogonal":
-            raise ValueError("biorthogonal expansion needs a full state target")
-    else:
-        raise ValueError("target length matches neither a state nor a "
+    if target.shape != (dim,):
+        raise ValueError(f"target length must be {dim}, the length of a "
                          "displacement profile")
-    t_hat = chol.conj().T @ target
+    basis = np.column_stack([mode.big_v[:dim] for mode in modes])
+    # gram is block-diagonal, so its factor is too, and the factor's
+    # leading block is the factor of the displacement metric
+    chol_h = op.gram_cholesky[:dim, :dim].conj().T
+    t_hat = chol_h @ target
     t_norm = np.linalg.norm(t_hat)
     if t_norm == 0.0:
         raise ValueError("target vanishes in the energy norm")
 
-    if method == "least_squares":
-        b_hat = chol.conj().T @ basis
-        q, _ = np.linalg.qr(b_hat, mode="reduced")
-        proj = q.conj().T @ t_hat
-        residuals = []
-        best = np.inf
-        for k in range(1, max(ks) + 1):
-            r = np.linalg.norm(t_hat - q[:, :k] @ proj[:k]) / t_norm
-            best = min(best, float(r))
-            if k in ks:
-                residuals.append(best)
-        residuals = tuple(residuals)
-    elif method == "biorthogonal":
-        coeffs = system.left_vectors.conj().T @ (op.gram @ target)
-        residuals = []
-        for k in ks:
-            approx = basis[:, :k] @ coeffs[:k]
-            residuals.append(float(np.linalg.norm(chol.conj().T @ (target - approx))
-                                   / t_norm))
-        residuals = tuple(residuals)
-    else:
-        raise ValueError(f"unknown expansion method {method!r}")
-    return ExpansionReport(n_modes_used=ks, residuals=residuals, method=method)
+    q, _ = np.linalg.qr(chol_h @ basis, mode="reduced")
+    proj = q.conj().T @ t_hat
+    residuals = []
+    best = np.inf
+    for k in range(1, ks[-1] + 1):
+        r = np.linalg.norm(t_hat - q[:, :k] @ proj[:k]) / t_norm
+        best = min(best, float(r))
+        if k in ks:
+            residuals.append(best)
+    return ExpansionReport(n_modes_used=ks, residuals=tuple(residuals))
 
 
 def random_trig_fields(grid, count: int, seed: int,

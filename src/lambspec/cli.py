@@ -325,15 +325,22 @@ def _cmd_resolvent(config: RunConfig) -> str:
                 rows)
 
 
-def _cmd_completeness(config: RunConfig) -> str:
-    modes = _solve(config)
+def _expansions(config: RunConfig, modes: ModeSet) -> list:
+    """Expansion reports of five seeded targets over k = 1 .. all retained modes.
+
+    The targets are random_trig_fields of the config seed, vanishing on
+    the lower face of the clamped plate.
+    """
     system = biorthogonalize(modes)
     targets = random_trig_fields(modes.op.pencil.grid, 5, config.seed,
                                  vanish_lower=config.bc is BCKind.CLAMPED_FREE)
     ks = tuple(range(1, len(modes) + 1))
+    return [expand_field(system, target, ks) for target in targets]
+
+
+def _cmd_completeness(config: RunConfig) -> str:
     rows = []
-    for t, target in enumerate(targets):
-        report = expand_field(system, target, ks)
+    for t, report in enumerate(_expansions(config, _solve(config))):
         for k, residual in zip(report.n_modes_used, report.residuals):
             rows.append((str(t), str(k), _fmt(residual)))
     return _csv(("target", "k", "residual"), rows)
@@ -436,14 +443,10 @@ def _verify_checks(config: RunConfig) -> list:
 
     frac = np.inf
     if len(modes):
-        system = biorthogonalize(modes)
-        targets = random_trig_fields(grid, 5, config.seed,
-                                     vanish_lower=config.bc is BCKind.CLAMPED_FREE)
-        ks = tuple(range(1, len(modes) + 1))
         frac = 0.0
-        for target in targets:
-            report = expand_field(system, target, ks)
-            hit = next((k for k, r in zip(ks, report.residuals) if r <= 1e-3), None)
+        for report in _expansions(config, modes):
+            hit = next((k for k, r in zip(report.n_modes_used, report.residuals)
+                        if r <= 1e-3), None)
             frac = max(frac, np.inf if hit is None else hit / len(modes))
     check("completeness_mode_fraction", frac, 0.8, frac <= 0.8)
 

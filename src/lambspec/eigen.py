@@ -260,14 +260,15 @@ class _Block(NamedTuple):
     """Finite eigenvalues of one shift-invert block with its eigenvectors.
 
     parity is the reflection family of the block, or None for an
-    operator solved whole; left and right hold the block's full-length
-    eigenvectors column by column.
+    operator solved whole; left holds the companion's full-length left
+    eigenvectors column by column, u the pencil's right vectors (the
+    displacement rows of the companion states (u, z u)).
     """
 
     parity: str | None
     z: np.ndarray
     left: np.ndarray
-    right: np.ndarray
+    u: np.ndarray
 
 
 def _fold(x: np.ndarray, rep: np.ndarray, mir: np.ndarray,
@@ -477,9 +478,8 @@ def _eigensolve(op: DiscreteOperator) -> list:
     R (A + sigma B) x, so one solve with the same LU gives x.  A folded
     block's x unfold with S, its z with T.  Each finite lam, refined by
     _pair_ritz, gives mu = +-sqrt(lam) with u = (mu x1, x3) and the
-    pencil's left vector y = (z1 / conj(mu), z3); right holds the companion
-    states (u, mu u) and left the companion's left vectors
-    (_companion_left).
+    pencil's left vector y = (z1 / conj(mu), z3); the block holds u and
+    the companion's left vectors (_companion_left).
     """
     pencil = op.pencil
     dim = op.mask.size // 2
@@ -505,8 +505,7 @@ def _eigensolve(op: DiscreteOperator) -> list:
         if split:  # the scalar channel's vectors may be real
             u[:split] *= mu
             y[:split] /= np.conj(mu)
-        out.append(_Block(parity, mu, _companion_left(a, b, split, mu, y),
-                          np.vstack([u, u * mu])))
+        out.append(_Block(parity, mu, _companion_left(a, b, split, mu, y), u))
     return out
 
 
@@ -598,7 +597,7 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
     one in the same-parity block of the 2n reference and (b) its pencil
     backward error is at most accept_tol; raw_count sums the finite
     eigenvalues of all blocks (_two_resolution_matches rescues split
-    defective pairs).  Retained states are rebuilt as exactly (v, mu v),
+    defective pairs).  Retained states are built as exactly (v, mu v),
     normalized to unit energy norm, phase-fixed, and sorted by (|beta|,
     Re beta, Im beta): every beta has its exact negative and conjugate, so
     the |beta| ties of a group are bitwise and the row order is fixed.
@@ -611,10 +610,10 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
     modes = []
     for block, reference in zip(blocks, references):
         cols = np.flatnonzero(_two_resolution_matches(block.z, reference))
-        cols = cols[np.linalg.norm(block.right[:dim, cols], axis=0) != 0.0]
-        res = pencil_residual(op.pencil, block.z[cols], block.right[:dim, cols])
+        cols = cols[np.linalg.norm(block.u[:, cols], axis=0) != 0.0]
+        res = pencil_residual(op.pencil, block.z[cols], block.u[:, cols])
         cols, res = cols[res <= accept_tol], res[res <= accept_tol]
-        z, u1 = block.z[cols], block.right[:dim, cols]
+        z, u1 = block.z[cols], block.u[:, cols]
         big_v = np.vstack([u1, u1 * z])
         big_v /= np.sqrt(np.abs(np.einsum("ij,ij->j", big_v.conj(),
                                           _real_matmul(op.gram, big_v))))

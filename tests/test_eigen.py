@@ -133,9 +133,10 @@ def test_split_spectrum_matches_unsplit(bench, n, n_channels):
     for found, reference in ((split, whole), (whole, split)):
         for z in found[np.abs(found) <= 30.0]:
             assert np.min(np.abs(reference - z)) <= 1e-9 * max(1.0, abs(z))
-    # the unfolded right vectors are eigenvectors of the full pencil
+    # the unfolded right vectors, as companion states (u, z u), are
+    # eigenvectors of the full pencil
     for block in blocks:
-        vr = block.right
+        vr = np.vstack([block.u, block.u * block.z])
         defect = op.m @ vr - (op.mask[:, None] * vr) * block.z
         small = np.abs(block.z) <= 30.0
         scale = np.linalg.norm(op.m) * np.linalg.norm(vr, axis=0)
