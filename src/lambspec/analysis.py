@@ -49,7 +49,7 @@ from .discretize import (
     _square_terms,
 )
 from .eigen import (
-    CLUSTER_TOL,
+    DEFECT_PAIR_TOL,
     RCOND_MIN,
     BiorthogonalSystem,
     ModeSet,
@@ -476,8 +476,10 @@ def nonorthogonality_witness(mode_set: ModeSet):
     """The mode pair at distinct eigenvalues with the largest gram product.
 
     Modes are unit vectors in the energy metric, so any value well above
-    zero witnesses a non-orthogonal eigensystem; pairs whose eigenvalues
-    coincide to CLUSTER_TOL (see eigen._coincide) are excluded.  Returns
+    zero witnesses a non-orthogonal eigensystem.  Pairs whose eigenvalues
+    coincide to DEFECT_PAIR_TOL (see eigen._coincide) are one eigenvalue,
+    the halves of a split defective one among them, whose two computed
+    eigenvectors are nearly parallel; they are excluded.  Returns
     ((index_m, index_n), |<V_m, V_n>_gram|).
     """
     modes, op = mode_set.modes, mode_set.op
@@ -489,7 +491,7 @@ def nonorthogonality_witness(mode_set: ModeSet):
     # maximum; a coinciding pair reads -1, so if all do, (0, 1) comes back
     i, j = np.triu_indices(len(modes), 1)
     prods = np.abs(basis.conj().T @ op.gram @ basis)[i, j]
-    prods[_coincide(mus, mus, CLUSTER_TOL)[i, j]] = -1.0
+    prods[_coincide(mus, mus, DEFECT_PAIR_TOL)[i, j]] = -1.0
     k = int(np.argmax(prods))
     return (int(i[k]), int(j[k])), float(prods[k])
 

@@ -21,17 +21,18 @@ symmetric under reflection through its midplane, so there the pencil
 splits into symmetric and antisymmetric half-size blocks, each solved on
 its own; the block fixes the parity label exactly.  Raw eigenpairs are
 filtered by two-resolution agreement and normalized in the energy metric
-with a fixed phase convention.  On top sit the Jordan-chain machinery,
-whose bordered least squares runs only where a first-order screen with
-each mode's left vector cannot rule a chain out (an eigenvalue can be
-defective only where its left and right vectors are nearly orthogonal),
-and the left/right biorthogonal systems of modal expansions.
+with a fixed phase convention.  One tolerance, DEFECT_PAIR_TOL, decides
+when two computed eigenvalues are one: a defective eigenvalue splits in
+floating point by O(sqrt(eps)), and the same split pair that filtering
+rescues as one is one Jordan cluster and one block of the biorthogonal
+system.  On top sit the Jordan-chain machinery, whose bordered least
+squares runs only on clusters of two or more modes, and the left/right
+biorthogonal systems of modal expansions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -80,18 +81,17 @@ _SYMMETRIC_SIGNS = {1: (1.0,), 2: (-1.0, 1.0)}
 #: tolerance (see _coincide) for a mode to survive filtering
 MATCH_TOL = 1e-6
 
-#: pair separation below which two coarse eigenvalues are treated as one
-#: split defective eigenvalue during filtering (their individual values
-#: are only sqrt(backward-error) accurate; their mean is fully accurate)
+#: the package's one identity tolerance (see _coincide): eigenvalues that
+#: coincide to it are one eigenvalue, split in floating point if defective
+#: (each half is only sqrt(backward-error) accurate, their mean fully).
+#: It rescues split pairs in filtering, and forms the Jordan clusters, the
+#: biorthogonal pairing blocks, the pairs nonorthogonality_witness skips
+#: and the groups of verify's closure checks
 DEFECT_PAIR_TOL = 1e-4
 
 #: relative singular-value cutoff deciding the geometric multiplicity of
 #: a cluster of nearby eigenvalues
 RANK_TOL = 1e-3
-
-#: eigenvalues that coincide to this tolerance (see _coincide) form one
-#: cluster: one Jordan block, one pairing block of the biorthogonal system
-CLUSTER_TOL = 1e-6
 
 #: deviation from an exact reflection, relative to the largest entry of the
 #: profile, that classify_parity still accepts as a parity
@@ -179,29 +179,6 @@ class ModeSet:
     @property
     def betas(self) -> np.ndarray:
         return np.array([mode.beta for mode in self.modes])
-
-    @cached_property
-    def left_vectors(self) -> np.ndarray:
-        """Energy-metric left vectors W_k = G^{-1} E w_k, column k for modes[k].
-
-        w_k is the mode's own left eigenvector Mode.w, so <V_n, W_k>_gram
-        equals w_k^H E V_n and vanishes across distinct eigenvalues.  The
-        Jordan screen and the biorthogonal system share this one solve
-        against the Gram factor; an empty mode set gives a (4n, 0) array.
-        """
-        size, count = self.op.mask.size, len(self.modes)
-        # the real and imaginary parts of E w side by side, one real
-        # right-hand side, so the real factor is never cast to complex
-        parts = np.empty((size, 2 * count), order="F")
-        for k, mode in enumerate(self.modes):
-            ew = self.op.mask * mode.w
-            parts[:, k], parts[:, count + k] = ew.real, ew.imag
-        parts = scipy.linalg.cho_solve((self.op.gram_cholesky, True), parts,
-                                       overwrite_b=True, check_finite=False)
-        left = np.empty((size, count), dtype=complex, order="F")
-        left.real, left.imag = parts[:, :count], parts[:, count:]
-        left.flags.writeable = False
-        return left
 
 
 @dataclass(frozen=True)
@@ -691,62 +668,55 @@ def _try_extend(pencil: DiscretePencil, mu: complex, chain):
     return v_next, cert
 
 
-def detect_jordan_chains(mode_set: ModeSet, cluster_tol: float = CLUSTER_TOL,
+def detect_jordan_chains(mode_set: ModeSet, cluster_tol: float = DEFECT_PAIR_TOL,
                          chain_tol: float = 1e-6):
     """Cluster the spectrum, test defectiveness, and build Jordan chains.
 
-    Every cluster yields one chain per independent eigenvector (geometric
-    multiplicity via the RANK_TOL singular-value cutoff); extension past
-    the eigenvector is attempted up to the cluster's algebraic size and
-    kept only when both the solvability certificate and the
-    chain-relation residual stay within chain_tol.  A singleton cluster
-    is first screened to first order (Tisseur & Meerbergen, SIAM Rev.
-    2001, section 3): c = |<V, W>_gram| / |W|_gram, with V of unit energy
-    norm, is the reciprocal condition of the eigenvalue and vanishes at
-    a defective one.  Only a singleton with c <= sqrt(chain_tol) or c
-    not finite gets the bordered probe, so near-defective pairs missed by
-    clustering are still caught; simple well-separated eigenvalues come
-    back as length-1 chains without it.
+    Eigenvalues that coincide to cluster_tol form one cluster.  A split
+    defective eigenvalue survives filtering only as a pair coinciding to
+    DEFECT_PAIR_TOL (_two_resolution_matches), so at that tolerance it is
+    always one cluster, and a singleton is a simple eigenvalue: its chain
+    is its mode alone, of length 1, with the mode's residual as its one
+    relation residual.  A cluster of two or more yields one chain per
+    independent eigenvector (geometric multiplicity via the RANK_TOL
+    singular-value cutoff); extension past the eigenvector is attempted up
+    to the cluster's size and kept only when both the solvability
+    certificate and the chain-relation residual stay within chain_tol.  A
+    cluster_tol below DEFECT_PAIR_TOL, or not finite, would split such
+    pairs into singletons and lose their associated modes, so it raises.
     """
+    if not (np.isfinite(cluster_tol) and cluster_tol >= DEFECT_PAIR_TOL):
+        raise ValueError(f"cluster_tol = {cluster_tol!r} must be finite and at least "
+                         f"DEFECT_PAIR_TOL = {DEFECT_PAIR_TOL:g}, or split defective "
+                         "pairs become singletons and lose their associated modes")
     modes, pencil = mode_set.modes, mode_set.op.pencil
-    if not modes:
-        return []
     zs = np.array([mode.mu for mode in modes])
-    # G W_k = E w_k: <V, W_k>_gram = (E w_k)^H V, |W_k|_gram^2 = (E w_k)^H W_k
-    ew = np.column_stack([mode_set.op.mask * mode.w for mode in modes]).conj()
-    right = np.column_stack([mode.big_v for mode in modes])
-    condition = (np.abs(np.einsum("ij,ij->j", ew, right))
-                 / np.sqrt(np.abs(np.einsum("ij,ij->j", ew, mode_set.left_vectors))))
-    del ew, right
     chains = []
     for group in _cluster_indices(zs, cluster_tol):
+        if len(group) == 1:
+            mode = modes[group[0]]
+            chains.append(JordanChain(mu=mode.mu,
+                                      vectors=(mode.v / np.linalg.norm(mode.v),),
+                                      relation_residuals=(mode.residual,),
+                                      mode_indices=group))
+            continue
         mu = complex(np.mean(zs[list(group)]))
         stack = np.column_stack([modes[i].v for i in group])
-        stack = stack / np.linalg.norm(stack, axis=0)
-        if len(group) == 1:
-            heads = [stack[:, 0]]
-            c = condition[group[0]]
-            cap = 1 if np.isfinite(c) and c > np.sqrt(chain_tol) else 2
-        else:
-            u, s, _ = np.linalg.svd(stack, full_matrices=False)
-            geom = max(1, int(np.sum(s > RANK_TOL * s[0])))
-            heads = [u[:, k] for k in range(geom)]
-            cap = len(group)
-        for head in heads:
-            chain = [head]
-            while len(chain) < cap:
+        u, s, _ = np.linalg.svd(stack / np.linalg.norm(stack, axis=0),
+                                full_matrices=False)
+        for k in range(max(1, int(np.sum(s > RANK_TOL * s[0])))):
+            chain = [u[:, k]]
+            while len(chain) < len(group):
                 v_next, cert = _try_extend(pencil, mu, chain)
                 if v_next is None or cert > chain_tol:
                     break
                 if _relation_residuals(pencil, mu, chain + [v_next])[-1] > chain_tol:
                     break
                 chain.append(v_next)
-            # an unprobed head is its mode's v: its one relation is Mode.residual
             chains.append(JordanChain(
                 mu=mu,
                 vectors=tuple(np.array(v) for v in chain),
-                relation_residuals=((modes[group[0]].residual,) if cap == 1 else
-                                    _relation_residuals(pencil, mu, chain)),
+                relation_residuals=_relation_residuals(pencil, mu, chain),
                 mode_indices=group))
     return chains
 
@@ -754,23 +724,32 @@ def detect_jordan_chains(mode_set: ModeSet, cluster_tol: float = CLUSTER_TOL,
 def biorthogonalize(mode_set: ModeSet) -> BiorthogonalSystem:
     """Left vectors and the normalized energy-metric pairing.
 
-    The mode set's left vectors (ModeSet.left_vectors) are taken in
-    cluster order.  Modes are grouped into CLUSTER_TOL clusters; each
-    diagonal pairing block is inverted onto the identity (near-defective
-    clusters are handled as blocks), and a numerically singular block
-    raises.
+    Modes are grouped into DEFECT_PAIR_TOL clusters, the blocks of
+    detect_jordan_chains, and taken in cluster order.  The energy-metric
+    left vectors W_k = G^-1 E w_k come from one solve against the Gram
+    factor, with w_k the mode's own left eigenvector Mode.w, so
+    <V_n, W_k>_gram = (E w_k)^H V_n vanishes across distinct eigenvalues.
+    Each diagonal pairing block is inverted onto the identity
+    (near-defective clusters are handled as blocks), and a numerically
+    singular block raises.
     """
     modes, op = mode_set.modes, mode_set.op
     if not modes:
         raise ValueError("empty mode set")
     zs = np.array([mode.mu for mode in modes])
-    blocks = _cluster_indices(zs, CLUSTER_TOL)
+    blocks = _cluster_indices(zs, DEFECT_PAIR_TOL)
     perm = [i for group in blocks for i in group]
 
     right = np.column_stack([modes[i].big_v for i in perm])
-    left = mode_set.left_vectors[:, perm]
+    ew = np.column_stack([op.mask * modes[i].w for i in perm])
+    # the real and imaginary parts of E w side by side, one real
+    # right-hand side, so the real factor is never cast to complex
+    parts = scipy.linalg.cho_solve((op.gram_cholesky, True), np.hstack([ew.real, ew.imag]),
+                                   overwrite_b=True, check_finite=False)
+    left = parts[:, :len(perm)].astype(complex)
+    left.imag = parts[:, len(perm):]
     # G W = E w, so the pairing W^H G V is (E w)^H V, with no Gram product
-    ew_h = np.column_stack([modes[i].w for i in perm]).conj().T * op.mask
+    ew_h = ew.conj().T
 
     pairing = ew_h @ right
     start = 0

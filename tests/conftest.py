@@ -1,7 +1,8 @@
 """Session fixtures: the benchmark material with cached discrete solves.
 
-The n = 64 traction-free solve, its shear-horizontal counterpart, and the
-biorthogonal system are shared session-wide because several test modules
+The n = 64 traction-free solve, its shear-horizontal counterpart, the
+biorthogonal system and the n = 64 solve at the zero-group-velocity
+frequency are shared session-wide because several test modules
 probe the same objects; all of them are immutable (frozen dataclasses with
 read-only arrays).
 """
@@ -18,6 +19,7 @@ from lambspec import (
     sesquilinear_forms,
     solve_modes,
 )
+from reference_data import ZGV_OMEGA
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -78,3 +80,12 @@ def clamped_op(bench):
 @pytest.fixture(scope="session")
 def clamped_modes(clamped_op):
     return solve_modes(clamped_op)
+
+
+@pytest.fixture(scope="session")
+def zgv_modes():
+    """The zero-group-velocity point at n = 64: its double roots +-ZGV_BETA
+    split by rounding into two pairs about 2.2e-6 apart, each one
+    DEFECT_PAIR_TOL cluster."""
+    material = make_material(2.0, 1.0, 1.0, 1.0, ZGV_OMEGA)
+    return solve_modes(assemble_operator(material, 64, BCKind.FREE_FREE))

@@ -31,7 +31,7 @@ from lambspec import (
 )
 from lambspec import analysis
 from lambspec.analysis import RCOND_MIN, _field_terms, _probe_blocks, _resolvent_probe
-from lambspec.eigen import PARITY_MIXED, _pairings, _shifted_lu
+from lambspec.eigen import DEFECT_PAIR_TOL, PARITY_MIXED, _coincide, _pairings, _shifted_lu
 from reference_data import (
     ADJOINT_DEFECT_VALUE,
     COERCIVITY_CONST_1000,
@@ -399,6 +399,17 @@ def test_nonorthogonality_witness_skips_coinciding_eigenvalues(bench_modes):
     assert nonorthogonality_witness(doubled) == nonorthogonality_witness(bench_modes)
     alone = dataclasses.replace(bench_modes, modes=(first, first))
     assert nonorthogonality_witness(alone) == ((0, 1), -1.0)
+
+
+def test_nonorthogonality_witness_skips_split_defective_pairs(zgv_modes):
+    # the halves of a rounding-split double root are one eigenvalue at
+    # DEFECT_PAIR_TOL, with nearly parallel eigenvectors (gram product
+    # 0.99999999999913 at n = 64); the witness must come from distinct
+    # eigenvalues
+    (i, j), value = nonorthogonality_witness(zgv_modes)
+    mus = [zgv_modes.modes[k].mu for k in (i, j)]
+    assert not _coincide(mus[:1], mus[1:], DEFECT_PAIR_TOL)[0, 0]
+    assert 0.01 <= value < 0.99
 
 
 def test_adjoint_defect_benchmark(bench_op):

@@ -165,11 +165,10 @@ def test_modes_out_file(tmp_path, capsys):
 def test_modes_flags_split_double_root_at_zgv(tmp_path, capsys):
     # at the zero-group-velocity frequency the double root +-ZGV_BETA (real,
     # so its own conjugate) splits into two eigenvalues about 2e-6 apart,
-    # which the default cluster tolerance keeps as singletons; their
-    # eigenvalue condition lies below sqrt(chain_tol), so the Jordan screen
-    # hands them to the bordered chain probe, which gives them chain length
-    # 2.  The direction of the split follows rounding, so the halves are
-    # picked by their distance to the root
+    # which coincide to DEFECT_PAIR_TOL and so form one Jordan cluster; the
+    # bordered chain probe gives it a chain of length 2, reported on both
+    # halves.  The direction of the split follows rounding, so the halves
+    # are picked by their distance to the root
     path = write_config(tmp_path, {"omega": ZGV_OMEGA, "n_colloc": 64})
     assert run(["modes", "--config", path]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]

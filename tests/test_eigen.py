@@ -23,7 +23,6 @@ from lambspec import (
 )
 from lambspec import eigen
 from lambspec.eigen import (
-    CLUSTER_TOL,
     DEFECT_PAIR_TOL,
     REFERENCE_SHIFTS,
     _cluster_indices,
@@ -308,60 +307,74 @@ def test_two_resolution_matches_rescues_split_pairs():
 
 
 @pytest.fixture(scope="module")
-def zgv_modes():
-    # the split double root of the ZGV frequency: two pairs of singletons
-    # about 4e-6 apart at the default cluster tolerance
-    material = make_material(2.0, 1.0, 1.0, 1.0, ZGV_OMEGA)
-    return solve_modes(assemble_operator(material, 64, BCKind.FREE_FREE))
-
-
-@pytest.fixture(scope="module")
 def clamped48_modes(bench):
     return solve_modes(assemble_operator(bench, 48, BCKind.CLAMPED_FREE))
 
 
-@pytest.mark.parametrize("name, extended", [("bench_modes", 0),
-                                            ("clamped48_modes", 0),
-                                            ("zgv_modes", 4)])
-def test_jordan_screen_never_hides_a_chain(request, name, extended):
-    # the exhaustive reference runs the bordered probe on every singleton
-    # head; the first-order screen must pass each head it would extend
+@pytest.mark.parametrize("name, defective", [("bench_modes", 0),
+                                              ("clamped48_modes", 0),
+                                              ("zgv_modes", 2)])
+def test_no_singleton_extends(request, name, defective):
+    # detect_jordan_chains probes only clusters of two or more modes; the
+    # exhaustive reference runs the bordered probe on every singleton head
+    # at DEFECT_PAIR_TOL too, and none of them may extend
     mode_set = request.getfixturevalue(name)
-    op, chain_tol = mode_set.op, 1e-6
+    pencil, chain_tol = mode_set.op.pencil, 1e-6
     zs = np.array([mode.mu for mode in mode_set])
-    expected = {}
-    for group in _cluster_indices(zs, CLUSTER_TOL):
-        if len(group) > 1:
-            continue
-        k = group[0]
+    singletons = [group[0] for group in _cluster_indices(zs, DEFECT_PAIR_TOL)
+                  if len(group) == 1]
+    assert singletons
+    for k in singletons:
         mode = mode_set.modes[k]
-        w = mode_set.left_vectors[:, k]
-        w_norm = np.sqrt(abs(np.vdot(w, op.gram @ w)))
-        condition = abs(np.vdot(w, op.gram @ mode.big_v)) / w_norm
         head = mode.v / np.linalg.norm(mode.v)
-        v_next, cert = _try_extend(op.pencil, mode.mu, [head])
-        if cert <= chain_tol:
-            assert condition <= np.sqrt(chain_tol)
-        extends = (cert <= chain_tol and _relation_residuals(
-            op.pencil, mode.mu, [head, v_next])[-1] <= chain_tol)
-        expected[k] = 2 if extends else 1
-    assert sum(length == 2 for length in expected.values()) == extended
+        v_next, cert = _try_extend(pencil, mode.mu, [head])
+        assert v_next is not None
+        assert (cert > chain_tol or _relation_residuals(
+            pencil, mode.mu, [head, v_next])[-1] > chain_tol)
     chains = detect_jordan_chains(mode_set, chain_tol=chain_tol)
-    found = {chain.mode_indices[0]: chain.length for chain in chains
-             if len(chain.mode_indices) == 1}
-    assert found == expected
+    assert {chain.mode_indices[0]: chain.length for chain in chains
+            if len(chain.mode_indices) == 1} == dict.fromkeys(singletons, 1)
+    # each split defective pair is one cluster carrying one length-2 chain
+    pairs = [chain for chain in chains if len(chain.mode_indices) > 1]
+    assert len(pairs) == defective
+    assert all(len(chain.mode_indices) == chain.length == 2 for chain in pairs)
+    assert all(max(chain.relation_residuals) <= chain_tol for chain in pairs)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.5 * DEFECT_PAIR_TOL, np.nan, np.inf])
+def test_cluster_tol_below_defect_pair_tol_is_rejected(zgv_modes, tol):
+    # a tighter tolerance would split the ZGV pairs into four singletons,
+    # whose associated modes no probe would look for
+    with pytest.raises(ValueError, match="DEFECT_PAIR_TOL"):
+        detect_jordan_chains(zgv_modes, cluster_tol=tol)
+
+
+def test_large_simple_spectrum_runs_no_bordered_probe(bench, monkeypatch):
+    # at n = 384 every cluster of the benchmark point is a singleton, so
+    # Jordan detection runs no bordered least squares at all
+    calls = []
+
+    def spy(pencil, mu, chain):
+        calls.append(mu)
+        return None, 1.0
+
+    monkeypatch.setattr(eigen, "_try_extend", spy)
+    mode_set = solve_modes(assemble_operator(bench, 384, BCKind.FREE_FREE))
+    chains = detect_jordan_chains(mode_set)
+    assert calls == []
+    assert len(chains) == len(mode_set)
 
 
 @pytest.mark.parametrize("name, n_blocks, probes", [("bench_modes", 2, 0),
                                                     ("clamped_modes", 1, 0),
-                                                    ("zgv_modes", 2, 4)])
+                                                    ("zgv_modes", 2, 2)])
 def test_one_left_solve_per_mode_set(request, monkeypatch, name, n_blocks, probes):
     # solve_modes solves each 2n reference block by one standard
     # eigenvalues-only eigensolve, then each n-level block by one standard
     # eigensolve with both vector sets (shift-invert of the lam form at both
     # levels, half the companion's size, no generalized eig anywhere); the
-    # Jordan screen and the biorthogonal system run no eigensolver, and the
-    # bordered least squares runs only on the screened singletons
+    # Jordan chains and the biorthogonal system run no eigensolver, and the
+    # bordered least squares runs once on each cluster of two modes
     op = request.getfixturevalue(name).op
     calls, lstsqs = [], []
 
@@ -623,11 +636,13 @@ def test_eigensolve_shifts_all_on_the_spectrum_raise(bench, monkeypatch):
     assert calls == [(z, True) for z in real]
 
 
-def test_empty_mode_set_has_no_left_vectors(bench):
+def test_biorthogonalize_rejects_an_empty_mode_set(bench):
     mode_set = solve_modes(assemble_operator(bench, 16, BCKind.FREE_FREE),
                            accept_tol=1e-30)
     assert len(mode_set) == 0
-    assert mode_set.left_vectors.shape == (64, 0)
+    assert detect_jordan_chains(mode_set) == []
+    with pytest.raises(ValueError, match="empty mode set"):
+        biorthogonalize(mode_set)
 
 
 # ----------------------------------------------------------------------
