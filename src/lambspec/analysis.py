@@ -218,13 +218,17 @@ def _resolvent_probe(blocks: list, z: complex, rcond_min: float):
 def resolvent_norms(op: DiscreteOperator, z: complex):
     """Energy-metric operator and Frobenius norms of (m - z E)^-1 E.
 
-    z must be finite and nonzero (Z is singular at 0, off every ray).  The
-    LU stays backward stable at an eigenvalue, so nothing fails there; the
-    norms just grow without bound (resolvent_scan skips such probes by
-    their reciprocal condition).
+    z must be finite and nonzero (Z is singular at 0, off every ray), with
+    |z|^2 finite, since the probe factors at z^2.  The LU stays backward
+    stable at an eigenvalue, so nothing fails there; the norms just grow
+    without bound (resolvent_scan skips such probes by their reciprocal
+    condition).
     """
     if not np.isfinite(z) or z == 0:
         raise ValueError("z must be finite and nonzero")
+    z = complex(z)
+    if not np.isfinite(z.real * z.real + z.imag * z.imag):
+        raise ValueError("|z|^2 must be finite (|z| below about 1.34e154)")
     return _resolvent_probe(_probe_blocks(op), z, 0.0)
 
 
@@ -233,24 +237,28 @@ def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan
 
     Validates 2 pi/5 < theta0 < pi/2, which puts every ray direction, and
     so every probed beta = -i z, in the double sector of half-angle
-    theta0 (see the module docstring); moduli must be finite, positive
-    and strictly increasing.  Each probe factors the reflection blocks of
-    the lam form at z^2 (set up once per scan).  A probe where some
-    block's LU has a reciprocal condition below RCOND_MIN sits on the
-    spectrum to working precision; it is recorded as NaN and listed in
-    skipped, deterministically ordered by (ray index, modulus).
+    theta0 (see the module docstring); moduli must be finite with finite
+    squares, positive and strictly increasing.  Each probe factors the
+    reflection blocks of the lam form at z^2 (set up once per scan).  A
+    probe where some block's LU has a reciprocal condition below RCOND_MIN
+    sits on the spectrum to working precision; it is recorded as NaN and
+    listed in skipped, deterministically ordered by (ray index, modulus).
 
-    Only rays 0, 1 and 2 are probed, 3 len(moduli) probes in all: rays 3
-    and 4 are the mirror images z -> -conj z of rays 2 and 1, where the
-    norms are equal because m, E and G are real and P m P = -m,
-    P E P = E, P G P = G for the state reflection P (module docstring).
-    Their rows, skips included, are copies of rows 2 and 1.
+    Only rays 0, 1 and 2 are probed, 3 len(moduli) probes in all: 9 for
+    the CLI's default moduli on the n = 64 plate, which stop at the
+    largest retained |beta| (cli._scan_moduli).  Rays 3 and 4 are the
+    mirror images z -> -conj z of rays 2 and 1, where the norms are equal
+    because m, E and G are real and P m P = -m, P E P = E, P G P = G for
+    the state reflection P (module docstring).  Their rows, skips
+    included, are copies of rows 2 and 1.
     """
     if not (THETA0_MIN < theta0 < THETA0_MAX):
         raise ValueError("theta0 outside the admissible interval (2*pi/5, pi/2)")
     moduli = tuple(float(m) for m in moduli)
     if not all(np.isfinite(moduli)):
         raise ValueError("moduli must be finite")
+    if not all(np.isfinite(m * m) for m in moduli):
+        raise ValueError("moduli must have finite squares (below about 1.34e154)")
     if not moduli or any(m <= 0 for m in moduli):
         raise ValueError("moduli must be positive")
     if any(b <= a for a, b in zip(moduli, moduli[1:])):

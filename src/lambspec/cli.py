@@ -134,7 +134,8 @@ def parse_config(doc) -> RunConfig:
     missing material fields, non-finite numbers (JSON Infinity or NaN),
     invalid material values (e.g. "h ≤ 0"), n_colloc < 8 or above
     N_COLLOC_MAX (checked before anything is allocated), theta0 outside
-    (2*pi/5, pi/2), non-increasing moduli, or a malformed omega_sweep.
+    (2*pi/5, pi/2), moduli that are non-increasing or whose squares
+    overflow, or a malformed omega_sweep.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -184,6 +185,8 @@ def parse_config(doc) -> RunConfig:
         moduli = tuple(float(v) for v in raw)
         if not all(math.isfinite(v) for v in moduli):
             raise ConfigError("moduli must be finite")
+        if not all(math.isfinite(v * v) for v in moduli):
+            raise ConfigError("moduli must have finite squares (below about 1.34e154)")
         if any(v <= 0.0 for v in moduli):
             raise ConfigError("moduli must be positive")
         if any(b <= a for a, b in zip(moduli, moduli[1:])):
@@ -305,10 +308,21 @@ def _cmd_dispersion(config: RunConfig) -> str:
 
 
 def _scan_moduli(config: RunConfig, modes) -> tuple:
+    """The config's moduli verbatim, or the resolved part of b .. 100 b.
+
+    The default takes geomspace(b, 100 b, 9) for the measured b and keeps
+    its leading moduli up to the largest retained |beta|.  Above it the
+    grid does not resolve the operator: there the norms at n = 64 and
+    n = 256 differ by up to 180%, against under 1% below.  At least two
+    are kept, since a ray ratio compares two moduli and an empty
+    spectrum has no largest |beta|.
+    """
     if config.moduli is not None:
         return config.moduli
     b = measured_b(modes)
-    return tuple(np.geomspace(b, 100.0 * b, 9))
+    moduli = np.geomspace(b, 100.0 * b, 9)
+    reach = np.max(np.abs(modes.betas), initial=0.0)
+    return tuple(moduli[:max(2, int(np.count_nonzero(moduli <= reach)))])
 
 
 def _cmd_resolvent(config: RunConfig) -> str:

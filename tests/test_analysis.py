@@ -301,6 +301,9 @@ def test_resolvent_scan_validation(bench_op):
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="moduli must be finite"):
             resolvent_scan(bench_op, THETA0, (1.0, bad))
+    # finite, but z^2 overflows to nan inside the probe
+    with pytest.raises(ValueError, match="moduli must have finite squares"):
+        resolvent_scan(bench_op, THETA0, (1.0, 1e160))
 
 
 def test_resolvent_norms_rejects_non_finite_z(bench_op, monkeypatch):
@@ -315,6 +318,10 @@ def test_resolvent_norms_rejects_non_finite_z(bench_op, monkeypatch):
     # the probe's similarity diag(z on u1, 1) is singular at z = 0
     with pytest.raises(ValueError, match="z must be finite and nonzero"):
         resolvent_norms(bench_op, 0.0)
+    # the probe factors at z^2: |z|^2 must not overflow, on any ray
+    for bad in (1e160, 1e160j, 1e160 * np.exp(0.9j * np.pi), complex(1.3e154, 0.4e154)):
+        with pytest.raises(ValueError, match=r"\|z\|\^2 must be finite"):
+            resolvent_norms(bench_op, bad)
 
 
 def _companion_probe(op, z):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lambspec
-from lambspec import BCKind, DiscreteOperator, _blas, cli
+from lambspec import BCKind, DiscreteOperator, _blas, analysis, cli
 from lambspec.cli import (
     N_COLLOC_MAX,
     THETA0_DEFAULT,
@@ -91,6 +91,7 @@ def test_parse_config_accepts_clamped():
         ({"omega_sweep": {"start": 1.0, "stop": float("inf"), "steps": 3}}, (),
          "stop must be finite"),
         ({"n_colloc": 10 ** 6}, (), f"n_colloc > {N_COLLOC_MAX}"),
+        ({"moduli": [1.0, 1e160]}, (), "moduli must have finite squares"),
     ],
 )
 def test_parse_config_rejections(overrides, drop, fragment):
@@ -100,6 +101,15 @@ def test_parse_config_rejections(overrides, drop, fragment):
         doc.pop(key)
     with pytest.raises(ConfigError, match=re.escape(fragment)):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("command", ["resolvent", "verify"])
+def test_moduli_whose_squares_overflow_exit_2(tmp_path, capsys, command):
+    # each probe factors at z^2, which overflows to nan at |z| = 1e160 and
+    # used to end in "SVD did not converge" (exit 1)
+    path = write_config(tmp_path, {"n_colloc": 16, "moduli": [1.0, 1e160]})
+    assert run([command, "--config", path]) == 2
+    assert "moduli must have finite squares" in capsys.readouterr().err
 
 
 def test_parse_config_rejects_non_object():
@@ -336,9 +346,25 @@ FREE_CHECKS = (
 )
 
 
-def test_verify_benchmark_passes(tmp_path, capsys):
+def _spy_on_probes(monkeypatch):
+    calls = []
+    probe = analysis._resolvent_probe
+
+    def spy(blocks, z, rcond_min):
+        calls.append(z)
+        return probe(blocks, z, rcond_min)
+
+    monkeypatch.setattr(analysis, "_resolvent_probe", spy)
+    return calls
+
+
+def test_verify_benchmark_passes(tmp_path, capsys, monkeypatch):
+    calls = _spy_on_probes(monkeypatch)
     path = write_config(tmp_path)
     assert run(["verify", "--config", path]) == 0
+    # 3 rays x the 3 of the nine moduli b .. 100 b that lie at or below the
+    # largest retained |beta|
+    assert len(calls) == 9
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
     names = [check["name"] for check in payload["checks"]]
@@ -348,9 +374,11 @@ def test_verify_benchmark_passes(tmp_path, capsys):
         assert set(check) == {"name", "measured", "threshold", "pass"}
 
 
-def test_verify_clamped_passes(tmp_path, capsys):
+def test_verify_clamped_passes(tmp_path, capsys, monkeypatch):
+    calls = _spy_on_probes(monkeypatch)
     path = write_config(tmp_path, {"bc": "clamped-free"})
     assert run(["verify", "--config", path]) == 0
+    assert len(calls) == 9
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
     names = {check["name"] for check in payload["checks"]}
@@ -396,6 +424,47 @@ def test_verify_ray_ratio_can_fail(tmp_path, capsys, bench_modes):
     assert payload["passed"] is False
     failing = [c["name"] for c in payload["checks"] if not c["pass"]]
     assert failing == ["resolvent_ray_ratio"]
+
+
+def test_resolvent_keeps_two_moduli_on_a_coarse_grid(tmp_path, capsys, monkeypatch):
+    # at n = 16 even b lies above every retained |beta|; a ray ratio needs
+    # two moduli, so the first two are probed
+    calls = _spy_on_probes(monkeypatch)
+    path = write_config(tmp_path, {"n_colloc": 16})
+    assert run(["resolvent", "--config", path]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert len(calls) == 6 and len(rows) == 5 * 2
+    moduli = sorted({float(row[2]) for row in rows})
+    assert moduli[1] / moduli[0] == pytest.approx(100.0 ** (1.0 / 8.0))
+
+
+def test_resolvent_probes_explicit_moduli_as_given(tmp_path, capsys, monkeypatch):
+    # moduli from the config are not capped at the largest retained |beta|
+    # (about 3.3 at n = 16)
+    calls = _spy_on_probes(monkeypatch)
+    path = write_config(tmp_path, {"n_colloc": 16, "moduli": [2.0, 1e3, 1e4]})
+    assert run(["resolvent", "--config", path]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert len(calls) == 9
+    assert [float(row[2]) for row in rows[:3]] == [2.0, 1e3, 1e4]
+
+
+def test_verify_output_does_not_depend_on_the_dropped_moduli(tmp_path, capsys, monkeypatch):
+    # on the benchmark plate the largest norm of every ray is at the first
+    # modulus, so probing all nine moduli b .. 100 b prints the same bytes
+    path = write_config(tmp_path, {"seed": 1})
+    assert run(["verify", "--config", path]) == 0
+    capped = capsys.readouterr().out
+
+    def all_nine(config, modes):
+        b = cli.measured_b(modes)
+        return tuple(np.geomspace(b, 100.0 * b, 9))
+
+    monkeypatch.setattr(cli, "_scan_moduli", all_nine)
+    calls = _spy_on_probes(monkeypatch)
+    assert run(["verify", "--config", path]) == 0
+    assert len(calls) == 27
+    assert capsys.readouterr().out == capped
 
 
 def test_verify_passes_at_zgv(tmp_path, capsys):
