@@ -14,7 +14,9 @@ The package splits into five layers:
   the masked companion rows and the half-size lam = mu^2 form.
 - `eigen`: the shift-invert eigensolve, split into symmetric and
   antisymmetric blocks on the traction-free plate, with two-resolution
-  filtering, parity labels, Jordan-chain detection, and biorthogonal systems.
+  filtering, parity labels, the retained modes as column arrays
+  (`ModeSet`), Jordan-chain detection, and the biorthogonal pairing
+  (expansions read the `ModeSet` directly, not through it).
 - `analysis`: measured verification of the operator-level claims —
   coercivity constants, resolvent norms on the five admissible rays, a
   Hilbert-Schmidt proxy, non-self-adjointness witnesses (the adjoint

@@ -396,12 +396,14 @@ def coercivity_scan(forms: FormMatrices, alpha: float,
                             c_const=float(c_const), samples=samples)
 
 
-def expand_field(system: BiorthogonalSystem, target: np.ndarray, ks) -> ExpansionReport:
+def expand_field(source: ModeSet | BiorthogonalSystem, target: np.ndarray, ks) -> ExpansionReport:
     """Best k-mode approximations of a displacement profile in the energy norm.
 
-    The target (length op.mask.size // 2) is expanded over the mode
-    displacement profiles in the first-block metric, the measurement of
-    completeness: the span of the generalized eigenvectors is dense.
+    The target (length dim = op.mask.size // 2) is expanded over the mode
+    profiles source.states[:dim] in their column order (a ModeSet's |beta|
+    order, a BiorthogonalSystem's cluster order) in the first-block metric,
+    the measurement of completeness: the span of the generalized
+    eigenvectors is dense.
     Full states are not accepted: under strong boundary collocation every
     mode state satisfies the replaced boundary rows exactly, so full-state
     spans have a fixed small codimension that an arbitrary state cannot
@@ -414,11 +416,11 @@ def expand_field(system: BiorthogonalSystem, target: np.ndarray, ks) -> Expansio
     k is returned, which changes float noise only (nested spans make the
     exact sequence nonincreasing).
     """
-    modes, op = system.flat_modes, system.op
+    op, count = source.op, source.states.shape[1]
     ks = tuple(int(k) for k in ks)
-    if not modes:
-        raise ValueError("empty biorthogonal system")
-    if not ks or any(k < 1 or k > len(modes) for k in ks):
+    if not count:
+        raise ValueError("empty mode set")
+    if not ks or any(k < 1 or k > count for k in ks):
         raise ValueError("each k must satisfy 1 <= k <= number of modes")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("ks must be strictly increasing")
@@ -427,7 +429,7 @@ def expand_field(system: BiorthogonalSystem, target: np.ndarray, ks) -> Expansio
     if target.shape != (dim,):
         raise ValueError(f"target length must be {dim}, the length of a "
                          "displacement profile")
-    basis = np.column_stack([mode.big_v[:dim] for mode in modes])
+    basis = source.states[:dim]
     # gram is block-diagonal, so its factor is too, and the factor's
     # leading block is the factor of the displacement metric
     chol_h = op.gram_cholesky[:dim, :dim].conj().T
@@ -490,15 +492,13 @@ def nonorthogonality_witness(mode_set: ModeSet):
     eigenvectors are nearly parallel; they are excluded.  Returns
     ((index_m, index_n), |<V_m, V_n>_gram|).
     """
-    modes, op = mode_set.modes, mode_set.op
-    if len(modes) < 2:
+    basis, mus = mode_set.states, mode_set.mu
+    if mus.size < 2:
         raise ValueError("need at least two retained modes")
-    basis = np.column_stack([mode.big_v for mode in modes])
-    mus = np.array([mode.mu for mode in modes])
     # pairs i < j in row-major order, of which argmax takes the first
     # maximum; a coinciding pair reads -1, so if all do, (0, 1) comes back
-    i, j = np.triu_indices(len(modes), 1)
-    prods = np.abs(basis.conj().T @ op.gram @ basis)[i, j]
+    i, j = np.triu_indices(mus.size, 1)
+    prods = np.abs(basis.conj().T @ mode_set.op.gram @ basis)[i, j]
     prods[_coincide(mus, mus, DEFECT_PAIR_TOL)[i, j]] = -1.0
     k = int(np.argmax(prods))
     return (int(i[k]), int(j[k])), float(prods[k])

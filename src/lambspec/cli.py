@@ -61,7 +61,7 @@ from .eigen import (
     DEFECT_PAIR_TOL,
     ModeSet,
     _cluster_indices,
-    biorthogonalize,
+    biorthogonalize,  # unused here; tests and perfbench's tracer wrap it by name
     classify_parity,
     detect_jordan_chains,
     solve_modes,
@@ -74,9 +74,9 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "run", "ma
 THETA0_DEFAULT = 0.45 * np.pi
 
 #: memory one subcommand may take.  The largest path is verify: its
-#: tracemalloc peak is about fourteen 4n x 4n float64 arrays (13.6-13.9 at
-#: n = 64 and 128 on both plates), topped by biorthogonalize; the adjoint
-#: defect reaches 13.1 and the other subcommands 9.4-11.3 (plus, for
+#: tracemalloc peak is about twelve 4n x 4n float64 arrays (11.6-12.0 at n =
+#: 64 and 128 on both plates), set by the adjoint defect (free-free) or the
+#: resolvent scan (clamped); modes peaks in solve_modes at 8.4-10.8 (plus, for
 #: dispersion, CSV rows that grow with the steps).  The bound allows 32
 MEMORY_BUDGET = 4 * 2 ** 30
 N_COLLOC_MAX = math.isqrt(MEMORY_BUDGET // (32 * 16 * 8))
@@ -262,10 +262,8 @@ def _cmd_modes(config: RunConfig) -> str:
     for chain in chains:
         for idx in chain.mode_indices:
             lengths[idx] = max(lengths.get(idx, 1), chain.length)
-    rows = []
-    for i, mode in enumerate(modes):
-        rows.append((_fmt(mode.beta.real), _fmt(mode.beta.imag), mode.parity,
-                     _fmt(mode.residual), str(lengths.get(i, 1))))
+    rows = [(_fmt(b.real), _fmt(b.imag), p, _fmt(r), str(lengths.get(i, 1)))
+            for i, (b, p, r) in enumerate(zip(modes.betas, modes.parity, modes.residuals))]
     return _csv(("re_beta", "im_beta", "parity", "residual", "chain_length"), rows)
 
 
@@ -343,13 +341,12 @@ def _expansions(config: RunConfig, modes: ModeSet) -> list:
     """Expansion reports of five seeded targets over k = 1 .. all retained modes.
 
     The targets are random_trig_fields of the config seed, vanishing on
-    the lower face of the clamped plate.
+    the lower face of the clamped plate; modes enter in |beta| order.
     """
-    system = biorthogonalize(modes)
     targets = random_trig_fields(modes.op.pencil.grid, 5, config.seed,
                                  vanish_lower=config.bc is BCKind.CLAMPED_FREE)
     ks = tuple(range(1, len(modes) + 1))
-    return [expand_field(system, target, ks) for target in targets]
+    return [expand_field(modes, target, ks) for target in targets]
 
 
 def _cmd_completeness(config: RunConfig) -> str:
@@ -391,7 +388,7 @@ def _verify_checks(config: RunConfig) -> list:
 
     # statistics over the retained modes read inf on an empty spectrum,
     # so their checks fail instead of passing vacuously
-    worst = max((mode.residual for mode in modes), default=np.inf)
+    worst = max(modes.residuals, default=np.inf)
     check("mode_residual_max", worst, config.accept_tol, worst <= config.accept_tol)
 
     conj_d, neg_d = _closure_defects(modes.betas)
@@ -400,7 +397,8 @@ def _verify_checks(config: RunConfig) -> list:
     if config.bc is BCKind.FREE_FREE:
         # each label comes from its reflection block; a profile without
         # the labelled symmetry means the split itself went wrong
-        unresolved = sum(classify_parity(mode, grid) != mode.parity for mode in modes)
+        unresolved = sum(classify_parity(v, grid) != p
+                         for v, p in zip(modes.states[:op.mask.size // 2].T, modes.parity))
         check("parity_resolved", unresolved, 0, unresolved == 0)
 
     sh_op = assemble_operator(m, config.n_colloc, BCKind.FREE_FREE, n_channels=1)

@@ -25,9 +25,10 @@ with a fixed phase convention.  One tolerance, DEFECT_PAIR_TOL, decides
 when two computed eigenvalues are one: a defective eigenvalue splits in
 floating point by O(sqrt(eps)), and the same split pair that filtering
 rescues as one is one Jordan cluster and one block of the biorthogonal
-system.  On top sit the Jordan-chain machinery, whose bordered least
+system.  Retained modes are the columns of one array per quantity
+(ModeSet).  On top sit the Jordan-chain machinery, whose bordered least
 squares runs only on clusters of two or more modes, and the left/right
-biorthogonal systems of modal expansions.
+biorthogonal pairing, which modal expansions do not go through.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .discretize import (
 __all__ = [
     "BiorthogonalSystem",
     "JordanChain",
-    "Mode",
     "ModeSet",
     "PARITY_ANTISYMMETRIC",
     "PARITY_MIXED",
@@ -130,55 +130,42 @@ _PART_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class Mode:
-    """One retained eigenpair of the quadratic pencil.
-
-    mu = i*beta is the companion eigenvalue, v the first-block grid values
-    of the displacement profile, big_v the stacked state (v, mu*v) with
-    unit energy norm and the largest-magnitude entry of v made real
-    positive.  residual is the normwise backward error of (mu, v) against
-    the quadratic pencil.  w is the companion's full-length left
-    eigenvector (w^H m = mu w^H E) at no fixed scale, built from the left
-    vector of the lam form that the same LU and eigensolve give.
-    """
-
-    mu: complex
-    beta: complex
-    v: np.ndarray
-    big_v: np.ndarray
-    residual: float
-    parity: str
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.v.flags.writeable = False
-        self.big_v.flags.writeable = False
-        self.w.flags.writeable = False
-
-
-@dataclass(frozen=True)
 class ModeSet:
-    """Retained modes, sorted by |beta| ascending, and their operator op.
+    """Retained modes as columns, and the operator op they were solved from.
 
-    raw_count is the number of finite eigenvalues before two-resolution
-    filtering and the residual gate; an empty ModeSet signals accept_tol
-    too tight or n too small.
+    The columns are sorted by (|beta|, Re beta, Im beta), and column k of
+    each array is one retained eigenpair: mu[k] = i beta_k is the
+    companion eigenvalue; states[:, k] the state (v, mu v) with unit
+    energy norm and the largest-magnitude entry of its displacement
+    profile v = states[:dim, k] made real positive (dim = op.mask.size //
+    2); left[:, k] the companion's full-length left eigenvector w (w^H m =
+    mu w^H E) at no fixed scale, built from the left vector of the lam
+    form that the same LU and eigensolve give; residuals[k] the normwise
+    backward error of (mu, v) against the quadratic pencil; parity[k] its
+    reflection label.  Every array is read-only.  raw_count is the number
+    of finite eigenvalues before two-resolution filtering and the residual
+    gate; an empty ModeSet signals accept_tol too tight or n too small.
     """
 
-    modes: tuple
+    mu: np.ndarray
+    states: np.ndarray
+    left: np.ndarray
+    residuals: np.ndarray
+    parity: np.ndarray
     op: DiscreteOperator
     accept_tol: float
     raw_count: int
 
-    def __len__(self):
-        return len(self.modes)
+    def __post_init__(self):
+        for array in (self.mu, self.states, self.left, self.residuals, self.parity):
+            array.flags.writeable = False
 
-    def __iter__(self):
-        return iter(self.modes)
+    def __len__(self):
+        return self.mu.size
 
     @property
     def betas(self) -> np.ndarray:
-        return np.array([mode.beta for mode in self.modes])
+        return self.mu / 1j
 
 
 @dataclass(frozen=True)
@@ -211,26 +198,23 @@ class JordanChain:
 class BiorthogonalSystem:
     """Left/right eigenvector system, biorthogonal in the energy metric.
 
-    modes holds the retained modes grouped into eigenvalue clusters
-    (blocks), flattened order matching the rows/columns of pairing;
-    left_vectors[:, k] is the energy-metric left vector W_k, and
-    pairing[m, n] = <V_n, W_m>_gram is block-diagonal with unit diagonal
-    blocks after normalization.  op is the operator the modes were
-    solved from.
+    blocks groups the ModeSet's column indices into eigenvalue clusters,
+    and its flattened order is the column order here: states[:, k] is the
+    state V_k of that column, left_vectors[:, k] its energy-metric left
+    vector W_k, and pairing[m, n] = <V_n, W_m>_gram is block-diagonal with
+    unit diagonal blocks after normalization.  op is the operator the
+    modes were solved from.
     """
 
-    modes: tuple
+    blocks: tuple
+    states: np.ndarray
     left_vectors: np.ndarray
     pairing: np.ndarray
     op: DiscreteOperator
 
     def __post_init__(self):
-        self.left_vectors.flags.writeable = False
-        self.pairing.flags.writeable = False
-
-    @property
-    def flat_modes(self) -> tuple:
-        return tuple(mode for block in self.modes for mode in block)
+        for array in (self.states, self.left_vectors, self.pairing):
+            array.flags.writeable = False
 
 
 class _Block(NamedTuple):
@@ -542,15 +526,14 @@ def _two_resolution_matches(z_raw: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
     return matched
 
 
-def classify_parity(mode, grid: Grid) -> str:
-    """Reflection parity of a displacement profile on the symmetric grid.
+def classify_parity(v: np.ndarray, grid: Grid) -> str:
+    """Reflection parity of a displacement profile v on the symmetric grid.
 
-    For the two-component problem, symmetric means (v1 odd, v3 even) and
-    antisymmetric the mirrored pattern; a scalar channel is symmetric when
-    even, each up to PARITY_TOL.  Accepts a Mode or a bare
-    component-stacked vector.
+    v is component-stacked.  For the two-component problem, symmetric
+    means (v1 odd, v3 even) and antisymmetric the mirrored pattern; a
+    scalar channel is symmetric when even, each up to PARITY_TOL.
     """
-    v = np.asarray(getattr(mode, "v", mode))
+    v = np.asarray(v)
     comps = v.reshape(-1, grid.n)
     scale = float(np.max(np.abs(v)))
     if scale == 0.0:
@@ -578,13 +561,13 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
     normalized to unit energy norm, phase-fixed, and sorted by (|beta|,
     Re beta, Im beta): every beta has its exact negative and conjugate, so
     the |beta| ties of a group are bitwise and the row order is fixed.
-    Residuals and norms are taken for a block's columns at once.  The 2n
-    reference runs first, before the eigenvectors are held.
+    A block's columns are normalized at once, then placed in sort order.
+    The 2n reference runs first, before the eigenvectors are held.
     """
     dim = op.pencil.n_channels * op.pencil.grid.n
     references = _reference_spectrum(op.pencil)
     blocks = _eigensolve(op)
-    modes = []
+    kept, vs = [], []
     for block, reference in zip(blocks, references):
         cols = np.flatnonzero(_two_resolution_matches(block.z, reference))
         cols = cols[np.linalg.norm(block.u[:, cols], axis=0) != 0.0]
@@ -596,13 +579,26 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
                                           _real_matmul(op.gram, big_v))))
         top = big_v[np.argmax(np.abs(big_v[:dim]), axis=0), np.arange(cols.size)]
         big_v *= np.abs(top) / top
-        modes += [Mode(mu=complex(mu), beta=complex(mu) / 1j, v=big_v[:dim, k].copy(),
-                       big_v=big_v[:, k].copy(), residual=float(res[k]),
-                       parity=block.parity or PARITY_MIXED, w=block.left[:, col].copy())
-                  for k, (mu, col) in enumerate(zip(z, cols))]
+        kept.append((cols, res))
+        vs.append(big_v)
 
-    modes.sort(key=lambda md: (abs(md.beta), md.beta.real, md.beta.imag))
-    return ModeSet(modes=tuple(modes), op=op, accept_tol=float(accept_tol),
+    sizes = [cols.size for cols, _res in kept]
+    mu = np.concatenate([block.z[cols] for block, (cols, _res) in zip(blocks, kept)])
+    beta = mu / 1j
+    order = np.lexsort((beta.imag, beta.real, np.abs(beta)))
+    at = np.split(np.argsort(order), np.cumsum(sizes)[:-1])  # each block's sorted places
+    # made after the normalization temporaries are gone, and each block's
+    # states are freed as they are placed, so no peak holds two copies
+    states = np.empty((2 * dim, mu.size), dtype=complex)
+    for places in at:
+        states[:, places] = vs.pop(0)
+    left = np.empty_like(states)
+    for block, (cols, _res), places in zip(blocks, kept, at):
+        left[:, places] = block.left[:, cols]
+    return ModeSet(mu=mu[order], states=states, left=left,
+                   residuals=np.concatenate([res for _cols, res in kept])[order],
+                   parity=np.repeat([b.parity or PARITY_MIXED for b in blocks], sizes)[order],
+                   op=op, accept_tol=float(accept_tol),
                    raw_count=sum(int(block.z.size) for block in blocks))
 
 
@@ -689,19 +685,19 @@ def detect_jordan_chains(mode_set: ModeSet, cluster_tol: float = DEFECT_PAIR_TOL
         raise ValueError(f"cluster_tol = {cluster_tol!r} must be finite and at least "
                          f"DEFECT_PAIR_TOL = {DEFECT_PAIR_TOL:g}, or split defective "
                          "pairs become singletons and lose their associated modes")
-    modes, pencil = mode_set.modes, mode_set.op.pencil
-    zs = np.array([mode.mu for mode in modes])
+    pencil, zs = mode_set.op.pencil, mode_set.mu
+    profiles = mode_set.states[:pencil.n_channels * pencil.grid.n]
     chains = []
     for group in _cluster_indices(zs, cluster_tol):
         if len(group) == 1:
-            mode = modes[group[0]]
-            chains.append(JordanChain(mu=mode.mu,
-                                      vectors=(mode.v / np.linalg.norm(mode.v),),
-                                      relation_residuals=(mode.residual,),
+            k = group[0]
+            v = profiles[:, k]
+            chains.append(JordanChain(mu=complex(zs[k]), vectors=(v / np.linalg.norm(v),),
+                                      relation_residuals=(float(mode_set.residuals[k]),),
                                       mode_indices=group))
             continue
         mu = complex(np.mean(zs[list(group)]))
-        stack = np.column_stack([modes[i].v for i in group])
+        stack = profiles[:, list(group)]
         u, s, _ = np.linalg.svd(stack / np.linalg.norm(stack, axis=0),
                                 full_matrices=False)
         for k in range(max(1, int(np.sum(s > RANK_TOL * s[0])))):
@@ -727,21 +723,20 @@ def biorthogonalize(mode_set: ModeSet) -> BiorthogonalSystem:
     Modes are grouped into DEFECT_PAIR_TOL clusters, the blocks of
     detect_jordan_chains, and taken in cluster order.  The energy-metric
     left vectors W_k = G^-1 E w_k come from one solve against the Gram
-    factor, with w_k the mode's own left eigenvector Mode.w, so
-    <V_n, W_k>_gram = (E w_k)^H V_n vanishes across distinct eigenvalues.
-    Each diagonal pairing block is inverted onto the identity
-    (near-defective clusters are handled as blocks), and a numerically
-    singular block raises.
+    factor, with w_k the mode's own left eigenvector ModeSet.left[:, k],
+    so <V_n, W_k>_gram = (E w_k)^H V_n vanishes across distinct
+    eigenvalues.  Each diagonal pairing block is inverted onto the
+    identity (near-defective clusters are handled as blocks), and a
+    numerically singular block raises.
     """
-    modes, op = mode_set.modes, mode_set.op
-    if not modes:
+    op = mode_set.op
+    if not len(mode_set):
         raise ValueError("empty mode set")
-    zs = np.array([mode.mu for mode in modes])
-    blocks = _cluster_indices(zs, DEFECT_PAIR_TOL)
+    blocks = _cluster_indices(mode_set.mu, DEFECT_PAIR_TOL)
     perm = [i for group in blocks for i in group]
 
-    right = np.column_stack([modes[i].big_v for i in perm])
-    ew = np.column_stack([op.mask * modes[i].w for i in perm])
+    right = mode_set.states[:, perm]
+    ew = op.mask[:, None] * mode_set.left[:, perm]
     # the real and imaginary parts of E w side by side, one real
     # right-hand side, so the real factor is never cast to complex
     parts = scipy.linalg.cho_solve((op.gram_cholesky, True), np.hstack([ew.real, ew.imag]),
@@ -757,7 +752,7 @@ def biorthogonalize(mode_set: ModeSet) -> BiorthogonalSystem:
         stop = start + len(group)
         block = pairing[start:stop, start:stop]
         if np.linalg.cond(block) > 1e12:
-            mu = modes[group[0]].mu
+            mu = mode_set.mu[group[0]]
             raise ValueError(f"pairing block at mu = {mu:.6g} is numerically "
                              "singular; biorthogonal normalization failed")
         inverse = np.linalg.inv(block)
@@ -766,6 +761,5 @@ def biorthogonalize(mode_set: ModeSet) -> BiorthogonalSystem:
         start = stop
     pairing = ew_h @ right
 
-    grouped = tuple(tuple(modes[i] for i in group) for group in blocks)
-    return BiorthogonalSystem(modes=grouped, left_vectors=left, pairing=pairing,
-                              op=op)
+    return BiorthogonalSystem(blocks=tuple(blocks), states=right, left_vectors=left,
+                              pairing=pairing, op=op)

@@ -279,8 +279,8 @@ def test_resolvent_scan_skips_probe_on_spectrum(bench_op, bench_modes):
     # beta > 0), where the LU still succeeds but its reciprocal condition
     # collapses; the row order inside the pair follows rounding, so the
     # member on the ray is picked by its angle
-    on_ray = [mode.mu for mode in bench_modes.modes[:2]
-              if abs(np.angle(mode.mu) - five_rays()[0]) <= 1e-12]
+    on_ray = [mu for mu in bench_modes.mu[:2]
+              if abs(np.angle(mu) - five_rays()[0]) <= 1e-12]
     assert len(on_ray) == 1
     mu = on_ray[0]
     scan = resolvent_scan(bench_op, THETA0, (abs(mu), 2.0))
@@ -357,16 +357,16 @@ def test_resolvent_split_matches_whole(bench, bc, n):
     # gates the whole probe; each of the first 20 trips its own block
     blocks = _probe_blocks(op)
     labels = [parity or PARITY_MIXED for parity, _pairing in _pairings(op.pencil)]
-    modes = solve_modes(op).modes
+    modes = solve_modes(op)
     for label in labels:
-        mode = next(mode for mode in modes if mode.parity == label)
-        gated = [_resolvent_probe([block], mode.mu, RCOND_MIN) is None
+        mu = modes.mu[np.flatnonzero(modes.parity == label)[0]]
+        gated = [_resolvent_probe([block], mu, RCOND_MIN) is None
                  for block in blocks]
         assert gated == [other == label for other in labels]
-        assert _resolvent_probe(blocks, mode.mu, RCOND_MIN) is None
-    for mode in modes[:20]:
-        a, b = blocks[labels.index(mode.parity)][:2]
-        assert _shifted_lu(a, b, -mode.mu ** 2, RCOND_MIN) is None
+        assert _resolvent_probe(blocks, mu, RCOND_MIN) is None
+    for mu, parity in zip(modes.mu[:20], modes.parity[:20]):
+        a, b = blocks[labels.index(parity)][:2]
+        assert _shifted_lu(a, b, -mu ** 2, RCOND_MIN) is None
 
 
 def test_clamped_probes_off_the_spectrum_pass_the_gate(bench, clamped_modes):
@@ -398,13 +398,19 @@ def test_nonorthogonality_witness_benchmark(bench_modes, bench_op):
     assert 0.01 <= value <= 1.0 + 1e-12
 
 
+def _columns(mode_set, cols):
+    """The mode set made of the given columns, repeats allowed."""
+    return dataclasses.replace(mode_set, mu=mode_set.mu[cols], states=mode_set.states[:, cols],
+                               left=mode_set.left[:, cols], residuals=mode_set.residuals[cols],
+                               parity=mode_set.parity[cols])
+
+
 def test_nonorthogonality_witness_skips_coinciding_eigenvalues(bench_modes):
     # a copy of a mode has gram product 1 with it, above every admissible
     # pair, but its eigenvalue coincides with the original's
-    first = bench_modes.modes[0]
-    doubled = dataclasses.replace(bench_modes, modes=bench_modes.modes + (first,))
+    doubled = _columns(bench_modes, list(range(len(bench_modes))) + [0])
     assert nonorthogonality_witness(doubled) == nonorthogonality_witness(bench_modes)
-    alone = dataclasses.replace(bench_modes, modes=(first, first))
+    alone = _columns(bench_modes, [0, 0])
     assert nonorthogonality_witness(alone) == ((0, 1), -1.0)
 
 
@@ -414,7 +420,7 @@ def test_nonorthogonality_witness_skips_split_defective_pairs(zgv_modes):
     # 0.99999999999913 at n = 64); the witness must come from distinct
     # eigenvalues
     (i, j), value = nonorthogonality_witness(zgv_modes)
-    mus = [zgv_modes.modes[k].mu for k in (i, j)]
+    mus = zgv_modes.mu[[i, j]]
     assert not _coincide(mus[:1], mus[1:], DEFECT_PAIR_TOL)[0, 0]
     assert 0.01 <= value < 0.99
 
@@ -478,7 +484,7 @@ def test_eliminated_operator_matches_masked_spectrum(bench):
 
 def test_expand_single_mode(bench_system, bench_op):
     dim = bench_op.m.shape[0] // 2
-    target = bench_system.flat_modes[0].big_v[:dim]
+    target = bench_system.states[:dim, 0]
     report = expand_field(bench_system, target, (1, 3))
     assert report.n_modes_used == (1, 3)
     assert report.residuals[0] <= 1e-10
@@ -486,9 +492,8 @@ def test_expand_single_mode(bench_system, bench_op):
 
 
 def test_expand_two_mode_combination(bench_system, bench_op):
-    modes = bench_system.flat_modes
     dim = bench_op.m.shape[0] // 2
-    target = 0.3 * modes[0].big_v[:dim] + 0.7 * modes[1].big_v[:dim]
+    target = 0.3 * bench_system.states[:dim, 0] + 0.7 * bench_system.states[:dim, 1]
     report = expand_field(bench_system, target, (2,))
     assert report.residuals[0] <= 1e-8
 
@@ -504,9 +509,8 @@ def test_expand_least_squares_monotone(bench_system, bench_op):
 
 
 def test_expand_displacement_target_uses_field_metric(bench_system, bench_op):
-    mode = bench_system.flat_modes[2]
     dim = bench_op.m.shape[0] // 2
-    report = expand_field(bench_system, mode.big_v[:dim], (3,))
+    report = expand_field(bench_system, bench_system.states[:dim, 2], (3,))
     assert report.residuals[0] <= 1e-10
 
 

@@ -323,6 +323,20 @@ def test_completeness_csv(tmp_path, capsys):
         assert residuals[-1] <= 0.1 * residuals[0]
 
 
+def test_expansions_do_not_build_the_biorthogonal_system(tmp_path, capsys, monkeypatch):
+    # completeness and verify expand over the mode set's own columns, in
+    # |beta| order; no left vector or pairing enters an expansion
+    def refuse(mode_set):
+        raise AssertionError("biorthogonalize was called")
+
+    monkeypatch.setattr(cli, "biorthogonalize", refuse)
+    path = write_config(tmp_path, {"n_colloc": 64})
+    assert run(["completeness", "--config", path]) == 0
+    assert capsys.readouterr().out.startswith("target,k,residual\n")
+    assert run(["verify", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 # ----------------------------------------------------------------------
 # verification gate
 
@@ -413,8 +427,7 @@ def test_verify_ray_ratio_can_fail(tmp_path, capsys, bench_modes):
     # of times larger but the LU is still well enough conditioned to keep;
     # the row order inside the first +-beta pair follows rounding, so the
     # member on ray 0 is picked by its angle
-    on_ray = [mode.beta for mode in bench_modes.modes[:2]
-              if abs(np.angle(mode.beta)) <= 1e-12]
+    on_ray = [beta for beta in bench_modes.betas[:2] if abs(np.angle(beta)) <= 1e-12]
     assert len(on_ray) == 1
     beta0 = on_ray[0]
     moduli = [0.5 * abs(beta0), 1.001 * abs(beta0)]

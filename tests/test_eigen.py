@@ -60,7 +60,7 @@ def test_benchmark_counts(bench_modes):
 
 
 def test_benchmark_residual_gate(bench_modes):
-    worst = max(mode.residual for mode in bench_modes)
+    worst = np.max(bench_modes.residuals)
     assert worst <= bench_modes.accept_tol == 1e-8
 
 
@@ -83,22 +83,27 @@ def test_spectrum_closed_under_negation_and_conjugation(bench_modes):
         assert np.all(dist <= tol)
 
 
-def test_mode_normalization_and_phase(bench_op, bench_modes):
-    for mode in list(bench_modes)[:20]:
-        energy = np.sqrt(abs(np.vdot(mode.big_v, bench_op.gram @ mode.big_v)))
-        assert energy == pytest.approx(1.0, abs=1e-12)
-        top = mode.v[np.argmax(np.abs(mode.v))]
-        assert abs(top.imag) <= 1e-12
-        assert top.real > 0
-
-
-def test_state_vector_structure(bench_modes):
-    dim = bench_modes.op.pencil.grid.n * bench_modes.op.pencil.n_channels
-    for mode in list(bench_modes)[:10]:
-        np.testing.assert_array_equal(mode.big_v[:dim], mode.v)
-        np.testing.assert_allclose(mode.big_v[dim:], mode.mu * mode.v,
-                                   rtol=1e-12, atol=1e-12)
-        assert mode.mu == pytest.approx(1j * mode.beta, rel=1e-15)
+def test_mode_normalization_and_phase(bench_modes, clamped_modes, sh_modes, zgv_modes):
+    # every column is a read-only state (v, mu v) of unit energy norm with
+    # the largest entry of v real positive, in one column order with its
+    # beta, its block label and the biorthogonal system's states
+    for mode_set in (bench_modes, clamped_modes, sh_modes, zgv_modes):
+        op, mu, states = mode_set.op, mode_set.mu, mode_set.states
+        dim = op.mask.size // 2
+        for array in (mu, states, mode_set.left, mode_set.residuals, mode_set.parity):
+            assert not array.flags.writeable
+        assert states.shape == mode_set.left.shape == (2 * dim, len(mode_set))
+        energy = np.sqrt(np.abs(np.einsum("ij,ij->j", states.conj(), op.gram @ states)))
+        np.testing.assert_allclose(energy, 1.0, rtol=0.0, atol=1e-12)
+        top = states[np.argmax(np.abs(states[:dim]), axis=0), np.arange(len(mode_set))]
+        assert np.all(np.abs(top.imag) <= 1e-12) and np.all(top.real > 0)
+        np.testing.assert_allclose(states[dim:], mu * states[:dim], rtol=1e-12, atol=1e-12)
+        assert mode_set.betas.tobytes() == (mu / 1j).tobytes()
+        assert all(classify_parity(states[:dim, k], op.pencil.grid) == mode_set.parity[k]
+                   for k in range(len(mode_set)))
+        system = biorthogonalize(mode_set)
+        assert np.array_equal(system.states,
+                              states[:, [i for group in system.blocks for i in group]])
 
 
 def test_parity_labels_on_real_branches(bench_modes):
@@ -106,12 +111,11 @@ def test_parity_labels_on_real_branches(bench_modes):
     for root, parity in ((SYM_REAL[0], PARITY_SYMMETRIC),
                          (ANTI_REAL[0], PARITY_ANTISYMMETRIC)):
         k = int(np.argmin(np.abs(betas - root)))
-        assert bench_modes.modes[k].parity == parity
+        assert bench_modes.parity[k] == parity
 
 
 def test_no_mixed_parity_in_symmetric_geometry(bench_modes):
-    assert all(mode.parity in (PARITY_SYMMETRIC, PARITY_ANTISYMMETRIC)
-               for mode in bench_modes)
+    assert set(bench_modes.parity) <= {PARITY_SYMMETRIC, PARITY_ANTISYMMETRIC}
 
 
 # ----------------------------------------------------------------------
@@ -148,17 +152,12 @@ def test_split_spectrum_matches_unsplit(bench, n, n_channels):
         assert np.all(np.linalg.norm(defect, axis=1)[small] <= 1e-12 * scale[small])
 
 
-def test_block_labels_agree_with_classify_parity(bench_modes, sh_modes):
-    for mode_set in (bench_modes, sh_modes):
-        assert all(classify_parity(mode, mode_set.op.pencil.grid) == mode.parity
-                   for mode in mode_set)
-
-
 def test_biorthogonalize_uses_split_left_vectors(bench_modes, bench_system):
     # every retained mode is paired, and the left vectors of one parity
     # block are blind to the right vectors of the other to rounding
-    assert len(bench_system.flat_modes) == len(bench_modes)
-    parity = np.array([mode.parity for mode in bench_system.flat_modes])
+    order = [i for group in bench_system.blocks for i in group]
+    assert sorted(order) == list(range(len(bench_modes)))
+    parity = bench_modes.parity[order]
     cross = parity[:, None] != parity[None, :]
     assert cross.any()
     assert np.max(np.abs(bench_system.pairing[cross])) <= 1e-12
@@ -188,12 +187,11 @@ def test_clamped_plate_is_solved_whole(clamped_op, clamped_modes):
 
 def test_clamped_counts_and_residuals(clamped_modes):
     assert len(clamped_modes) == CLAMPED_RETAINED
-    worst = max(mode.residual for mode in clamped_modes)
-    assert worst <= 1e-8
+    assert np.max(clamped_modes.residuals) <= 1e-8
 
 
 def test_clamped_modes_are_parity_mixed(clamped_modes):
-    assert all(mode.parity == PARITY_MIXED for mode in clamped_modes)
+    assert np.all(clamped_modes.parity == PARITY_MIXED)
 
 
 # ----------------------------------------------------------------------
@@ -246,8 +244,7 @@ def test_semisimple_double_eigenvalue_at_cutoff_coincidence():
     material = make_material(2.0, 1.0, 1.0, 1.0, float(np.pi))
     op = assemble_operator(material, 64, BCKind.FREE_FREE)
     modes = solve_modes(op)
-    at_zero = [mode for mode in modes if abs(mode.beta) < 1e-6]
-    assert len(at_zero) == 2
+    assert np.count_nonzero(np.abs(modes.betas) < 1e-6) == 2
     chains = detect_jordan_chains(modes)
     near_zero = [chain for chain in chains if abs(chain.mu) < 1e-6]
     assert len(near_zero) == 2
@@ -320,17 +317,16 @@ def test_no_singleton_extends(request, name, defective):
     # at DEFECT_PAIR_TOL too, and none of them may extend
     mode_set = request.getfixturevalue(name)
     pencil, chain_tol = mode_set.op.pencil, 1e-6
-    zs = np.array([mode.mu for mode in mode_set])
+    zs, profiles = mode_set.mu, mode_set.states[:mode_set.op.mask.size // 2]
     singletons = [group[0] for group in _cluster_indices(zs, DEFECT_PAIR_TOL)
                   if len(group) == 1]
     assert singletons
     for k in singletons:
-        mode = mode_set.modes[k]
-        head = mode.v / np.linalg.norm(mode.v)
-        v_next, cert = _try_extend(pencil, mode.mu, [head])
+        head = profiles[:, k] / np.linalg.norm(profiles[:, k])
+        v_next, cert = _try_extend(pencil, zs[k], [head])
         assert v_next is not None
         assert (cert > chain_tol or _relation_residuals(
-            pencil, mode.mu, [head, v_next])[-1] > chain_tol)
+            pencil, zs[k], [head, v_next])[-1] > chain_tol)
     chains = detect_jordan_chains(mode_set, chain_tol=chain_tol)
     assert {chain.mode_indices[0]: chain.length for chain in chains
             if len(chain.mode_indices) == 1} == dict.fromkeys(singletons, 1)
@@ -652,7 +648,7 @@ def test_biorthogonalize_rejects_an_empty_mode_set(bench):
 def test_biorthogonal_pairing_is_identity(bench_system):
     pairing = bench_system.pairing
     k = pairing.shape[0]
-    assert k == len(bench_system.flat_modes)
+    assert k == bench_system.states.shape[1]
     assert np.max(np.abs(pairing - np.eye(k))) <= 1e-8
 
 
@@ -661,9 +657,8 @@ def test_biorthogonal_left_vectors_pair_through_gram(request, name):
     # the pairing is formed from E w; the left vectors themselves must
     # pair to the identity through the Gram matrix, W^H G V = I
     system = biorthogonalize(request.getfixturevalue(name))
-    right = np.column_stack([mode.big_v for mode in system.flat_modes])
-    through_gram = system.left_vectors.conj().T @ system.op.gram @ right
-    assert np.max(np.abs(through_gram - np.eye(right.shape[1]))) <= 1e-8
+    through_gram = system.left_vectors.conj().T @ system.op.gram @ system.states
+    assert np.max(np.abs(through_gram - np.eye(system.states.shape[1]))) <= 1e-8
 
 
 def test_left_vectors_live_in_the_masked_range(bench_op, bench_system):
