@@ -84,9 +84,9 @@ def test_spectrum_closed_under_negation_and_conjugation(bench_modes):
 
 
 def test_mode_normalization_and_phase(bench_modes, clamped_modes, sh_modes, zgv_modes):
-    # every column is a read-only state (v, mu v) of unit energy norm with
-    # the largest entry of v real positive, in one column order with its
-    # beta, its block label and the biorthogonal system's states
+    # every column is a read-only state of unit energy norm with the
+    # largest entry of v real positive, in the column order of the
+    # biorthogonal system's states
     for mode_set in (bench_modes, clamped_modes, sh_modes, zgv_modes):
         op, mu, states = mode_set.op, mode_set.mu, mode_set.states
         dim = op.mask.size // 2
@@ -97,13 +97,18 @@ def test_mode_normalization_and_phase(bench_modes, clamped_modes, sh_modes, zgv_
         np.testing.assert_allclose(energy, 1.0, rtol=0.0, atol=1e-12)
         top = states[np.argmax(np.abs(states[:dim]), axis=0), np.arange(len(mode_set))]
         assert np.all(np.abs(top.imag) <= 1e-12) and np.all(top.real > 0)
-        np.testing.assert_allclose(states[dim:], mu * states[:dim], rtol=1e-12, atol=1e-12)
-        assert mode_set.betas.tobytes() == (mu / 1j).tobytes()
-        assert all(classify_parity(states[:dim, k], op.pencil.grid) == mode_set.parity[k]
-                   for k in range(len(mode_set)))
         system = biorthogonalize(mode_set)
         assert np.array_equal(system.states,
                               states[:, [i for group in system.blocks for i in group]])
+
+
+def test_state_vector_structure(bench_modes, clamped_modes, sh_modes, zgv_modes):
+    # each column is (v, mu v) with mu = i beta in one column order
+    for mode_set in (bench_modes, clamped_modes, sh_modes, zgv_modes):
+        mu, states = mode_set.mu, mode_set.states
+        dim = mode_set.op.mask.size // 2
+        np.testing.assert_allclose(states[dim:], mu * states[:dim], rtol=1e-12, atol=1e-12)
+        assert mode_set.betas.tobytes() == (mu / 1j).tobytes()
 
 
 def test_parity_labels_on_real_branches(bench_modes):
@@ -150,6 +155,14 @@ def test_split_spectrum_matches_unsplit(bench, n, n_channels):
         defect = vl.conj().T @ op.m - (vl.conj().T * op.mask) * block.z[:, None]
         scale = np.linalg.norm(op.m) * np.linalg.norm(vl, axis=0)
         assert np.all(np.linalg.norm(defect, axis=1)[small] <= 1e-12 * scale[small])
+
+
+def test_block_labels_agree_with_classify_parity(bench_modes, clamped_modes, sh_modes,
+                                                 zgv_modes):
+    for mode_set in (bench_modes, clamped_modes, sh_modes, zgv_modes):
+        profiles, grid = mode_set.states[:mode_set.op.mask.size // 2], mode_set.op.pencil.grid
+        assert all(classify_parity(profiles[:, k], grid) == mode_set.parity[k]
+                   for k in range(len(mode_set)))
 
 
 def test_biorthogonalize_uses_split_left_vectors(bench_modes, bench_system):
