@@ -232,6 +232,20 @@ def resolvent_norms(op: DiscreteOperator, z: complex):
     return _resolvent_probe(_probe_blocks(op), z, 0.0)
 
 
+def _checked_moduli(moduli) -> tuple:
+    """The moduli as floats; ValueError unless finite with finite squares, positive, increasing."""
+    moduli = tuple(float(m) for m in moduli)
+    if not all(np.isfinite(moduli)):
+        raise ValueError("moduli must be finite")
+    if not all(np.isfinite(m * m) for m in moduli):
+        raise ValueError("moduli must have finite squares (below about 1.34e154)")
+    if not moduli or any(m <= 0 for m in moduli):
+        raise ValueError("moduli must be positive")
+    if any(b <= a for a, b in zip(moduli, moduli[1:])):
+        raise ValueError("moduli must be strictly increasing")
+    return moduli
+
+
 def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan:
     """Probe the resolvent norms on the five rays at the given moduli.
 
@@ -254,16 +268,7 @@ def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan
     """
     if not (THETA0_MIN < theta0 < THETA0_MAX):
         raise ValueError("theta0 outside the admissible interval (2*pi/5, pi/2)")
-    moduli = tuple(float(m) for m in moduli)
-    if not all(np.isfinite(moduli)):
-        raise ValueError("moduli must be finite")
-    if not all(np.isfinite(m * m) for m in moduli):
-        raise ValueError("moduli must have finite squares (below about 1.34e154)")
-    if not moduli or any(m <= 0 for m in moduli):
-        raise ValueError("moduli must be positive")
-    if any(b <= a for a, b in zip(moduli, moduli[1:])):
-        raise ValueError("moduli must be strictly increasing")
-
+    moduli = _checked_moduli(moduli)
     blocks = _probe_blocks(op)
     rays = five_rays()
     norms = np.full((len(rays), len(moduli)), np.nan)

@@ -24,10 +24,10 @@ Determinism: all randomness is derived from the config seed, every float
 is written with 17 significant digits, and every subcommand runs on one
 BLAS thread whatever the environment asks for (`_blas.one_thread`), so
 identical configs give byte-identical output at any BLAS thread count.
-Large arrays are mapped afresh rather than carved from the heap
-(`_heap.map_large_arrays`), so a run's peak memory does not depend on
-the runs before it in the same process.  Exit codes: 0 success, 1
-failed verification or runtime error, 2 config violation (the message
+A run fixes the process's malloc thresholds (`_heap.map_large_arrays`),
+so repeated solves reuse the heap instead of handing it back and
+faulting it in again.  Exit codes: 0 success, 1 failed verification or
+runtime error, 2 config violation or an unwritable --out (the message
 names the constraint).
 """
 
@@ -45,6 +45,7 @@ import numpy as np
 from ._blas import one_thread
 from ._heap import map_large_arrays
 from .analysis import (
+    _checked_moduli,
     adjoint_defect,
     coercivity_scan,
     expand_field,
@@ -76,10 +77,17 @@ THETA0_DEFAULT = 0.45 * np.pi
 #: memory one subcommand may take.  The largest path is verify: its
 #: tracemalloc peak is about twelve 4n x 4n float64 arrays (11.6-12.0 at n =
 #: 64 and 128 on both plates), set by the adjoint defect (free-free) or the
-#: resolvent scan (clamped); modes peaks in solve_modes at 8.4-10.8 (plus, for
-#: dispersion, CSV rows that grow with the steps).  The bound allows 32
+#: resolvent scan (clamped); modes peaks in solve_modes at 8.4-10.8.  The
+#: bound allows 32
 MEMORY_BUDGET = 4 * 2 ** 30
 N_COLLOC_MAX = math.isqrt(MEMORY_BUDGET // (32 * 16 * 8))
+#: one solve_modes peak in 4n x 4n float64 arrays, the 8.4-10.8 above rounded up
+SOLVE_ARRAYS = 11
+#: memory per dispersion CSV row.  tracemalloc peaks in _csv at 682 B a row
+#: when every number prints at its full 24 characters (563 B a row on the
+#: dispersion-clamped-n32 sweep).  A step writes at most 4 n_colloc rows, one
+#: per finite eigenvalue, and the rows share the budget with one solve.
+CSV_ROW_BYTES = 688
 
 _BC_NAMES = {"free-free": BCKind.FREE_FREE, "clamped-free": BCKind.CLAMPED_FREE}
 _REQUIRED_KEYS = ("lambda", "mu", "rho", "h", "omega")
@@ -135,7 +143,8 @@ def parse_config(doc) -> RunConfig:
     invalid material values (e.g. "h ≤ 0"), n_colloc < 8 or above
     N_COLLOC_MAX (checked before anything is allocated), theta0 outside
     (2*pi/5, pi/2), moduli that are non-increasing or whose squares
-    overflow, or a malformed omega_sweep.
+    overflow, or a malformed omega_sweep or one whose rows could exceed
+    MEMORY_BUDGET.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -182,15 +191,10 @@ def parse_config(doc) -> RunConfig:
         if (not isinstance(raw, list) or not raw
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
             raise ConfigError("moduli must be a non-empty list of numbers")
-        moduli = tuple(float(v) for v in raw)
-        if not all(math.isfinite(v) for v in moduli):
-            raise ConfigError("moduli must be finite")
-        if not all(math.isfinite(v * v) for v in moduli):
-            raise ConfigError("moduli must have finite squares (below about 1.34e154)")
-        if any(v <= 0.0 for v in moduli):
-            raise ConfigError("moduli must be positive")
-        if any(b <= a for a, b in zip(moduli, moduli[1:])):
-            raise ConfigError("moduli must be strictly increasing")
+        try:
+            moduli = _checked_moduli(raw)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     omega_sweep = None
     if "omega_sweep" in doc:
@@ -214,6 +218,10 @@ def parse_config(doc) -> RunConfig:
             raise ConfigError("omega_sweep stop ≤ start")
         if steps < 2:
             raise ConfigError("omega_sweep steps < 2")
+        rows_budget = MEMORY_BUDGET - SOLVE_ARRAYS * (4 * n_colloc) ** 2 * 8
+        if steps > (max_steps := rows_budget // (4 * n_colloc * CSV_ROW_BYTES)):
+            raise ConfigError(f"omega_sweep steps > {max_steps} at n_colloc={n_colloc}: rows "
+                              f"could exceed the {MEMORY_BUDGET / 2 ** 30:g} GiB memory budget")
         omega_sweep = (start, stop, steps)
 
     return RunConfig(material=material, bc=_BC_NAMES[bc_name], n_colloc=n_colloc,
@@ -501,8 +509,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(payload: str, out) -> None:
     if out is None:
         sys.stdout.write(payload)
-    else:
+        return
+    try:
         Path(out).write_text(payload)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def run(argv) -> int:
@@ -519,20 +530,19 @@ def run(argv) -> int:
             config = load_config(args.config)
             if args.command == "verify":
                 payload, passed = _cmd_verify(config)
-                _emit(payload, args.out)
-                return 0 if passed else 1
-            handler = {"modes": _cmd_modes, "dispersion": _cmd_dispersion,
-                       "resolvent": _cmd_resolvent,
-                       "completeness": _cmd_completeness}[args.command]
-            payload = handler(config)
+            else:
+                handler = {"modes": _cmd_modes, "dispersion": _cmd_dispersion,
+                           "resolvent": _cmd_resolvent,
+                           "completeness": _cmd_completeness}[args.command]
+                payload, passed = handler(config), True
+            _emit(payload, args.out)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         except (np.linalg.LinAlgError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        _emit(payload, args.out)
-        return 0
+        return 0 if passed else 1
 
 
 def main() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -16,7 +17,10 @@ import pytest
 import lambspec
 from lambspec import BCKind, DiscreteOperator, _blas, analysis, cli
 from lambspec.cli import (
+    CSV_ROW_BYTES,
+    MEMORY_BUDGET,
     N_COLLOC_MAX,
+    SOLVE_ARRAYS,
     THETA0_DEFAULT,
     ConfigError,
     _closure_defects,
@@ -92,6 +96,8 @@ def test_parse_config_accepts_clamped():
          "stop must be finite"),
         ({"n_colloc": 10 ** 6}, (), f"n_colloc > {N_COLLOC_MAX}"),
         ({"moduli": [1.0, 1e160]}, (), "moduli must have finite squares"),
+        ({"omega_sweep": {"start": 1.0, "stop": 2.0, "steps": 10 ** 12}}, (),
+         "rows could exceed the 4 GiB memory budget"),
     ],
 )
 def test_parse_config_rejections(overrides, drop, fragment):
@@ -110,6 +116,18 @@ def test_moduli_whose_squares_overflow_exit_2(tmp_path, capsys, command):
     path = write_config(tmp_path, {"n_colloc": 16, "moduli": [1.0, 1e160]})
     assert run([command, "--config", path]) == 2
     assert "moduli must have finite squares" in capsys.readouterr().err
+
+
+def test_largest_sweep_within_the_budget_parses():
+    # n_colloc = 64 solves keep at most 256 eigenvalues, one row each per
+    # step, and the rows share the budget with one solve's 256 x 256 arrays
+    largest = (MEMORY_BUDGET - SOLVE_ARRAYS * 256 ** 2 * 8) // (256 * CSV_ROW_BYTES)
+    assert largest == 24352
+    sweep = {"start": 1.0, "stop": 2.0, "steps": largest}
+    assert parse_config(dict(BASE, omega_sweep=sweep)).omega_sweep == (1.0, 2.0, largest)
+    sweep["steps"] += 1
+    with pytest.raises(ConfigError, match=f"omega_sweep steps > {largest} at n_colloc=64"):
+        parse_config(dict(BASE, omega_sweep=sweep))
 
 
 def test_parse_config_rejects_non_object():
@@ -214,6 +232,16 @@ def test_oversized_grid_exits_with_code_2(tmp_path, capsys):
     path = write_config(tmp_path, {"n_colloc": 10 ** 6})
     assert run(["modes", "--config", path]) == 2
     assert "memory budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["modes", "verify"])
+def test_unwritable_out_exits_with_code_2(tmp_path, capsys, command):
+    path = write_config(tmp_path, {"n_colloc": 16})
+    out = tmp_path / "missing" / "result.csv"
+    assert run([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ")
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_unreadable_config_exits_with_code_2(tmp_path, capsys):
@@ -418,6 +446,40 @@ def test_verify_adjoint_defect_can_fail(tmp_path, capsys, monkeypatch):
     assert payload["passed"] is False
     failing = [c["name"] for c in payload["checks"] if not c["pass"]]
     assert failing == ["adjoint_defect"]
+
+
+def test_verify_parity_resolved_can_fail(tmp_path, capsys, monkeypatch):
+    # a block label that disagrees with its profile's reflection symmetry
+    solve = cli._solve
+
+    def one_label_swapped(config, material=None):
+        modes = solve(config, material)
+        parity = modes.parity.copy()
+        parity[0] = {"symmetric": "antisymmetric", "antisymmetric": "symmetric"}[parity[0]]
+        return dataclasses.replace(modes, parity=parity)
+
+    monkeypatch.setattr(cli, "_solve", one_label_swapped)
+    path = write_config(tmp_path)
+    assert run(["verify", "--config", path]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["parity_resolved"]["measured"] == 1.0
+    assert [name for name, c in checks.items() if not c["pass"]] == ["parity_resolved"]
+
+
+def test_verify_resolvent_skipped_probes_can_fail(tmp_path, capsys, bench_modes):
+    # the second modulus is |beta_0| of the real mode on ray 0, where the
+    # probe's LU is too ill-conditioned to keep (as in the analysis test
+    # test_resolvent_scan_skips_probe_on_spectrum)
+    on_ray = [beta for beta in bench_modes.betas[:2] if abs(np.angle(beta)) <= 1e-12]
+    assert len(on_ray) == 1
+    moduli = [0.5 * abs(on_ray[0]), abs(on_ray[0])]
+    path = write_config(tmp_path, {"n_colloc": 64, "moduli": moduli})
+    assert run(["verify", "--config", path]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["resolvent_skipped_probes"]["measured"] == 1.0
+    assert {name for name, c in checks.items() if not c["pass"]} == {"resolvent_skipped_probes"}
 
 
 def test_verify_ray_ratio_can_fail(tmp_path, capsys, bench_modes):
