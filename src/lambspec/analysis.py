@@ -4,8 +4,9 @@ Everything here measures rather than assumes: the coercivity constants
 (beta0, C) of the shifted quadratic form, the resolvent operator and
 Hilbert-Schmidt norms along the five admissible rays, the completeness
 residuals of modal expansions, and the witnesses separating the operator
-from its energy-metric adjoint.  All norms are taken in the energy
-metric: for a matrix S that means the Euclidean norm of L^H S L^-H where
+from its energy-metric adjoint.  The form is weighted by the pencil blocks
+a, c, d the solver collocates.  All norms are taken in the energy metric:
+for a matrix S that means the Euclidean norm of L^H S L^-H where
 gram = L L^H is the Cholesky factorization.  Nothing here builds the
 companion matrix; the adjoint defect reads its rows off the pencil.
 
@@ -313,21 +314,18 @@ def _field_terms(forms: FormMatrices, v: np.ndarray):
     vectors vanish identically, so no cancellation of large stiffness
     entries can pollute the zero-order terms.
     """
-    lam, mu = forms.material.lam, forms.material.mu
-    rho = forms.material.rho
+    a, c, d = forms.coefficients.a, forms.coefficients.c, forms.coefficients.d
     grid = forms.grid
     w = grid.quad_weights
     v1, v3 = v[:grid.n], v[grid.n:]
     d1v1, d1v3 = grid.d1 @ v1, grid.d1 @ v3
-    a0 = float(np.sum(w * ((lam + 2.0 * mu) * np.abs(d1v1) ** 2
-                           + mu * np.abs(d1v3) ** 2)))
+    a0 = float(np.sum(w * (a[0, 0] * np.abs(d1v1) ** 2 + a[1, 1] * np.abs(d1v3) ** 2)))
     plain_mass = float(np.sum(w * (np.abs(v1) ** 2 + np.abs(v3) ** 2)))
     b_term = float(2.0 * np.real(1j * (
-        lam * np.sum(w * np.conj(d1v1) * v3)
-        - mu * np.sum(w * np.conj(v1) * d1v3))))
-    c_term = float(np.sum(w * (mu * np.abs(v1) ** 2
-                               + (lam + 2.0 * mu) * np.abs(v3) ** 2)))
-    return a0, plain_mass, rho * plain_mass, b_term, c_term
+        d[0, 1] * np.sum(w * np.conj(d1v1) * v3)
+        - d[1, 0] * np.sum(w * np.conj(v1) * d1v3))))
+    c_term = float(np.sum(w * (c[0, 0] * np.abs(v1) ** 2 + c[1, 1] * np.abs(v3) ** 2)))
+    return a0, plain_mass, forms.material.rho * plain_mass, b_term, c_term
 
 
 def quadratic_form_value(forms: FormMatrices, beta: complex, v: np.ndarray,

@@ -83,11 +83,14 @@ MEMORY_BUDGET = 4 * 2 ** 30
 N_COLLOC_MAX = math.isqrt(MEMORY_BUDGET // (32 * 16 * 8))
 #: one solve_modes peak in 4n x 4n float64 arrays, the 8.4-10.8 above rounded up
 SOLVE_ARRAYS = 11
-#: memory per dispersion CSV row.  tracemalloc peaks in _csv at 682 B a row
-#: when every number prints at its full 24 characters (563 B a row on the
-#: dispersion-clamped-n32 sweep).  A step writes at most 4 n_colloc rows, one
-#: per finite eigenvalue, and the rows share the budget with one solve.
-CSV_ROW_BYTES = 688
+#: memory per dispersion CSV row.  Each row is held as its one joined line;
+#: from the sweep's start, tracemalloc peaks in _csv at 227 B a row when every
+#: number prints at full length and branch ids have 3 digits (180 B a row on
+#: the dispersion-clamped-n32 sweep).  Ids of up to 8 digits, the most a
+#: budgeted sweep can number, add 10 B.  A step writes at most 4 n_colloc
+#: rows, one per finite eigenvalue, and the rows share the budget with one
+#: solve.
+CSV_ROW_BYTES = 240
 
 _BC_NAMES = {"free-free": BCKind.FREE_FREE, "clamped-free": BCKind.CLAMPED_FREE}
 _REQUIRED_KEYS = ("lambda", "mu", "rho", "h", "omega")
@@ -140,7 +143,8 @@ def parse_config(doc) -> RunConfig:
 
     Raises ConfigError naming the violated constraint: unknown fields,
     missing material fields, non-finite numbers (JSON Infinity or NaN),
-    invalid material values (e.g. "h ≤ 0"), n_colloc < 8 or above
+    invalid material values (e.g. "h ≤ 0", or an omega whose omega^2 rho
+    overflows, at omega and at the sweep's stop), n_colloc < 8 or above
     N_COLLOC_MAX (checked before anything is allocated), theta0 outside
     (2*pi/5, pi/2), moduli that are non-increasing or whose squares
     overflow, or a malformed omega_sweep or one whose rows could exceed
@@ -218,6 +222,10 @@ def parse_config(doc) -> RunConfig:
             raise ConfigError("omega_sweep stop ≤ start")
         if steps < 2:
             raise ConfigError("omega_sweep steps < 2")
+        try:  # the largest omega of the sweep, before any step runs
+            make_material(material.lam, material.mu, material.rho, material.h, stop)
+        except ValueError as exc:
+            raise ConfigError(f"omega_sweep stop: {exc}") from exc
         rows_budget = MEMORY_BUDGET - SOLVE_ARRAYS * (4 * n_colloc) ** 2 * 8
         if steps > (max_steps := rows_budget // (4 * n_colloc * CSV_ROW_BYTES)):
             raise ConfigError(f"omega_sweep steps > {max_steps} at n_colloc={n_colloc}: rows "
@@ -249,10 +257,13 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header, lines) -> str:
+    """The CSV text: the header, then one line per row, each ending in a newline.
+
+    The subcommands join each row into its line as they go, so a row is
+    held as one str, and the text is the one join of those lines.
+    """
+    return "\n".join([",".join(header), *lines, ""])
 
 
 def _solve(config: RunConfig, material: Material | None = None) -> ModeSet:
@@ -270,9 +281,9 @@ def _cmd_modes(config: RunConfig) -> str:
     for chain in chains:
         for idx in chain.mode_indices:
             lengths[idx] = max(lengths.get(idx, 1), chain.length)
-    rows = [(_fmt(b.real), _fmt(b.imag), p, _fmt(r), str(lengths.get(i, 1)))
-            for i, (b, p, r) in enumerate(zip(modes.betas, modes.parity, modes.residuals))]
-    return _csv(("re_beta", "im_beta", "parity", "residual", "chain_length"), rows)
+    lines = [f"{_fmt(b.real)},{_fmt(b.imag)},{p},{_fmt(r)},{lengths.get(i, 1)}"
+             for i, (b, p, r) in enumerate(zip(modes.betas, modes.parity, modes.residuals))]
+    return _csv(("re_beta", "im_beta", "parity", "residual", "chain_length"), lines)
 
 
 def _cmd_dispersion(config: RunConfig) -> str:
@@ -280,7 +291,7 @@ def _cmd_dispersion(config: RunConfig) -> str:
         raise ConfigError("omega_sweep is required for the dispersion subcommand")
     start, stop, steps = config.omega_sweep
     m = config.material
-    rows = []
+    lines = []
     branches = []          # list of [branch_id, last_beta]
     next_id = 0
     for omega in np.linspace(start, stop, steps):
@@ -298,19 +309,19 @@ def _cmd_dispersion(config: RunConfig) -> str:
             used[best] = True
             beta = current[best]
             flag = int(best_d > 0.25 * (1.0 + abs(last)))
-            rows.append((_fmt(omega), str(branch_id), _fmt(beta.real),
-                         _fmt(beta.imag), str(flag)))
+            lines.append(f"{_fmt(omega)},{branch_id},{_fmt(beta.real)},"
+                         f"{_fmt(beta.imag)},{flag}")
             survivors.append([branch_id, beta])
         first_step = not branches
         for j, beta in enumerate(current):
             if used[j]:
                 continue
-            rows.append((_fmt(omega), str(next_id), _fmt(beta.real),
-                         _fmt(beta.imag), "0" if first_step else "1"))
+            lines.append(f"{_fmt(omega)},{next_id},{_fmt(beta.real)},"
+                         f"{_fmt(beta.imag)},{0 if first_step else 1}")
             survivors.append([next_id, beta])
             next_id += 1
         branches = survivors
-    return _csv(("omega", "branch", "re_beta", "im_beta", "discontinuity"), rows)
+    return _csv(("omega", "branch", "re_beta", "im_beta", "discontinuity"), lines)
 
 
 def _scan_moduli(config: RunConfig, modes) -> tuple:
@@ -335,14 +346,12 @@ def _cmd_resolvent(config: RunConfig) -> str:
     modes = _solve(config)
     scan = resolvent_scan(modes.op, config.theta0, _scan_moduli(config, modes))
     skipped = set(scan.skipped)
-    rows = []
-    for j, theta in enumerate(scan.rays):
-        for k, modulus in enumerate(scan.sample_moduli):
-            rows.append((str(j), _fmt(theta), _fmt(modulus),
-                         _fmt(scan.norms[j, k]), _fmt(scan.hs_norms[j, k]),
-                         str(int((j, modulus) in skipped))))
+    lines = [f"{j},{_fmt(theta)},{_fmt(modulus)},{_fmt(scan.norms[j, k])},"
+             f"{_fmt(scan.hs_norms[j, k])},{int((j, modulus) in skipped)}"
+             for j, theta in enumerate(scan.rays)
+             for k, modulus in enumerate(scan.sample_moduli)]
     return _csv(("ray", "theta", "modulus", "operator_norm", "hs_norm", "skipped"),
-                rows)
+                lines)
 
 
 def _expansions(config: RunConfig, modes: ModeSet) -> list:
@@ -358,11 +367,10 @@ def _expansions(config: RunConfig, modes: ModeSet) -> list:
 
 
 def _cmd_completeness(config: RunConfig) -> str:
-    rows = []
-    for t, report in enumerate(_expansions(config, _solve(config))):
-        for k, residual in zip(report.n_modes_used, report.residuals):
-            rows.append((str(t), str(k), _fmt(residual)))
-    return _csv(("target", "k", "residual"), rows)
+    lines = [f"{t},{k},{_fmt(residual)}"
+             for t, report in enumerate(_expansions(config, _solve(config)))
+             for k, residual in zip(report.n_modes_used, report.residuals)]
+    return _csv(("target", "k", "residual"), lines)
 
 
 def _closure_defects(betas: np.ndarray) -> tuple:
@@ -417,13 +425,12 @@ def _verify_checks(config: RunConfig) -> list:
         sh_err = max(float(np.min(np.abs(sh_modes.betas - t))) for t in targets)
     check("sh_closed_form_error", sh_err, 1e-10, sh_err <= 1e-10)
 
-    xi_beta = rng.standard_normal((10_000, 4))
-    sym_err = 0.0
-    for x1, x2, b1, b2 in xi_beta:
-        xi, beta = complex(x1, x2), complex(b1, b2)
-        expected = (m.lam + 2.0 * m.mu) * m.mu * (xi * xi + beta * beta) ** 2
-        got = symbol_det_l0(xi, beta, m)
-        sym_err = max(sym_err, abs(got - expected) / max(1.0, abs(expected)))
+    # the entries come from the pencil blocks, the closed form from the
+    # material, so a defective block shows here
+    xi, beta = rng.standard_normal((10_000, 4)).view(complex).T
+    expected = (m.lam + 2.0 * m.mu) * m.mu * (xi * xi + beta * beta) ** 2
+    got = symbol_det_l0(xi, beta, m)
+    sym_err = np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected)))
     check("symbol_identity_error", sym_err, 1e-12, sym_err <= 1e-12)
 
     ode_err, bnd_err = 0.0, 0.0

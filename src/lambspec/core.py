@@ -9,13 +9,15 @@ the through-thickness profile v = (v1, v3):
     interior:  A v'' + mu B v' + omega^2 rho v + mu^2 C v = 0
     boundary:  A v'(+-h) + mu D v(+-h) = 0          (traction rows)
 
-This module owns the coefficient matrices A, B, C, D, the validated material
-record, and the 2x2 principal symbol whose determinant factors as
-(lam + 2 mu)*mu*(xi^2 + beta^2)^2.
+This module owns the validated material record, the coefficient matrices
+A, B, C, D (pencil_coefficients, the one place where lam and mu become
+blocks) and the 2x2 principal symbol built from them, whose determinant
+must factor as (lam + 2 mu)*mu*(xi^2 + beta^2)^2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,7 +57,8 @@ class Material:
     h : float
         Plate half-thickness; the cross-section is [-h, h].
     omega : float
-        Angular frequency of the time-harmonic drive, omega > 0.
+        Angular frequency of the time-harmonic drive, omega > 0, with
+        omega^2 * rho finite (the pencil's zero-order term).
     """
 
     lam: float
@@ -75,6 +78,8 @@ class Material:
             raise ValueError("invalid material: h ≤ 0")
         if not self.omega > 0.0:
             raise ValueError("invalid material: ω ≤ 0")
+        if not math.isfinite(self.omega * self.omega * self.rho):
+            raise ValueError("invalid material: ω²ρ overflows")
 
 
 def make_material(lam: float, mu: float, rho: float, h: float, omega: float) -> Material:
@@ -84,7 +89,8 @@ def make_material(lam: float, mu: float, rho: float, h: float, omega: float) -> 
     ------
     ValueError
         Naming the violated constraint (e.g. "3λ+2μ ≤ 0") if any of
-        3*lam + 2*mu > 0, mu > 0, rho > 0, h > 0, omega > 0 fails.
+        3*lam + 2*mu > 0, mu > 0, rho > 0, h > 0, omega > 0 or a finite
+        omega^2 * rho fails.
     """
     return Material(float(lam), float(mu), float(rho), float(h), float(omega))
 
@@ -123,27 +129,22 @@ def pencil_coefficients(material: Material) -> PencilCoefficients:
     return PencilCoefficients(a=a, b=b, c=c, d=d)
 
 
-def principal_symbol(xi: complex, beta: complex, material: Material) -> np.ndarray:
-    """The 2x2 principal symbol L0(xi, beta) of the frozen-coefficient system.
+def principal_symbol(xi, beta, material: Material) -> np.ndarray:
+    """The 2x2 principal symbol a xi^2 + b xi beta + c beta^2 of the pencil blocks.
 
-    Entries: [[(lam+2mu) xi^2 + mu beta^2, (lam+mu) xi beta],
-              [(lam+mu) xi beta, mu xi^2 + (lam+2mu) beta^2]].
+    Broadcasts: xi and beta of shape s give a complex (2, 2, *s) array.
     """
-    lam, mu = material.lam, material.mu
-    return np.array(
-        [
-            [(lam + 2.0 * mu) * xi * xi + mu * beta * beta, (lam + mu) * xi * beta],
-            [(lam + mu) * xi * beta, mu * xi * xi + (lam + 2.0 * mu) * beta * beta],
-        ],
-        dtype=complex,
-    )
+    coeff = pencil_coefficients(material)
+    xi, beta = np.asarray(xi, dtype=complex), np.asarray(beta, dtype=complex)
+    return (np.multiply.outer(coeff.a, xi * xi) + np.multiply.outer(coeff.b, xi * beta)
+            + np.multiply.outer(coeff.c, beta * beta))
 
 
-def symbol_det_l0(xi: complex, beta: complex, material: Material) -> complex:
+def symbol_det_l0(xi, beta, material: Material):
     """Determinant of the principal symbol, computed from the matrix entries.
 
-    Equals (lam + 2 mu) * mu * (xi^2 + beta^2)^2 identically; the closed form
-    is asserted against this entry-level evaluation in the test suite.
+    Equals (lam + 2 mu) * mu * (xi^2 + beta^2)^2 identically; verify and the
+    test suite assert the closed form against this entry-level evaluation.
     """
     m = principal_symbol(xi, beta, material)
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]

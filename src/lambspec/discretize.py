@@ -19,7 +19,8 @@ exact discrete symmetry).  Three objects are assembled here:
 The pencil is the one place where coefficient blocks and boundary rows
 are written; the energy metric, the companion's rows (_companion_rows)
 and the half-size linear form in lam = mu^2 (_lambda_form), the only form
-the mode solver and the resolvent probes factor, are read off it.
+the mode solver and the resolvent probes factor, are read off it; the
+forms read the same blocks.
 Boundary conditions enter by row replacement only; no basis recombination.
 """
 
@@ -130,13 +131,15 @@ class FormMatrices:
     Fields are stacked component-major: u = (u1 at nodes, u3 at nodes).
     g_a0 is the gradient stiffness form, g_l the rho-weighted mass form,
     g_b the Hermitian first-order coupling form (complex), g_c the
-    compression form.  material and grid record the assembly context.
+    compression form, all from coefficients.  material and grid record
+    the assembly context.
     """
 
     g_a0: np.ndarray
     g_l: np.ndarray
     g_b: np.ndarray
     g_c: np.ndarray
+    coefficients: PencilCoefficients
     material: Material
     grid: Grid
 
@@ -145,31 +148,28 @@ class FormMatrices:
             m.flags.writeable = False
 
 
-def sesquilinear_forms(material: Material, grid: Grid) -> FormMatrices:
-    """Assemble the form matrices for the two-component in-plane problem.
+def _stiffness_mass(grid: Grid):
+    """(K, W): the gradient stiffness D1^T W D1 and the mass W = diag(w) of the quadrature."""
+    w = grid.quad_weights
+    return grid.d1.T @ (w[:, None] * grid.d1), np.diag(w)
 
-    g_b realizes Integral lam(-i u1' conj(v3) + i u3 conj(v1)') +
-    mu(-i u3' conj(v1) + i u1 conj(v3)'); its off-diagonal blocks are exact
+
+def sesquilinear_forms(material: Material, grid: Grid) -> FormMatrices:
+    """g_a0 = a (x) K, g_l = rho I (x) W, g_c = c (x) W for the in-plane pencil blocks.
+
+    g_b realizes Integral d13(-i u1' conj(v3) + i u3 conj(v1)') +
+    d31(-i u3' conj(v1) + i u1 conj(v3)'); its off-diagonal blocks are exact
     Hermitian transposes of each other, so v^H g_b v is real.
     """
-    lam, mu, rho = material.lam, material.mu, material.rho
-    w = grid.quad_weights
-    wd = w[:, None] * grid.d1          # W @ D1
-    stiff = grid.d1.T @ wd             # D1^T W D1
-    wmat = np.diag(w)
+    coeff = pencil_coefficients(material)
+    stiff, wmat = _stiffness_mass(grid)
+    upper = 1j * (coeff.d[0, 1] * grid.d1.T @ wmat - coeff.d[1, 0] * (wmat @ grid.d1))
     zero = np.zeros((grid.n, grid.n))
-
-    g_a0 = np.block([[(lam + 2.0 * mu) * stiff, zero], [zero, mu * stiff]])
-    g_l = rho * np.block([[wmat, zero], [zero, wmat]])
-    g_c = np.block([[mu * wmat, zero], [zero, (lam + 2.0 * mu) * wmat]])
-
-    x = lam * grid.d1.T @ wmat - mu * wd
-    upper = 1j * x
-    g_b = np.zeros((2 * grid.n, 2 * grid.n), dtype=complex)
-    g_b[: grid.n, grid.n:] = upper
-    g_b[grid.n:, : grid.n] = upper.conj().T
-    return FormMatrices(g_a0=g_a0, g_l=g_l, g_b=g_b, g_c=g_c,
-                        material=material, grid=grid)
+    return FormMatrices(g_a0=np.kron(coeff.a, stiff),
+                        g_l=material.rho * np.kron(np.eye(2), wmat),
+                        g_b=np.block([[zero, upper], [upper.conj().T, zero]]),
+                        g_c=np.kron(coeff.c, wmat),
+                        coefficients=coeff, material=material, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -308,10 +308,8 @@ class DiscreteOperator:
         mass on U1, compression mass on U2.  Built from the pencil on
         first use, so solves that never read it never allocate it.
         """
-        grid, coeff = self.pencil.grid, self.pencil.coefficients
-        w = grid.quad_weights
-        stiff = grid.d1.T @ (w[:, None] * grid.d1)
-        wmat = np.diag(w)
+        coeff = self.pencil.coefficients
+        stiff, wmat = _stiffness_mass(self.pencil.grid)
         g1 = np.kron(coeff.a, stiff) + np.kron(np.eye(self.pencil.n_channels), wmat)
         gram = scipy.linalg.block_diag(g1, np.kron(coeff.c, wmat))
         gram.flags.writeable = False

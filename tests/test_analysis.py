@@ -29,7 +29,7 @@ from lambspec import (
     sesquilinear_forms,
     solve_modes,
 )
-from lambspec import analysis
+from lambspec import analysis, discretize
 from lambspec.analysis import RCOND_MIN, _field_terms, _probe_blocks, _resolvent_probe
 from lambspec.eigen import DEFECT_PAIR_TOL, PARITY_MIXED, _coincide, _pairings, _shifted_lu
 from reference_data import (
@@ -118,6 +118,22 @@ def test_coercivity_scan_benchmark(bench_forms):
     coercive = [q for beta, q in report.samples if abs(beta.real) >= report.beta0]
     assert len(coercive) >= 20
     assert min(coercive) >= report.c_const - 1e-12
+
+
+def test_coercivity_fails_on_a_non_elliptic_block(bench, bench_op, monkeypatch):
+    # the form terms read the blocks pencil_coefficients returns, so a
+    # compression block with its sign flipped leaves no positive tail; the
+    # factored terms and the assembled matrices read the same flipped block
+    lame = discretize.pencil_coefficients(bench)
+    monkeypatch.setattr(discretize, "pencil_coefficients",
+                        lambda material: dataclasses.replace(lame, c=-lame.c))
+    forms = sesquilinear_forms(bench, bench_op.pencil.grid)
+    assert coercivity_scan(forms, 0.5, 50).c_const < 0.0
+    v = np.random.default_rng(2).standard_normal(2 * forms.grid.n) + 0j
+    for beta in (0.5, 4.0 + 1.0j, -20.0):
+        factored = quadratic_form_value(forms, beta, v)
+        assert quadratic_form_value(forms, beta, v, "matrices") == \
+            pytest.approx(factored, rel=1e-11)
 
 
 def test_coercivity_scan_is_seed_deterministic(bench_forms):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import lambspec
-from lambspec import BCKind, DiscreteOperator, _blas, analysis, cli
+from lambspec import BCKind, DiscreteOperator, _blas, analysis, cli, core, discretize
 from lambspec.cli import (
     CSV_ROW_BYTES,
     MEMORY_BUDGET,
@@ -98,6 +98,9 @@ def test_parse_config_accepts_clamped():
         ({"moduli": [1.0, 1e160]}, (), "moduli must have finite squares"),
         ({"omega_sweep": {"start": 1.0, "stop": 2.0, "steps": 10 ** 12}}, (),
          "rows could exceed the 4 GiB memory budget"),
+        ({"omega": 1e200}, (), "invalid material: ω²ρ overflows"),
+        ({"omega_sweep": {"start": 1.0, "stop": 1e200, "steps": 3}}, (),
+         "omega_sweep stop: invalid material: ω²ρ overflows"),
     ],
 )
 def test_parse_config_rejections(overrides, drop, fragment):
@@ -122,7 +125,7 @@ def test_largest_sweep_within_the_budget_parses():
     # n_colloc = 64 solves keep at most 256 eigenvalues, one row each per
     # step, and the rows share the budget with one solve's 256 x 256 arrays
     largest = (MEMORY_BUDGET - SOLVE_ARRAYS * 256 ** 2 * 8) // (256 * CSV_ROW_BYTES)
-    assert largest == 24352
+    assert largest == 69811
     sweep = {"start": 1.0, "stop": 2.0, "steps": largest}
     assert parse_config(dict(BASE, omega_sweep=sweep)).omega_sweep == (1.0, 2.0, largest)
     sweep["steps"] += 1
@@ -232,6 +235,26 @@ def test_oversized_grid_exits_with_code_2(tmp_path, capsys):
     path = write_config(tmp_path, {"n_colloc": 10 ** 6})
     assert run(["modes", "--config", path]) == 2
     assert "memory budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("command", "overrides", "message"), [
+    ("modes", {"omega": 1e200}, "config error: invalid material: ω²ρ overflows"),
+    ("verify", {"omega": 1e200}, "config error: invalid material: ω²ρ overflows"),
+    ("dispersion", {"omega_sweep": {"start": 2.0, "stop": 1e200, "steps": 3}},
+     "config error: omega_sweep stop: invalid material: ω²ρ overflows"),
+], ids=["modes", "verify", "dispersion"])
+def test_overflowing_frequency_exits_with_code_2(tmp_path, command, overrides, message):
+    # omega ** 2 of the pencil's zero-order term used to raise OverflowError;
+    # a sweep is checked at its stop, its largest omega, before any step.
+    # In a fresh interpreter, so a traceback would reach stderr
+    path = write_config(tmp_path, {"n_colloc": 16, **overrides})
+    src = str(Path(lambspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "lambspec.cli", command, "--config", path],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == message + "\n" and proc.stdout == ""
 
 
 @pytest.mark.parametrize("command", ["modes", "verify"])
@@ -465,6 +488,66 @@ def test_verify_parity_resolved_can_fail(tmp_path, capsys, monkeypatch):
     checks = {c["name"]: c for c in payload["checks"]}
     assert checks["parity_resolved"]["measured"] == 1.0
     assert [name for name, c in checks.items() if not c["pass"]] == ["parity_resolved"]
+
+
+_LAME_BLOCKS = core.pencil_coefficients
+
+
+def _patch_blocks(monkeypatch, defect):
+    """Replace pencil_coefficients by defect(material) wherever lambspec binds it."""
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "lambspec"
+                and getattr(module, "pencil_coefficients", None) is _LAME_BLOCKS):
+            monkeypatch.setattr(module, "pencil_coefficients", defect)
+
+
+def _scaled_lam(material):
+    return _LAME_BLOCKS(dataclasses.replace(material, lam=1.05 * material.lam))
+
+
+def _scaled_block(name, factor):
+    def defect(material):
+        coeff = _LAME_BLOCKS(material)
+        return dataclasses.replace(coeff, **{name: factor * getattr(coeff, name)})
+    return defect
+
+
+@pytest.mark.parametrize(("defect", "failing"), [
+    # a consistent wrong operator: the symbol no longer factors with the
+    # material's (lam + 2 mu) mu, and the analytic stable solution built
+    # from the material's lam leaves residuals against the blocks
+    (_scaled_lam, {"symbol_identity_error", "stable_solution_ode_residual",
+                   "stable_solution_boundary_error"}),
+    (_scaled_block("b", 1.05), {"symbol_identity_error", "stable_solution_ode_residual"}),
+    (_scaled_block("d", 0.9), {"stable_solution_boundary_error"}),
+], ids=["lam-1.05", "b-1.05", "d-0.9"])
+def test_verify_fails_on_a_defective_coefficient_block(tmp_path, capsys, monkeypatch,
+                                                       defect, failing):
+    _patch_blocks(monkeypatch, defect)
+    path = write_config(tmp_path)
+    assert run(["verify", "--config", path]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert {c["name"] for c in payload["checks"] if not c["pass"]} == failing
+
+
+def test_verify_coercivity_constant_can_fail(tmp_path, capsys, monkeypatch):
+    # forms built from a compression block with its sign flipped: the
+    # shifted form is not coercive; the solver keeps the true blocks, whose
+    # energy metric a flipped c would leave indefinite
+    forms = cli.sesquilinear_forms
+
+    def non_elliptic_forms(material, grid):
+        with monkeypatch.context() as patch:
+            patch.setattr(discretize, "pencil_coefficients", _scaled_block("c", -1.0))
+            return forms(material, grid)
+
+    monkeypatch.setattr(cli, "sesquilinear_forms", non_elliptic_forms)
+    path = write_config(tmp_path)
+    assert run(["verify", "--config", path]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["coercivity_constant"]["measured"] < 0.0
+    assert [name for name, c in checks.items() if not c["pass"]] == ["coercivity_constant"]
 
 
 def test_verify_resolvent_skipped_probes_can_fail(tmp_path, capsys, bench_modes):

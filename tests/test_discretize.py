@@ -80,6 +80,18 @@ def test_form_matrices_definite(bench_forms):
     assert np.min(np.linalg.eigvalsh(forms.g_c)) > 0
 
 
+def test_forms_and_energy_metric_share_the_pencil_blocks(bench_op, bench_forms):
+    # the U1 block of the energy metric is the stiffness form plus the plain
+    # mass (rho = 1 here), the U2 block the compression form
+    forms, dim = bench_forms, bench_op.mask.size // 2
+    for name in ("a", "b", "c", "d"):
+        assert np.array_equal(getattr(forms.coefficients, name),
+                              getattr(bench_op.pencil.coefficients, name))
+    assert forms.material.rho == 1.0
+    np.testing.assert_array_equal(bench_op.gram[:dim, :dim], forms.g_a0 + forms.g_l)
+    np.testing.assert_array_equal(bench_op.gram[dim:, dim:], forms.g_c)
+
+
 def test_hermitian_form_values_are_real(bench_forms):
     rng = np.random.default_rng(7)
     n2 = bench_forms.g_b.shape[0]
