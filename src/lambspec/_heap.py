@@ -19,9 +19,15 @@ heap, so the heap keeps no resident leftovers of a solve's largest
 arrays.  Fixing one threshold stops glibc adjusting the other, so the
 trim threshold is set to TRIM_THRESHOLD: the heap keeps that much free
 top rather than handing it back.  Both are needed; either alone leaves
-the n_colloc=32 sweep at 2.5k to 35k faults.  The settings belong
-to the process and glibc cannot read them back, so they are made once
-and never undone.  Without glibc's mallopt the policy does nothing.
+the n_colloc=32 sweep at 2.5k to 35k faults.  TRIM_THRESHOLD is 32 MiB
+because an n_colloc=128 `modes` job leaves about 15-16 MiB of free top:
+at 16 MiB, incidental allocation order decided whether each job handed
+it back and faulted about 10k pages in again (0.16-0.24 s a job, against
+550 faults and 0.15 s at 32 MiB; peak RSS within 1 MB either way).  The
+settings belong to the process and glibc cannot read them back, so they
+are made once and never undone; the worker processes of a `dispersion`
+sweep are forked from the run and inherit both.  Without glibc's
+mallopt the policy does nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import functools
 #: a block this large that the heap cannot hold is mapped (glibc M_MMAP_THRESHOLD)
 MMAP_THRESHOLD = 2 * 2**20
 #: free heap top kept before it is returned (glibc M_TRIM_THRESHOLD)
-TRIM_THRESHOLD = 16 * 2**20
+TRIM_THRESHOLD = 32 * 2**20
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3

@@ -6,11 +6,12 @@ modes
     Eigenvalues, parities, residuals and chain lengths for one
     operating point, as CSV sorted by |beta|.
 dispersion
-    Frequency sweep of the wavenumber branches.  Adjacent sweep steps
-    are paired by nearest beta per branch, in branch order; a step
-    whose jump exceeds 0.25*(1 + |previous beta|) is flagged in the
-    `discontinuity` column (as is the birth of a new branch), and rows
-    are never reordered to hide it.
+    Frequency sweep of the wavenumber branches.  The steps are solved
+    in parallel, one process per CPU the run may use (_sweep_workers),
+    then adjacent steps are paired by nearest beta per branch, in
+    branch order; a step whose jump exceeds 0.25*(1 + |previous beta|)
+    is flagged in the `discontinuity` column (as is the birth of a new
+    branch), and rows are never reordered to hide it.
 resolvent
     Energy-metric resolvent norms along the five admissible rays.
 completeness
@@ -24,7 +25,9 @@ Determinism: all randomness is derived from the config seed, every float
 is written with 17 significant digits, and every subcommand runs on one
 BLAS thread whatever the environment asks for (`_blas.one_thread`), so
 identical configs give byte-identical output at any BLAS thread count.
-A run fixes the process's malloc thresholds (`_heap.map_large_arrays`),
+A sweep's worker processes each run the serial code path on the one BLAS
+thread they inherit, so its output does not depend on the worker count
+either.  A run fixes the process's malloc thresholds (`_heap.map_large_arrays`),
 so repeated solves reuse the heap instead of handing it back and
 faulting it in again.  Exit codes: 0 success, 1 failed verification or
 runtime error, 2 config violation or an unwritable --out (the message
@@ -34,8 +37,12 @@ names the constraint).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,6 +98,10 @@ SOLVE_ARRAYS = 11
 #: rows, one per finite eigenvalue, and the rows share the budget with one
 #: solve.
 CSV_ROW_BYTES = 240
+#: the range the largest collocated entry must lie in: norms and products
+#: square the entries, so their squares must be finite normal floats
+ENTRY_MIN = math.sqrt(sys.float_info.min)
+ENTRY_MAX = math.sqrt(sys.float_info.max)
 
 _BC_NAMES = {"free-free": BCKind.FREE_FREE, "clamped-free": BCKind.CLAMPED_FREE}
 _REQUIRED_KEYS = ("lambda", "mu", "rho", "h", "omega")
@@ -138,6 +149,23 @@ def _integer(doc, key, default):
     return value
 
 
+def _check_scale(material: Material, n_colloc: int) -> None:
+    """Reject a material whose collocated entries leave [ENTRY_MIN, ENTRY_MAX].
+
+    The largest entries of the pencil at the 2n reference are about
+    (λ+2μ)(2n)⁴/h², from the second derivative, and ω²ρ.  Above the
+    range LAPACK is handed inf and prints its complaints to stdout; below
+    it the operator is flushed to zero.
+    """
+    stiffness = (material.lam + 2.0 * material.mu) / material.h / material.h \
+        * (2 * n_colloc) ** 4
+    if not ENTRY_MIN <= stiffness <= ENTRY_MAX:
+        raise ConfigError(f"invalid scale: (λ+2μ)(2n)⁴/h² = {stiffness:.3g} at "
+                          f"n_colloc={n_colloc} outside [{ENTRY_MIN:.3g}, {ENTRY_MAX:.3g}]")
+    if material.omega ** 2 * material.rho > ENTRY_MAX:
+        raise ConfigError(f"invalid scale: ω²ρ above {ENTRY_MAX:.3g}")
+
+
 def parse_config(doc) -> RunConfig:
     """Validate a decoded JSON document into a RunConfig.
 
@@ -145,7 +173,8 @@ def parse_config(doc) -> RunConfig:
     missing material fields, non-finite numbers (JSON Infinity or NaN),
     invalid material values (e.g. "h ≤ 0", or an omega whose omega^2 rho
     overflows, at omega and at the sweep's stop), n_colloc < 8 or above
-    N_COLLOC_MAX (checked before anything is allocated), theta0 outside
+    N_COLLOC_MAX (checked before anything is allocated), collocated
+    entries outside [ENTRY_MIN, ENTRY_MAX] (_check_scale), theta0 outside
     (2*pi/5, pi/2), moduli that are non-increasing or whose squares
     overflow, or a malformed omega_sweep or one whose rows could exceed
     MEMORY_BUDGET.
@@ -176,6 +205,7 @@ def parse_config(doc) -> RunConfig:
     if n_colloc > N_COLLOC_MAX:
         raise ConfigError(f"n_colloc > {N_COLLOC_MAX}: a run could exceed the "
                           f"{MEMORY_BUDGET / 2 ** 30:g} GiB memory budget")
+    _check_scale(material, n_colloc)
     accept_tol = _number(doc, "accept_tol", 1e-8)
     if accept_tol <= 0.0:
         raise ConfigError("accept_tol ≤ 0")
@@ -223,7 +253,8 @@ def parse_config(doc) -> RunConfig:
         if steps < 2:
             raise ConfigError("omega_sweep steps < 2")
         try:  # the largest omega of the sweep, before any step runs
-            make_material(material.lam, material.mu, material.rho, material.h, stop)
+            _check_scale(make_material(material.lam, material.mu, material.rho,
+                                       material.h, stop), n_colloc)
         except ValueError as exc:
             raise ConfigError(f"omega_sweep stop: {exc}") from exc
         rows_budget = MEMORY_BUDGET - SOLVE_ARRAYS * (4 * n_colloc) ** 2 * 8
@@ -286,17 +317,135 @@ def _cmd_modes(config: RunConfig) -> str:
     return _csv(("re_beta", "im_beta", "parity", "residual", "chain_length"), lines)
 
 
+def _sweep_workers(cpus: int, steps: int, n_colloc: int) -> int:
+    """How many processes solve a sweep's steps at once.
+
+    One per CPU, at most one per step, and no more concurrent solves
+    than MEMORY_BUDGET holds beside the gathered betas: 16 B each, at
+    most 4 n_colloc a step, counted twice for the copy a worker hands
+    over.  At n_colloc = N_COLLOC_MAX that is 2.
+    """
+    solve = SOLVE_ARRAYS * (4 * n_colloc) ** 2 * 8
+    betas = 2 * steps * 4 * n_colloc * 16
+    return max(1, min(cpus, steps, (MEMORY_BUDGET - betas) // solve))
+
+
+def _solve_share(config: RunConfig, omegas, first: int, stride: int) -> tuple:
+    """Solve sweep steps first, first + stride, ... in order.
+
+    Returns (betas of each step, None), or, from the first step that
+    raises, (betas of the steps before it, (step, exception)).
+    """
+    m = config.material
+    betas = []
+    for step in range(first, len(omegas), stride):
+        try:
+            material = make_material(m.lam, m.mu, m.rho, m.h, float(omegas[step]))
+            betas.append(_solve(config, material).betas)
+        except Exception as exc:
+            return betas, (step, exc)
+    return betas, None
+
+
+def _start_worker(config: RunConfig, omegas, share: int, workers: int, inherited) -> tuple:
+    """Fork a process that solves one share and pickles its report to a pipe.
+
+    Returns (pid, read end).  The child closes the read ends it inherited
+    (those of earlier workers), so once the parent is gone a broken pipe
+    ends it, and it leaves through os._exit whatever happens: it never
+    returns into the caller's frames.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            for pipe in inherited:
+                pipe.close()
+            report = _solve_share(config, omegas, share, workers)
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(report, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _sweep_betas(config: RunConfig, omegas) -> list:
+    """Each step's betas, from _sweep_workers processes solving the steps at once.
+
+    Share k is steps k, k + workers, ...  The parent forks one worker per
+    share but the first, solves share 0 itself (and any share it could
+    not fork), then reads each worker's report.  Every process runs
+    _solve as the serial loop does, so the betas are the same bits at
+    any worker count; with one worker nothing is forked.  The exception
+    of the earliest step that raised is re-raised; a worker that ends
+    without a report raises ChildProcessError.  Every worker is reaped,
+    and killed first when the parent unwinds early, before this returns.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = _sweep_workers(cpus, len(omegas), config.n_colloc)
+    children = {}                      # share -> (pid, read end)
+    local = [0]
+    reports = {}
+    try:
+        sys.stdout.flush()             # so no buffered output is written twice
+        sys.stderr.flush()
+        for share in range(1, workers):
+            try:
+                children[share] = _start_worker(config, omegas, share, workers,
+                                                 [pipe for _, pipe in children.values()])
+            except OSError:            # no process or pipe to spare
+                local.append(share)
+        for share in local:
+            reports[share] = _solve_share(config, omegas, share, workers)
+        for share, (pid, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[share]
+            try:
+                reports[share] = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):    # none, or cut short
+                code = os.waitstatus_to_exitcode(status)
+                ended = (f"exited with status {code}" if code >= 0 else
+                         f"was killed by signal {-code} ({signal.strsignal(-code)})")
+                raise ChildProcessError(
+                    f"dispersion worker {share} {ended} before it reported") from None
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            # the suppression covers a worker reaped just before an interrupt
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    failures = [failure for _, failure in reports.values() if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    betas = [None] * len(omegas)
+    for share, (solved, _) in reports.items():
+        betas[share::workers] = solved
+    return betas
+
+
 def _cmd_dispersion(config: RunConfig) -> str:
     if config.omega_sweep is None:
         raise ConfigError("omega_sweep is required for the dispersion subcommand")
-    start, stop, steps = config.omega_sweep
-    m = config.material
+    omegas = np.linspace(*config.omega_sweep)
+    solved = _sweep_betas(config, omegas)
     lines = []
     branches = []          # list of [branch_id, last_beta]
     next_id = 0
-    for omega in np.linspace(start, stop, steps):
-        material = make_material(m.lam, m.mu, m.rho, m.h, float(omega))
-        current = list(_solve(config, material).betas)
+    for step, omega in enumerate(omegas):
+        current = list(solved[step])
+        solved[step] = None    # each step's betas go as its rows are made
         used = [False] * len(current)
         survivors = []
         for branch_id, last in branches:
@@ -546,7 +695,7 @@ def run(argv) -> int:
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        except (np.linalg.LinAlgError, ValueError) as exc:
+        except (np.linalg.LinAlgError, ValueError, ChildProcessError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         return 0 if passed else 1

@@ -7,8 +7,10 @@ import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +24,10 @@ from lambspec.cli import (
     N_COLLOC_MAX,
     SOLVE_ARRAYS,
     THETA0_DEFAULT,
+    ENTRY_MAX,
     ConfigError,
     _closure_defects,
+    _sweep_workers,
     parse_config,
     run,
 )
@@ -40,6 +44,12 @@ def write_config(tmp_path, overrides=None, drop=(), name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _src_env():
+    src = str(Path(lambspec.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 # ----------------------------------------------------------------------
@@ -101,6 +111,12 @@ def test_parse_config_accepts_clamped():
         ({"omega": 1e200}, (), "invalid material: ω²ρ overflows"),
         ({"omega_sweep": {"start": 1.0, "stop": 1e200, "steps": 3}}, (),
          "omega_sweep stop: invalid material: ω²ρ overflows"),
+        ({"h": 1e-200}, (), "invalid scale: (λ+2μ)(2n)⁴/h² = inf at n_colloc=64"),
+        ({"mu": 1e150}, (), "invalid scale: (λ+2μ)(2n)⁴/h² = 5.37e+158 at n_colloc=64"),
+        ({"h": 1e200}, (), "invalid scale: (λ+2μ)(2n)⁴/h² = 0 at n_colloc=64"),
+        ({"omega": 1e80}, (), "invalid scale: ω²ρ above 1.34e+154"),
+        ({"omega_sweep": {"start": 1.0, "stop": 1e80, "steps": 3}}, (),
+         "omega_sweep stop: invalid scale: ω²ρ above 1.34e+154"),
     ],
 )
 def test_parse_config_rejections(overrides, drop, fragment):
@@ -131,6 +147,18 @@ def test_largest_sweep_within_the_budget_parses():
     sweep["steps"] += 1
     with pytest.raises(ConfigError, match=f"omega_sweep steps > {largest} at n_colloc=64"):
         parse_config(dict(BASE, omega_sweep=sweep))
+
+
+def test_scale_bound_keeps_scaled_materials():
+    # the spectrum does not change when lambda, mu and omega^2 rho scale
+    # together, and at these scales, inside the bound, the solve follows
+    betas = [cli._solve(parse_config({**BASE, "lambda": 2.0 * scale, "mu": scale,
+                                      "rho": scale, "n_colloc": 16})).betas
+             for scale in (1.0, 1e-140, 1e140)]
+    assert len(betas[0]) > 0
+    for scaled in betas[1:]:
+        np.testing.assert_allclose(scaled, betas[0], rtol=1e-12)
+    assert parse_config({**BASE, "omega": 1.1e77}).material.omega ** 2 < ENTRY_MAX
 
 
 def test_parse_config_rejects_non_object():
@@ -248,11 +276,36 @@ def test_overflowing_frequency_exits_with_code_2(tmp_path, command, overrides, m
     # a sweep is checked at its stop, its largest omega, before any step.
     # In a fresh interpreter, so a traceback would reach stderr
     path = write_config(tmp_path, {"n_colloc": 16, **overrides})
-    src = str(Path(lambspec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "lambspec.cli", command, "--config", path],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == message + "\n" and proc.stdout == ""
+
+
+@pytest.mark.parametrize(("command", "overrides", "message"), [
+    ("modes", {"h": 1e-200},
+     "config error: invalid scale: (λ+2μ)(2n)⁴/h² = inf at n_colloc=16 "
+     "outside [1.49e-154, 1.34e+154]"),
+    ("modes", {"lambda": 1e308},
+     "config error: invalid scale: (λ+2μ)(2n)⁴/h² = inf at n_colloc=16 "
+     "outside [1.49e-154, 1.34e+154]"),
+    ("modes", {"mu": 1e150},
+     "config error: invalid scale: (λ+2μ)(2n)⁴/h² = 2.1e+156 at n_colloc=16 "
+     "outside [1.49e-154, 1.34e+154]"),
+    ("verify", {"h": 1e200},
+     "config error: invalid scale: (λ+2μ)(2n)⁴/h² = 0 at n_colloc=16 "
+     "outside [1.49e-154, 1.34e+154]"),
+    ("dispersion", {"omega_sweep": {"start": 2.0, "stop": 1e80, "steps": 3}},
+     "config error: omega_sweep stop: invalid scale: ω²ρ above 1.34e+154"),
+], ids=["tiny-h", "huge-lambda", "huge-mu", "huge-h", "sweep-omega"])
+def test_out_of_range_collocation_exits_with_code_2(tmp_path, command, overrides, message):
+    # h = 1e-200, lambda = 1e308 and mu = 1e150 used to exit 1 with LAPACK's
+    # "** On entry to DGEBAL parameter number 3 had an illegal value" lines
+    # on stdout, and h = 1e200 with "every shift in REFERENCE_SHIFTS lies on
+    # the spectrum".  In a fresh interpreter, so LAPACK's own lines would show
+    path = write_config(tmp_path, {"n_colloc": 16, **overrides})
+    proc = subprocess.run([sys.executable, "-m", "lambspec.cli", command, "--config", path],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr == message + "\n" and proc.stdout == ""
 
@@ -304,6 +357,163 @@ def test_dispersion_csv(tmp_path, capsys):
         assert int(branch) >= 0
         assert flag in ("0", "1")
     assert omegas == {2.8, 2.9, 3.0}
+
+
+def _use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _assert_no_process_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _sweep_config(tmp_path, steps, bc="free-free"):
+    return write_config(tmp_path, {"n_colloc": 16, "bc": bc,
+                                   "omega_sweep": {"start": 2.0, "stop": 2.5, "steps": steps}})
+
+
+@pytest.mark.parametrize("steps", [3, 7])
+@pytest.mark.parametrize("bc", ["free-free", "clamped-free"])
+def test_sweep_bytes_do_not_follow_the_worker_count(tmp_path, capsys, monkeypatch, bc, steps):
+    # 3 steps are fewer than 4 CPUs' workers, 7 are more
+    path = _sweep_config(tmp_path, steps, bc)
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    outputs = []
+    for cpus in (1, 2, 4):
+        _use_cpus(monkeypatch, cpus)
+        forks.clear()
+        assert run(["dispersion", "--config", path]) == 0
+        outputs.append(capsys.readouterr())
+        assert len(forks) == min(cpus, steps) - 1
+        _assert_no_process_left()
+    assert outputs[0].err == "" and outputs[0].out.count("\n") > steps
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_sweep_solves_a_share_it_cannot_fork_itself(tmp_path, capsys, monkeypatch):
+    path = _sweep_config(tmp_path, 5)
+    _use_cpus(monkeypatch, 1)
+    assert run(["dispersion", "--config", path]) == 0
+    serial = capsys.readouterr()
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _use_cpus(monkeypatch, 4)
+    assert run(["dispersion", "--config", path]) == 0
+    assert capsys.readouterr() == serial
+    _assert_no_process_left()
+
+
+@pytest.mark.parametrize("failing", [{3}, {2}, {3, 4}, {2, 3}, {1, 5}],
+                         ids=["child", "parent", "child-first", "parent-first", "same-share"])
+def test_failing_step_gives_the_serial_result(tmp_path, capsys, monkeypatch, failing):
+    # at 2 workers the parent solves steps 0, 2, 4 and the child 1, 3, 5;
+    # at 4 workers the parent solves 0, 4 and three children the rest
+    path = _sweep_config(tmp_path, 6)
+    omegas = list(np.linspace(2.0, 2.5, 6))
+    solve = cli._solve
+
+    def flaky(config, material=None):
+        step = omegas.index(material.omega)
+        if step in failing:
+            raise ValueError(f"step {step} failed")
+        return solve(config, material)
+
+    monkeypatch.setattr(cli, "_solve", flaky)
+    results = []
+    for cpus in (1, 2, 4):
+        _use_cpus(monkeypatch, cpus)
+        code = run(["dispersion", "--config", path])
+        results.append((code, *capsys.readouterr()))
+        _assert_no_process_left()
+    assert results[0] == (1, "", f"error: step {min(failing)} failed\n")
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+@pytest.mark.parametrize(("end", "how"), [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9 (Killed)"),
+    (lambda: os._exit(3), "exited with status 3"),
+], ids=["killed", "exited"])
+def test_worker_that_ends_without_a_report_exits_1(tmp_path, capsys, monkeypatch, end, how):
+    test_pid = os.getpid()
+    solve = cli._solve
+
+    def dying(config, material=None):
+        if os.getpid() != test_pid:
+            end()
+        return solve(config, material)
+
+    monkeypatch.setattr(cli, "_solve", dying)
+    _use_cpus(monkeypatch, 2)
+    assert run(["dispersion", "--config", _sweep_config(tmp_path, 4)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: dispersion worker 1 {how} before it reported\n"
+    _assert_no_process_left()
+
+
+def test_interrupted_sweep_kills_and_reaps_its_workers(tmp_path, monkeypatch):
+    test_pid = os.getpid()
+
+    def interrupted(config, material=None):
+        if os.getpid() != test_pid:
+            time.sleep(60)       # a worker still busy when the parent stops
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_solve", interrupted)
+    _use_cpus(monkeypatch, 4)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run(["dispersion", "--config", _sweep_config(tmp_path, 4)])
+    assert time.monotonic() - start < 30
+    _assert_no_process_left()
+
+
+def test_unexpected_error_propagates_once_the_workers_are_reaped(tmp_path, monkeypatch):
+    test_pid = os.getpid()
+    solve = cli._solve
+
+    def broken(config, material=None):
+        if os.getpid() == test_pid:
+            raise RuntimeError("unexpected")
+        return solve(config, material)
+
+    monkeypatch.setattr(cli, "_solve", broken)
+    _use_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="unexpected"):
+        run(["dispersion", "--config", _sweep_config(tmp_path, 4)])
+    _assert_no_process_left()
+
+
+def test_sweep_worker_cap():
+    # computed, not run: one n_colloc = 1024 solve is SOLVE_ARRAYS arrays
+    # of 4096 x 4096 float64, and three of them exceed the budget
+    solve = SOLVE_ARRAYS * 4096 ** 2 * 8
+    assert 2 * solve < MEMORY_BUDGET < 3 * solve
+    assert _sweep_workers(64, 41, 1024) == 2
+    assert _sweep_workers(2, 41, 32) == 2
+    assert _sweep_workers(4, 3, 32) == 3
+    assert _sweep_workers(1, 41, 32) == 1
+    # the longest sweep parse_config accepts at that size still gets both
+    longest = (MEMORY_BUDGET - solve) // (4096 * CSV_ROW_BYTES)
+    assert _sweep_workers(64, longest, 1024) == 2
+
+
+def test_sweep_under_warnings_as_errors_writes_nothing_to_stderr(tmp_path):
+    # a fork or pickle warning would end the run under -W error
+    path = write_config(tmp_path, {"n_colloc": 16, "bc": "clamped-free",
+                                   "omega_sweep": {"start": 2.0, "stop": 4.0, "steps": 5}})
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "lambspec.cli", "dispersion",
+                           "--config", path],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == "" and proc.stdout.count("\n") > 5
 
 
 def test_resolvent_at_smallest_admissible_theta0(tmp_path):
@@ -774,11 +984,8 @@ def test_cli_runs_load_no_unused_scipy_module(tmp_path):
             for command, extra in (("modes", {}), ("dispersion", sweep),
                                    ("verify", {}), ("resolvent", {}),
                                    ("completeness", {}))]
-    src = str(Path(lambspec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", _MODULE_AUDIT, json.dumps(jobs)],
-                          env=env, capture_output=True, text=True, timeout=600)
+                          env=_src_env(), capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     # n = 16 is too coarse for verify's SH and completeness checks
