@@ -8,8 +8,11 @@ each library's previous count on exit.
 
 Libraries are found as threadpoolctl finds them: the OpenBLAS shared
 objects listed in /proc/self/maps, bound through ctypes by their exported
-thread-count functions.  numpy and scipy wheels each bundle their own copy,
-named with a `scipy_` prefix and, for the 64-bit-integer build, a `64_`
+thread-count functions.  A CLI run loads one, numpy's, which also serves
+the package's LAPACK calls (_lapack); scipy's wheel bundles another,
+loaded only where scipy is imported (the tests, the oracle's ZGV
+locator, or _lapack's fallback on a numpy that exports no LAPACK).  Their
+symbols carry a `scipy_` prefix and, for the 64-bit-integer build, a `64_`
 suffix.  Without /proc, without an OpenBLAS, or without a known symbol,
 the policy does nothing.  The thread count belongs to the process, so
 runs in concurrent threads of one process would restore each other's

@@ -39,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .discretize import (
     DiscreteOperator,
     FormMatrices,
@@ -173,7 +173,7 @@ def _probe_blocks(op: DiscreteOperator) -> list:
         l1, l2 = (np.linalg.cholesky(g) for g in metrics)
         split = int(np.count_nonzero(index < pencil.grid.n)) if pencil.n_channels == 2 else 0
         out.append((*_scaled_block(a, b, pairing)[:2], split, np.vstack([l1.T, l2.T]),
-                    scipy.linalg.solve_triangular(l1, l2, lower=True).T))
+                    _lapack.trtrs(l1, l2, lower=True).T))
     return out
 
 
@@ -201,12 +201,11 @@ def _resolvent_probe(blocks: list, z: complex, rcond_min: float):
         x[diag, diag + size] = q2
         x[:split] /= z
         # this is -X, and t below is -L^H R(z) L^-H, which has the same norms
-        x = scipy.linalg.lu_solve(factors, x, overwrite_b=True, check_finite=False)
+        x = _lapack.getrs(*factors, x, overwrite_b=True)
         del factors
         x[:split] *= z
         for cols, chol in ((slice(None, size), h[:size].T), (slice(size, None), h[size:].T)):
-            x[:, cols] = scipy.linalg.solve_triangular(chol, x[:, cols].T, lower=True,
-                                                       check_finite=False).T
+            x[:, cols] = _lapack.trtrs(chol, x[:, cols].T, lower=True).T
         t = _real_matmul(h, x)
         del x
         t[size:] *= z
@@ -544,6 +543,5 @@ def adjoint_defect(op: DiscreteOperator) -> float:
     t, gram_y = _eliminated_operator(op)
     chol = np.linalg.cholesky(gram_y)
     # L^H T L^-H, the similarity taking gram-metric norms to Euclidean
-    s = chol.conj().T @ scipy.linalg.solve_triangular(chol.conj().T, t.conj().T, lower=False,
-                                                       trans="C").conj().T
+    s = chol.conj().T @ _lapack.trtrs(chol.conj().T, t.conj().T, trans="C").conj().T
     return float(np.linalg.norm(s - s.conj().T, 2) / np.linalg.norm(s, 2))

@@ -44,6 +44,7 @@ import os
 import pickle
 import signal
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -333,18 +334,38 @@ def _sweep_workers(cpus: int, steps: int, n_colloc: int) -> int:
 def _solve_share(config: RunConfig, omegas, first: int, stride: int) -> tuple:
     """Solve sweep steps first, first + stride, ... in order.
 
-    Returns (betas of each step, None), or, from the first step that
-    raises, (betas of the steps before it, (step, exception)).
+    Each step's warnings are recorded, not shown, as (message, category,
+    filename, lineno).  Returns ([(betas, warnings) of each step], None),
+    or, from the first step that raises, (the steps before it, (step,
+    exception, warnings)).
     """
     m = config.material
-    betas = []
+    solved = []
     for step in range(first, len(omegas), stride):
-        try:
-            material = make_material(m.lam, m.mu, m.rho, m.h, float(omegas[step]))
-            betas.append(_solve(config, material).betas)
-        except Exception as exc:
-            return betas, (step, exc)
-    return betas, None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                material = make_material(m.lam, m.mu, m.rho, m.h, float(omegas[step]))
+                betas = _solve(config, material).betas
+            except Exception as exc:
+                return solved, (step, exc, _recorded(caught))
+        solved.append((betas, _recorded(caught)))
+    return solved, None
+
+
+def _recorded(caught) -> list:
+    return [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _replay_warnings(recorded) -> None:
+    """Show a step's recorded warnings under this process's filters, each
+    as if raised where it was, in its module's registry: a warning that
+    every step raises then shows once, as in a serial loop."""
+    modules = {getattr(module, "__file__", None): module for module in list(sys.modules.values())}
+    for message, category, filename, lineno in recorded:
+        scope = vars(modules[filename]) if filename in modules else {}
+        warnings.warn_explicit(message, category, filename, lineno, module=scope.get("__name__"),
+                               registry=scope.setdefault("__warningregistry__", {}))
 
 
 def _start_worker(config: RunConfig, omegas, share: int, workers: int, inherited) -> tuple:
@@ -385,10 +406,12 @@ def _sweep_betas(config: RunConfig, omegas) -> list:
     share but the first, solves share 0 itself (and any share it could
     not fork), then reads each worker's report.  Every process runs
     _solve as the serial loop does, so the betas are the same bits at
-    any worker count; with one worker nothing is forked.  The exception
-    of the earliest step that raised is re-raised; a worker that ends
-    without a report raises ChildProcessError.  Every worker is reaped,
-    and killed first when the parent unwinds early, before this returns.
+    any worker count; with one worker nothing is forked.  Step by step,
+    the recorded warnings are shown here (_replay_warnings), up to the
+    earliest step that raised, whose exception is re-raised: stderr is
+    the same at any worker count.  A worker that ends without a report
+    raises ChildProcessError.  Every worker is reaped, and killed first
+    when the parent unwinds early, before this returns.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = _sweep_workers(cpus, len(omegas), config.n_colloc)
@@ -426,12 +449,20 @@ def _sweep_betas(config: RunConfig, omegas) -> list:
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    failures = [failure for _, failure in reports.values() if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    betas = [None] * len(omegas)
-    for share, (solved, _) in reports.items():
-        betas[share::workers] = solved
+    steps, failures = {}, {}
+    for share, (solved, failure) in reports.items():
+        steps.update(zip(range(share, len(omegas), workers), solved))
+        if failure is not None:
+            failures[failure[0]] = failure[1:]
+    betas = []
+    for step in range(len(omegas)):
+        if step not in steps:          # the earliest step that raised
+            exc, recorded = failures[step]
+            _replay_warnings(recorded)
+            raise exc
+        solved, recorded = steps.pop(step)
+        _replay_warnings(recorded)
+        betas.append(solved)
     return betas
 
 

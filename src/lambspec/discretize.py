@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .core import BCKind, Material, PencilCoefficients, pencil_coefficients
 
@@ -311,7 +310,10 @@ class DiscreteOperator:
         coeff = self.pencil.coefficients
         stiff, wmat = _stiffness_mass(self.pencil.grid)
         g1 = np.kron(coeff.a, stiff) + np.kron(np.eye(self.pencil.n_channels), wmat)
-        gram = scipy.linalg.block_diag(g1, np.kron(coeff.c, wmat))
+        g2 = np.kron(coeff.c, wmat)
+        split = g1.shape[0]
+        gram = np.zeros((split + g2.shape[0],) * 2)
+        gram[:split, :split], gram[split:, split:] = g1, g2
         gram.flags.writeable = False
         return gram
 

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .core import BCKind
 from .discretize import (
     DiscreteOperator,
@@ -300,16 +300,15 @@ def _shifted_lu(a: np.ndarray, b: np.ndarray, z, rcond_min: float):
 
     Every LU of the package is one of these, on a lam-form block: shifts at
     z = -sigma, resolvent probes at z = -zeta^2.  The gate is the LU's
-    reciprocal condition (1-norm, LAPACK gecon): below rcond_min, z counts
-    as lying on the spectrum and nothing is returned.  a, b are not written.
+    reciprocal condition (1-norm, LAPACK gecon): below rcond_min, or where
+    the LU has an exact zero pivot, z counts as lying on the spectrum and
+    nothing is returned.  a, b are not written.
     """
     shifted = np.array(a, dtype=np.result_type(a.dtype, z), order="F")
     shifted -= z * b
     a_norm = np.linalg.norm(shifted, 1)
-    lu, piv = scipy.linalg.lu_factor(shifted, overwrite_a=True, check_finite=False)
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-    rcond, _info = gecon(lu, a_norm)
-    if rcond < rcond_min:
+    lu, piv, info = _lapack.getrf(shifted)
+    if info > 0 or _lapack.gecon(lu, a_norm) < rcond_min:
         return None
     return lu, piv
 
@@ -346,7 +345,7 @@ def _shift_invert(a: np.ndarray, b: np.ndarray, pairing):
     else:
         raise ValueError("every shift in REFERENCE_SHIFTS lies on the spectrum "
                          "(LU reciprocal condition below RCOND_MIN)")
-    k_t = scipy.linalg.lu_solve(factors, b.T, trans=1, check_finite=False)
+    k_t = _lapack.getrs(*factors, b.T, trans="T")
     return sigma, factors, k_t, r
 
 
@@ -449,10 +448,9 @@ def _eigensolve(op: DiscreteOperator) -> list:
     out = []
     for parity, pairing in _pairings(pencil):
         sigma, factors, k_t, r = _shift_invert(a, b, pairing)
-        theta, vl, vr = scipy.linalg.eig(k_t, left=True, right=True,
-                                         overwrite_a=True, check_finite=False)
+        theta, vl, vr = _lapack.geev(k_t, vectors=True, overwrite_a=True)
         keep = _finite(theta)
-        x = scipy.linalg.lu_solve(factors, np.conj(vl[:, keep]), check_finite=False)
+        x = _lapack.getrs(*factors, np.conj(vl[:, keep]))
         y = np.conj(vr[:, keep]) * r[:, None]
         del vl, vr
         if pairing is not None:
@@ -485,7 +483,7 @@ def _reference_spectrum(pencil: DiscretePencil) -> list:
     out = []
     for _parity, pairing in _pairings(fine):
         sigma, _factors, k_t, _r = _shift_invert(a, b, pairing)
-        theta = scipy.linalg.eigvals(k_t, overwrite_a=True, check_finite=False)
+        theta = _lapack.geev(k_t, overwrite_a=True)
         out.append(_both_signs(sigma - 1.0 / theta[_finite(theta)]))
     return out
 
@@ -739,8 +737,8 @@ def biorthogonalize(mode_set: ModeSet) -> BiorthogonalSystem:
     ew = op.mask[:, None] * mode_set.left[:, perm]
     # the real and imaginary parts of E w side by side, one real
     # right-hand side, so the real factor is never cast to complex
-    parts = scipy.linalg.cho_solve((op.gram_cholesky, True), np.hstack([ew.real, ew.imag]),
-                                   overwrite_b=True, check_finite=False)
+    parts = _lapack.potrs(op.gram_cholesky, np.hstack([ew.real, ew.imag]), lower=True,
+                          overwrite_b=True)
     left = parts[:, :len(perm)].astype(complex)
     left.imag = parts[:, len(perm):]
     # G W = E w, so the pairing W^H G V is (E w)^H V, with no Gram product

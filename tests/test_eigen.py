@@ -21,7 +21,7 @@ from lambspec import (
     make_material,
     solve_modes,
 )
-from lambspec import eigen
+from lambspec import _lapack, eigen
 from lambspec.eigen import (
     DEFECT_PAIR_TOL,
     REFERENCE_SHIFTS,
@@ -387,20 +387,22 @@ def test_one_left_solve_per_mode_set(request, monkeypatch, name, n_blocks, probe
     op = request.getfixturevalue(name).op
     calls, lstsqs = [], []
 
-    def spy(module, fname):
+    def spy(module, fname, flags):
         solver = getattr(module, fname)
 
         def counting(a, *args, **kwargs):
-            generalized = (args and args[0] is not None) or kwargs.get("b") is not None
-            calls.append((f"{module.__name__}.{fname}", a.shape[0], bool(generalized),
-                          kwargs.get("left", False), kwargs.get("right", fname == "eig")))
+            calls.append((f"{module.__name__}.{fname}", a.shape[0], *flags(*args, **kwargs)))
             return solver(a, *args, **kwargs)
 
         monkeypatch.setattr(module, fname, counting)
 
+    # (generalized, left vectors, right vectors) of each eigensolve
+    spy(_lapack, "geev", lambda vectors=False, **_: (False, vectors, vectors))
     for module in (scipy.linalg, np.linalg):
         for fname in ("eig", "eigvals"):
-            spy(module, fname)
+            spy(module, fname, lambda *args, fname=fname, **kwargs: (
+                bool((args and args[0] is not None) or kwargs.get("b") is not None),
+                kwargs.get("left", False), kwargs.get("right", fname == "eig")))
     lstsq = np.linalg.lstsq
 
     def counting_lstsq(*args, **kwargs):
@@ -411,10 +413,10 @@ def test_one_left_solve_per_mode_set(request, monkeypatch, name, n_blocks, probe
     mode_set = solve_modes(op)
     reference, level = calls[:n_blocks], calls[n_blocks:]
     assert ([call[:1] + call[2:] for call in reference]
-            == [("scipy.linalg.eigvals", False, False, False)] * n_blocks)
+            == [("lambspec._lapack.geev", False, False, False)] * n_blocks)
     assert sum(call[1] for call in reference) == op.m.shape[0]
     assert ([call[:1] + call[2:] for call in level]
-            == [("scipy.linalg.eig", False, True, True)] * n_blocks)
+            == [("lambspec._lapack.geev", False, True, True)] * n_blocks)
     assert sum(call[1] for call in level) == op.m.shape[0] // 2
     calls.clear()
     detect_jordan_chains(mode_set)
