@@ -1,4 +1,5 @@
-"""The package's one heap policy: a CLI run fixes malloc's two thresholds.
+"""The package's one heap policy: a CLI run fixes malloc's two thresholds
+and keeps one arena.
 
 glibc malloc starts by mapping every block of 128 KiB or more on its own
 pages, but each time it unmaps such a block it raises that threshold to
@@ -26,8 +27,17 @@ it back and faulted about 10k pages in again (0.16-0.24 s a job, against
 550 faults and 0.15 s at 32 MiB; peak RSS within 1 MB either way).  The
 settings belong to the process and glibc cannot read them back, so they
 are made once and never undone; the worker processes of a `dispersion`
-sweep are forked from the run and inherit both.  Without glibc's
+sweep are forked from the run and inherit them.  Without glibc's
 mallopt the policy does nothing.
+
+The arena count is capped at ARENAS (one).  glibc gives each new thread
+that allocates an arena of its own (up to eight per core), and each
+arena keeps its own free memory.  The solve threads of
+eigen.solve_modes allocate concurrently, and without the cap the
+benchmark's n_colloc=128 `modes` worker peaked at 65.1-66.6 MB resident
+instead of 59.5-60.3 MB (three 8 s runs each, 2-vCPU box).
+One arena serializes their mallocs, which are few and short against the
+LAPACK calls between them.
 """
 
 from __future__ import annotations
@@ -39,9 +49,12 @@ import functools
 MMAP_THRESHOLD = 2 * 2**20
 #: free heap top kept before it is returned (glibc M_TRIM_THRESHOLD)
 TRIM_THRESHOLD = 32 * 2**20
+#: malloc arenas the threads of the process share (glibc M_ARENA_MAX)
+ARENAS = 1
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _mallopt():
@@ -53,10 +66,11 @@ def _mallopt():
 
 @functools.cache
 def map_large_arrays() -> bool:
-    """Fix malloc's mmap and trim thresholds; True where both were set."""
+    """Fix malloc's mmap and trim thresholds and its arena count; True where all were set."""
     mallopt = _mallopt()
     if mallopt is None:
         return False
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     return (mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
-            and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1)
+            and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1
+            and mallopt(_M_ARENA_MAX, ARENAS) == 1)

@@ -25,13 +25,16 @@ Determinism: all randomness is derived from the config seed, every float
 is written with 17 significant digits, and every subcommand runs on one
 BLAS thread whatever the environment asks for (`_blas.one_thread`), so
 identical configs give byte-identical output at any BLAS thread count.
-A sweep's worker processes each run the serial code path on the one BLAS
-thread they inherit, so its output does not depend on the worker count
-either.  A run fixes the process's malloc thresholds (`_heap.map_large_arrays`),
-so repeated solves reuse the heap instead of handing it back and
-faulting it in again.  Exit codes: 0 success, 1 failed verification or
-runtime error, 2 config violation or an unwritable --out (the message
-names the constraint).
+A solve runs its independent eigensolves on one thread per CPU (_solve),
+a sweep step on the CPUs its worker has to itself (_step_threads); each
+eigensolve's LAPACK calls are the same on any thread.  A sweep's worker
+processes each run the serial code path on the one BLAS thread they
+inherit.  So the output depends on neither the thread nor the worker
+count.  A run fixes the process's malloc thresholds and keeps one malloc
+arena (`_heap.map_large_arrays`), so repeated solves reuse the heap
+instead of handing it back and faulting it in again.  Exit codes: 0
+success, 1 failed verification or runtime error, 2 config violation or
+an unwritable --out (the message names the constraint).
 """
 
 from __future__ import annotations
@@ -83,13 +86,16 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "run", "ma
 THETA0_DEFAULT = 0.45 * np.pi
 
 #: memory one subcommand may take.  The largest path is verify: its
-#: tracemalloc peak is about twelve 4n x 4n float64 arrays (11.6-12.0 at n =
+#: tracemalloc peak is about twelve 4n x 4n float64 arrays (11.7-12.5 at n =
 #: 64 and 128 on both plates), set by the adjoint defect (free-free) or the
-#: resolvent scan (clamped); modes peaks in solve_modes at 8.4-10.8.  The
-#: bound allows 32
+#: resolvent scan (clamped); modes peaks at 6.8-9.3, in solve_modes, at 1, 2
+#: or 4 solve threads alike.  The bound allows 32
 MEMORY_BUDGET = 4 * 2 ** 30
 N_COLLOC_MAX = math.isqrt(MEMORY_BUDGET // (32 * 16 * 8))
-#: one solve_modes peak in 4n x 4n float64 arrays, the 8.4-10.8 above rounded up
+#: one solve_modes peak in 4n x 4n float64 arrays: 5.8 free-free and 8.3-8.4
+#: clamped (n = 64 and 128, whatever the thread count; the clamped peak is
+#: the reference match of its one block), 9.3 with a modes run around it,
+#: rounded up with room
 SOLVE_ARRAYS = 11
 #: memory per dispersion CSV row.  Each row is held as its one joined line;
 #: from the sweep's start, tracemalloc peaks in _csv at 227 B a row when every
@@ -298,9 +304,22 @@ def _csv(header, lines) -> str:
     return "\n".join([",".join(header), *lines, ""])
 
 
-def _solve(config: RunConfig, material: Material | None = None) -> ModeSet:
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _solve(config: RunConfig, material: Material | None = None,
+           threads: int | None = None) -> ModeSet:
+    """solve_modes at the config's material, or at material, on threads threads.
+
+    By default a solve takes one thread per CPU (_cpus): a single operating
+    point has the machine to itself.  A sweep step passes its share
+    (_step_threads).
+    """
     op = assemble_operator(material or config.material, config.n_colloc, config.bc)
-    return solve_modes(op, accept_tol=config.accept_tol)
+    return solve_modes(op, accept_tol=config.accept_tol,
+                       threads=_cpus() if threads is None else threads)
 
 
 # ----------------------------------------------------------------------
@@ -331,8 +350,15 @@ def _sweep_workers(cpus: int, steps: int, n_colloc: int) -> int:
     return max(1, min(cpus, steps, (MEMORY_BUDGET - betas) // solve))
 
 
-def _solve_share(config: RunConfig, omegas, first: int, stride: int) -> tuple:
-    """Solve sweep steps first, first + stride, ... in order.
+def _step_threads(cpus: int, workers: int) -> int:
+    """How many threads solve one sweep step: the CPUs each worker process
+    has to itself, at least one.  A sweep with a worker per CPU solves each
+    step on one thread."""
+    return max(1, cpus // workers)
+
+
+def _solve_share(config: RunConfig, omegas, first: int, stride: int, threads: int) -> tuple:
+    """Solve sweep steps first, first + stride, ... in order, each on threads threads.
 
     Each step's warnings are recorded, not shown, as (message, category,
     filename, lineno).  Returns ([(betas, warnings) of each step], None),
@@ -346,7 +372,7 @@ def _solve_share(config: RunConfig, omegas, first: int, stride: int) -> tuple:
             warnings.simplefilter("always")
             try:
                 material = make_material(m.lam, m.mu, m.rho, m.h, float(omegas[step]))
-                betas = _solve(config, material).betas
+                betas = _solve(config, material, threads).betas
             except Exception as exc:
                 return solved, (step, exc, _recorded(caught))
         solved.append((betas, _recorded(caught)))
@@ -368,7 +394,8 @@ def _replay_warnings(recorded) -> None:
                                registry=scope.setdefault("__warningregistry__", {}))
 
 
-def _start_worker(config: RunConfig, omegas, share: int, workers: int, inherited) -> tuple:
+def _start_worker(config: RunConfig, omegas, share: int, workers: int, threads: int,
+                  inherited) -> tuple:
     """Fork a process that solves one share and pickles its report to a pipe.
 
     Returns (pid, read end).  The child closes the read ends it inherited
@@ -389,7 +416,7 @@ def _start_worker(config: RunConfig, omegas, share: int, workers: int, inherited
             os.close(read)
             for pipe in inherited:
                 pipe.close()
-            report = _solve_share(config, omegas, share, workers)
+            report = _solve_share(config, omegas, share, workers, threads)
             with os.fdopen(write, "wb") as pipe:
                 pickle.dump(report, pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
@@ -413,8 +440,9 @@ def _sweep_betas(config: RunConfig, omegas) -> list:
     raises ChildProcessError.  Every worker is reaped, and killed first
     when the parent unwinds early, before this returns.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    cpus = _cpus()
     workers = _sweep_workers(cpus, len(omegas), config.n_colloc)
+    threads = _step_threads(cpus, workers)
     children = {}                      # share -> (pid, read end)
     local = [0]
     reports = {}
@@ -423,12 +451,12 @@ def _sweep_betas(config: RunConfig, omegas) -> list:
         sys.stderr.flush()
         for share in range(1, workers):
             try:
-                children[share] = _start_worker(config, omegas, share, workers,
+                children[share] = _start_worker(config, omegas, share, workers, threads,
                                                  [pipe for _, pipe in children.values()])
             except OSError:            # no process or pipe to spare
                 local.append(share)
         for share in local:
-            reports[share] = _solve_share(config, omegas, share, workers)
+            reports[share] = _solve_share(config, omegas, share, workers, threads)
         for share, (pid, pipe) in list(children.items()):
             with pipe:
                 data = pipe.read()
@@ -598,7 +626,7 @@ def _verify_checks(config: RunConfig) -> list:
         check("parity_resolved", unresolved, 0, unresolved == 0)
 
     sh_op = assemble_operator(m, config.n_colloc, BCKind.FREE_FREE, n_channels=1)
-    sh_modes = solve_modes(sh_op, accept_tol=config.accept_tol)
+    sh_modes = solve_modes(sh_op, accept_tol=config.accept_tol, threads=_cpus())
     sh_err = np.inf
     if len(sh_modes):
         targets = [t for beta, _shape in sh_modes_closed_form(m, 10) for t in (beta, -beta)]

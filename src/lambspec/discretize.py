@@ -373,13 +373,13 @@ def _lambda_form(pencil: DiscretePencil):
     there A = Q0 and B = Q2.  Q2 is diagonal, and zero on the boundary rows.
     """
     n, nch = pencil.grid.n, pencil.n_channels
-    dim, rows = nch * n, _face_rows(n, nch)
-    a, q1, b = (k[:dim].copy() for k in (pencil.k0, pencil.k1, pencil.k2))
-    for q, k in ((a, pencil.k0), (q1, pencil.k1), (b, pencil.k2)):
-        q[rows] = k[dim:]
-    if nch == 2:
-        a[:n, n:] = q1[:n, n:]
-        b[n:, :n] = q1[n:, :n]
+    dim = nch * n
+    src = np.arange(dim)               # the stack row each square row comes from
+    src[_face_rows(n, nch)] = np.arange(dim, dim + 2 * nch)
+    a, b = pencil.k0[src], pencil.k2[src]
+    if nch == 2:                       # only Q1's off-diagonal blocks are copied
+        a[:n, n:] = pencil.k1[src[:n], n:]
+        b[n:, :n] = pencil.k1[src[n:], :n]
     return a, b
 
 

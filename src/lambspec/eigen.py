@@ -19,7 +19,10 @@ left vectors follow from them; the 2n reference is read only through
 MATCH_TOL and takes eigenvalues alone.  A traction-free plate is
 symmetric under reflection through its midplane, so there the pencil
 splits into symmetric and antisymmetric half-size blocks, each solved on
-its own; the block fixes the parity label exactly.  Raw eigenpairs are
+its own; the block fixes the parity label exactly.  The blocks' solves
+(up to two at 2n and two at n) are independent, and solve_modes can run
+them on threads (_run_tasks): their LAPACK calls go through ctypes,
+which releases the GIL for each call.  Raw eigenpairs are
 filtered by two-resolution agreement and normalized in the energy metric
 with a fixed phase convention.  One tolerance, DEFECT_PAIR_TOL, decides
 when two computed eigenvalues are one: a defective eigenvalue splits in
@@ -33,6 +36,8 @@ biorthogonal pairing, which modal expansions do not go through.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -221,14 +226,15 @@ class _Block(NamedTuple):
     """Finite eigenvalues of one shift-invert block with its eigenvectors.
 
     parity is the reflection family of the block, or None for an
-    operator solved whole; left holds the companion's full-length left
-    eigenvectors column by column, u the pencil's right vectors (the
-    displacement rows of the companion states (u, z u)).
+    operator solved whole; y holds the square pencil's full-length left
+    null vectors column by column (_companion_left makes the companion's
+    from them), u its right vectors (the displacement rows of the
+    companion states (u, z u)).
     """
 
     parity: str | None
     z: np.ndarray
-    left: np.ndarray
+    y: np.ndarray
     u: np.ndarray
 
 
@@ -326,17 +332,16 @@ def _scaled_block(a: np.ndarray, b: np.ndarray, pairing):
     return a * r[:, None], b * r[:, None], r
 
 
-def _shift_invert(a: np.ndarray, b: np.ndarray, pairing):
-    """(sigma, factors, K^T, r) for K = R B (R (A + sigma B))^-1 on one block.
+def _shift_invert(a: np.ndarray, b: np.ndarray):
+    """(sigma, factors, K^T) for K = B (A + sigma B)^-1 on one block (A, B).
 
-    R A and R B are the block of _scaled_block, and sigma = s^2 for the
-    first s of REFERENCE_SHIFTS whose LU passes the RCOND_MIN gate.  K's
-    rows vanish where B's do, so the infinite eigenvalues are exact zeros;
-    its eigenvalues theta give lam = sigma - 1/theta.  K^T comes from one
-    transposed solve with the LU.  A left vector l of K gives the lam
-    form's left vector z = R l.
+    A and B are a block of _scaled_block, R A and R B, and sigma = s^2 for
+    the first s of REFERENCE_SHIFTS whose LU passes the RCOND_MIN gate.
+    K's rows vanish where B's do, so the infinite eigenvalues are exact
+    zeros; its eigenvalues theta give lam = sigma - 1/theta.  K^T comes
+    from one transposed solve with the LU.  A left vector l of K gives the
+    lam form's left vector z = R l.
     """
-    a, b, r = _scaled_block(a, b, pairing)
     for shift in REFERENCE_SHIFTS:
         sigma = shift * shift
         factors = _shifted_lu(a, b, -sigma, RCOND_MIN)
@@ -345,8 +350,7 @@ def _shift_invert(a: np.ndarray, b: np.ndarray, pairing):
     else:
         raise ValueError("every shift in REFERENCE_SHIFTS lies on the spectrum "
                          "(LU reciprocal condition below RCOND_MIN)")
-    k_t = _lapack.getrs(*factors, b.T, trans="T")
-    return sigma, factors, k_t, r
+    return sigma, factors, _lapack.getrs(*factors, b.T, trans="T")
 
 
 def _finite(theta: np.ndarray) -> np.ndarray:
@@ -428,64 +432,126 @@ def _pair_ritz(a: np.ndarray, b: np.ndarray, lam: np.ndarray, x: np.ndarray,
     return lam, np.vstack([x1 * c[0], x3 * c[1]]), np.vstack([z1 * d[0], z3 * d[1]])
 
 
-def _eigensolve(op: DiscreteOperator) -> list:
-    """Finite spectrum of m V = z E V with both vector sets, one _Block per block.
+def _form(pencil: DiscretePencil) -> tuple:
+    """(A, B, split): the lam form (discretize._lambda_form) and the index
+    where its v3 rows start, after u1 = mu x1 (0 for the scalar channel)."""
+    return (*_lambda_form(pencil), pencil.grid.n if pencil.n_channels == 2 else 0)
 
-    Each block of the lam form (discretize._lambda_form) is shift-inverted
-    (_shift_invert), and one eigensolve of K^T gives both vector sets: its
-    right vectors, conjugated and scaled by R, are the left vectors z of
-    A + lam B, and its left vectors, conjugated, are K's right vectors
-    R (A + sigma B) x, so one solve with the same LU gives x.  A folded
-    block's x unfold with S, its z with T.  Each finite lam, refined by
-    _pair_ritz, gives mu = +-sqrt(lam) with u = (mu x1, x3) and the
-    pencil's left vector y = (z1 / conj(mu), z3); the block holds u and
-    the companion's left vectors (_companion_left).
+
+def _mode_block(op: DiscreteOperator, form: tuple, parity, pairing) -> _Block:
+    """Finite spectrum of one block of m V = z E V, with both vector sets.
+
+    form is op's lam form (_form).  The block (_scaled_block on pairing)
+    is shift-inverted (_shift_invert), and one eigensolve of K^T gives both
+    vector sets: its right vectors, conjugated and scaled by R, are the
+    left vectors z of A + lam B, and its left vectors, conjugated, are K's
+    right vectors R (A + sigma B) x, so one solve with the same LU gives
+    x.  A folded block's x unfold with S, its z with T.  Each finite lam,
+    refined by _pair_ritz, gives mu = +-sqrt(lam) with u = (mu x1, x3) and
+    the pencil's left vector y = (z1 / conj(mu), z3).
     """
-    pencil = op.pencil
+    a, b, split = form
     dim = op.mask.size // 2
-    split = pencil.grid.n if pencil.n_channels == 2 else 0  # u1 = mu x1 comes first
-    a, b = _lambda_form(pencil)
-    out = []
-    for parity, pairing in _pairings(pencil):
-        sigma, factors, k_t, r = _shift_invert(a, b, pairing)
-        theta, vl, vr = _lapack.geev(k_t, vectors=True, overwrite_a=True)
-        keep = _finite(theta)
-        x = _lapack.getrs(*factors, np.conj(vl[:, keep]))
-        y = np.conj(vr[:, keep]) * r[:, None]
-        del vl, vr
-        if pairing is not None:
-            r, q, s, t = pairing
-            x, y = _unfold(x, r, q, s, dim), _unfold(y, r, q, t, dim)
-        lam = sigma - 1.0 / theta[keep]
-        if pencil.n_channels == 2:
-            lam, x, y = _pair_ritz(a, b, lam, x, y)
-        mu = _both_signs(lam)
-        u, y = np.hstack([x, x]), np.hstack([y, y])
-        if split:  # the scalar channel's vectors may be real
-            u[:split] *= mu
-            y[:split] /= np.conj(mu)
-        out.append(_Block(parity, mu, _companion_left(a, b, split, mu, y), u))
-    return out
+    ra, rb, r = _scaled_block(a, b, pairing)
+    sigma, factors, k_t = _shift_invert(ra, rb)
+    del ra, rb
+    theta, vl, vr = _lapack.geev(k_t, vectors=True, overwrite_a=True)
+    keep = _finite(theta)
+    x = _lapack.getrs(*factors, np.conj(vl[:, keep]))
+    y = np.conj(vr[:, keep]) * r[:, None]
+    del vl, vr
+    if pairing is not None:
+        rep, mir, s, t = pairing
+        x, y = _unfold(x, rep, mir, s, dim), _unfold(y, rep, mir, t, dim)
+    lam = sigma - 1.0 / theta[keep]
+    if split:
+        lam, x, y = _pair_ritz(a, b, lam, x, y)
+    mu = _both_signs(lam)
+    u, y = np.hstack([x, x]), np.hstack([y, y])
+    if split:  # the scalar channel's vectors may be real
+        u[:split] *= mu
+        y[:split] /= np.conj(mu)
+    return _Block(parity, mu, y, u)
 
 
-def _reference_spectrum(pencil: DiscretePencil) -> list:
-    """Finite eigenvalues mu of each reflection block of the problem at resolution 2n.
+def _reference_blocks(pencil: DiscretePencil) -> list:
+    """Each reflection block [R A, R B] of the lam form at resolution 2n.
 
-    Only the 2n pencil is built, and from it the lam form; the reference
-    is read only through MATCH_TOL, so each block's K^T from _shift_invert
-    gets an eigenvalues-only eigensolve.  One array per block, in the block
-    order of _pairings.
+    Only the 2n pencil is built, and from it the lam form, which is freed
+    once every block is folded and row-scaled (_scaled_block), before any
+    block is solved.  One list per block, in the block order of _pairings,
+    for _reference_eigenvalues to empty.
     """
     fine = _channel_pencil(pencil.material,
                            chebyshev_grid(2 * pencil.grid.n, pencil.grid.h),
                            pencil.bc, pencil.coefficients)
     a, b = _lambda_form(fine)
-    out = []
-    for _parity, pairing in _pairings(fine):
-        sigma, _factors, k_t, _r = _shift_invert(a, b, pairing)
-        theta = _lapack.geev(k_t, overwrite_a=True)
-        out.append(_both_signs(sigma - 1.0 / theta[_finite(theta)]))
-    return out
+    pairings = _pairings(fine)
+    del fine                           # the 2n stacks go before any block is folded
+    return [list(_scaled_block(a, b, pairing)[:2]) for _parity, pairing in pairings]
+
+
+def _reference_eigenvalues(block: list) -> np.ndarray:
+    """Finite eigenvalues mu of one 2n block [R A, R B], which this empties.
+
+    The reference is read only through MATCH_TOL, so K^T from _shift_invert
+    gets an eigenvalues-only eigensolve, and the block and the LU are freed
+    before it.
+    """
+    sigma, factors, k_t = _shift_invert(*block)
+    block.clear()
+    del factors
+    theta = _lapack.geev(k_t, overwrite_a=True)
+    return _both_signs(sigma - 1.0 / theta[_finite(theta)])
+
+
+def _run_tasks(tasks: list, threads: int) -> list:
+    """The results of tasks, zero-argument callables, in task order.
+
+    Up to threads threads, the calling one among them, take the tasks in
+    list order, and a task's entry is cleared as it is taken.  Once a task
+    raises, no thread takes another, and the exception of the earliest
+    task that raised is raised: every task before it was taken and ran, so
+    it is the exception a serial loop raises.  Every thread started here
+    is joined before this returns or raises.
+    """
+    results, errors = [None] * len(tasks), {}
+    order, lock = iter(range(len(tasks))), threading.Lock()
+    stop = False
+
+    def work():
+        nonlocal stop
+        while True:
+            with lock:
+                k = None if stop else next(order, None)
+            if k is None:
+                return
+            task, tasks[k] = tasks[k], None
+            try:
+                results[k] = task()
+            except BaseException as exc:
+                with lock:
+                    errors[k], stop = exc, True
+                return
+            del task
+
+    helpers = []
+    for _ in range(min(threads, len(tasks)) - 1):
+        helper = threading.Thread(target=work)
+        try:
+            helper.start()
+        except RuntimeError:           # no thread to spare: fewer take the tasks
+            break
+        helpers.append(helper)
+    try:
+        work()
+    finally:
+        stop = True
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _coincide(a, b, tol: float) -> np.ndarray:
@@ -544,10 +610,10 @@ def classify_parity(v: np.ndarray, grid: Grid) -> str:
     return PARITY_MIXED
 
 
-def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
+def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8, threads: int = 1) -> ModeSet:
     """Solve, filter, normalize, and classify the discrete spectrum.
 
-    Eigenpairs come from _eigensolve, whose block label each mode inherits;
+    Eigenpairs come from _mode_block, whose block label each mode inherits;
     the clamped plate is solved whole and its modes are PARITY_MIXED by
     structure (a profile of either parity clamped on one face would be
     clamped and traction-free on the other too, and so vanish).  A pair is
@@ -559,17 +625,34 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
     normalized to unit energy norm, phase-fixed, and sorted by (|beta|,
     Re beta, Im beta): every beta has its exact negative and conjugate, so
     the |beta| ties of a group are bitwise and the row order is fixed.
-    A block's columns are normalized at once, then placed in sort order.
-    The 2n reference runs first, before the eigenvectors are held.
+    A block's columns are normalized at once, then placed in sort order,
+    and only the retained columns get companion left vectors.
+
+    The blocks' shift-invert solves are independent: the 2n reference
+    blocks, then the n-level blocks, are the tasks of _run_tasks on up to
+    threads threads.  Each block's LAPACK calls are the same whichever
+    thread makes them, so the result is the same bits at any thread count.
+    The 2n lam form is freed before any block is solved, and each block's
+    vectors once its retained columns are taken.
     """
-    dim = op.pencil.n_channels * op.pencil.grid.n
-    references = _reference_spectrum(op.pencil)
-    blocks = _eigensolve(op)
+    pencil = op.pencil
+    dim = pencil.n_channels * pencil.grid.n
+    tasks = [functools.partial(_reference_eigenvalues, block)
+             for block in _reference_blocks(pencil)]
+    form = _form(pencil)
+    tasks += [functools.partial(_mode_block, op, form, parity, pairing)
+              for parity, pairing in _pairings(pencil)]
+    solved = _run_tasks(tasks, threads)
+    # one reference per block: both levels split on the same pairings
+    references, blocks = solved[:len(solved) // 2], solved[len(solved) // 2:]
+    del solved
+    raw_count = sum(int(block.z.size) for block in blocks)
     kept, vs = [], []
-    for block, reference in zip(blocks, references):
+    while blocks:  # each block's vectors are freed once its columns are taken
+        block, reference = blocks.pop(0), references.pop(0)
         cols = np.flatnonzero(_two_resolution_matches(block.z, reference))
         cols = cols[np.linalg.norm(block.u[:, cols], axis=0) != 0.0]
-        res = pencil_residual(op.pencil, block.z[cols], block.u[:, cols])
+        res = pencil_residual(pencil, block.z[cols], block.u[:, cols])
         cols, res = cols[res <= accept_tol], res[res <= accept_tol]
         z, u1 = block.z[cols], block.u[:, cols]
         big_v = np.vstack([u1, u1 * z])
@@ -577,11 +660,12 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
                                           _real_matmul(op.gram, big_v))))
         top = big_v[np.argmax(np.abs(big_v[:dim]), axis=0), np.arange(cols.size)]
         big_v *= np.abs(top) / top
-        kept.append((cols, res))
+        kept.append((block.parity or PARITY_MIXED, z, block.y[:, cols], res))
         vs.append(big_v)
+        del block, u1
 
-    sizes = [cols.size for cols, _res in kept]
-    mu = np.concatenate([block.z[cols] for block, (cols, _res) in zip(blocks, kept)])
+    sizes = [z.size for _parity, z, _y, _res in kept]
+    mu = np.concatenate([z for _parity, z, _y, _res in kept])
     beta = mu / 1j
     order = np.lexsort((beta.imag, beta.real, np.abs(beta)))
     at = np.split(np.argsort(order), np.cumsum(sizes)[:-1])  # each block's sorted places
@@ -591,13 +675,12 @@ def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8) -> ModeSet:
     for places in at:
         states[:, places] = vs.pop(0)
     left = np.empty_like(states)
-    for block, (cols, _res), places in zip(blocks, kept, at):
-        left[:, places] = block.left[:, cols]
+    for (_parity, z, y, _res), places in zip(kept, at):
+        left[:, places] = _companion_left(*form, z, y)
     return ModeSet(mu=mu[order], states=states, left=left,
-                   residuals=np.concatenate([res for _cols, res in kept])[order],
-                   parity=np.repeat([b.parity or PARITY_MIXED for b in blocks], sizes)[order],
-                   op=op, accept_tol=float(accept_tol),
-                   raw_count=sum(int(block.z.size) for block in blocks))
+                   residuals=np.concatenate([res for *_rest, res in kept])[order],
+                   parity=np.repeat([parity for parity, *_rest in kept], sizes)[order],
+                   op=op, accept_tol=float(accept_tol), raw_count=raw_count)
 
 
 def _cluster_indices(zs: np.ndarray, tol: float):

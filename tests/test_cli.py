@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from lambspec.cli import (
     ENTRY_MAX,
     ConfigError,
     _closure_defects,
+    _step_threads,
     _sweep_workers,
     parse_config,
     run,
@@ -418,11 +420,11 @@ def test_failing_step_gives_the_serial_result(tmp_path, capsys, monkeypatch, fai
     omegas = list(np.linspace(2.0, 2.5, 6))
     solve = cli._solve
 
-    def flaky(config, material=None):
+    def flaky(config, material=None, threads=None):
         step = omegas.index(material.omega)
         if step in failing:
             raise ValueError(f"step {step} failed")
-        return solve(config, material)
+        return solve(config, material, threads)
 
     monkeypatch.setattr(cli, "_solve", flaky)
     results = []
@@ -477,10 +479,10 @@ def test_worker_that_ends_without_a_report_exits_1(tmp_path, capsys, monkeypatch
     test_pid = os.getpid()
     solve = cli._solve
 
-    def dying(config, material=None):
+    def dying(config, material=None, threads=None):
         if os.getpid() != test_pid:
             end()
-        return solve(config, material)
+        return solve(config, material, threads)
 
     monkeypatch.setattr(cli, "_solve", dying)
     _use_cpus(monkeypatch, 2)
@@ -494,7 +496,7 @@ def test_worker_that_ends_without_a_report_exits_1(tmp_path, capsys, monkeypatch
 def test_interrupted_sweep_kills_and_reaps_its_workers(tmp_path, monkeypatch):
     test_pid = os.getpid()
 
-    def interrupted(config, material=None):
+    def interrupted(config, material=None, threads=None):
         if os.getpid() != test_pid:
             time.sleep(60)       # a worker still busy when the parent stops
         raise KeyboardInterrupt
@@ -512,10 +514,10 @@ def test_unexpected_error_propagates_once_the_workers_are_reaped(tmp_path, monke
     test_pid = os.getpid()
     solve = cli._solve
 
-    def broken(config, material=None):
+    def broken(config, material=None, threads=None):
         if os.getpid() == test_pid:
             raise RuntimeError("unexpected")
-        return solve(config, material)
+        return solve(config, material, threads)
 
     monkeypatch.setattr(cli, "_solve", broken)
     _use_cpus(monkeypatch, 2)
@@ -536,6 +538,67 @@ def test_sweep_worker_cap():
     # the longest sweep parse_config accepts at that size still gets both
     longest = (MEMORY_BUDGET - solve) // (4096 * CSV_ROW_BYTES)
     assert _sweep_workers(64, longest, 1024) == 2
+
+
+def test_step_threads_share_the_cpus_among_the_workers():
+    # a worker per CPU leaves each step one thread; fewer steps than CPUs
+    # give each worker the CPUs no other worker takes
+    assert _step_threads(1, 1) == 1
+    assert _step_threads(2, 2) == 1
+    assert _step_threads(4, 3) == 1
+    assert _step_threads(4, 2) == 2
+    assert _step_threads(64, 3) == 21
+    # the benchmark's 41-step sweep on 2 CPUs solves every step on one thread
+    assert _step_threads(2, _sweep_workers(2, 41, 32)) == 1
+    assert _step_threads(4, _sweep_workers(4, 2, 32)) == 2
+
+
+def _spy_solve_threads(monkeypatch) -> list:
+    """Record the thread count of every solve_modes call the CLI makes."""
+    solve_modes, seen = cli.solve_modes, []
+
+    def spy(op, accept_tol=1e-8, threads=1):
+        seen.append(threads)
+        return solve_modes(op, accept_tol=accept_tol, threads=threads)
+
+    monkeypatch.setattr(cli, "solve_modes", spy)
+    return seen
+
+
+@pytest.mark.parametrize(("command", "solves"), [("modes", 1), ("verify", 2)])
+def test_one_operating_point_solves_on_every_cpu(tmp_path, capsys, monkeypatch, command,
+                                                 solves):
+    # verify solves the Lamb and the SH channel
+    path = write_config(tmp_path, {"n_colloc": 16})
+    seen = _spy_solve_threads(monkeypatch)
+    _use_cpus(monkeypatch, 1)
+    code = run([command, "--config", path])
+    serial = capsys.readouterr()
+    _use_cpus(monkeypatch, 3)
+    assert run([command, "--config", path]) == code
+    assert capsys.readouterr() == serial
+    assert seen == [1] * solves + [3] * solves
+
+
+def test_no_solve_thread_is_alive_at_a_fork(tmp_path, capsys, monkeypatch):
+    # 2 steps on 4 CPUs: 2 workers, each step solved on 2 threads.  The
+    # parent forks its worker before it solves, and each solve joins its
+    # threads, so every fork sees only the threads the run began with
+    path = _sweep_config(tmp_path, 2)
+    _use_cpus(monkeypatch, 1)
+    assert run(["dispersion", "--config", path]) == 0
+    serial = capsys.readouterr()
+    fork, alive = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: alive.append(threading.active_count()) or fork())
+    seen = _spy_solve_threads(monkeypatch)
+    _use_cpus(monkeypatch, 4)
+    before = threading.active_count()
+    assert run(["dispersion", "--config", path]) == 0
+    assert capsys.readouterr() == serial
+    assert alive == [before]
+    assert seen == [2]                 # the parent's step; the child's is its own
+    assert threading.active_count() == before
+    _assert_no_process_left()
 
 
 def test_sweep_under_warnings_as_errors_writes_nothing_to_stderr(tmp_path):

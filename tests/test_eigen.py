@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -27,10 +32,13 @@ from lambspec.eigen import (
     REFERENCE_SHIFTS,
     _cluster_indices,
     _coincide,
-    _eigensolve,
+    _companion_left,
     _fold,
+    _form,
+    _mode_block,
     _pairings,
-    _reference_spectrum,
+    _reference_blocks,
+    _reference_eigenvalues,
     _relation_residuals,
     _try_extend,
     _two_resolution_matches,
@@ -48,6 +56,18 @@ from reference_data import (
     bijection_defect,
     one_sided_match,
 )
+
+
+def _eigensolve(op) -> list:
+    """The n-level blocks of solve_modes, solved one after another."""
+    form = _form(op.pencil)
+    return [_mode_block(op, form, parity, pairing) for parity, pairing in _pairings(op.pencil)]
+
+
+def _reference_spectrum(pencil) -> list:
+    """The 2n reference eigenvalues of solve_modes, block by block, one after another."""
+    return [_reference_eigenvalues(block) for block in _reference_blocks(pencil)]
+
 
 # ----------------------------------------------------------------------
 # benchmark solve invariants
@@ -149,9 +169,9 @@ def test_split_spectrum_matches_unsplit(bench, n, n_channels):
         small = np.abs(block.z) <= 30.0
         scale = np.linalg.norm(op.m) * np.linalg.norm(vr, axis=0)
         assert np.all(np.linalg.norm(defect, axis=0)[small] <= 1e-12 * scale[small])
-        # and the unfolded left vectors of the same QZ are its left
-        # eigenvectors: w^H m = z w^H E
-        vl = block.left
+        # and the companion left vectors built from the unfolded left null
+        # vectors of the same eigensolve are its left eigenvectors: w^H m = z w^H E
+        vl = _companion_left(*_form(op.pencil), block.z, block.y)
         defect = vl.conj().T @ op.m - (vl.conj().T * op.mask) * block.z[:, None]
         scale = np.linalg.norm(op.m) * np.linalg.norm(vl, axis=0)
         assert np.all(np.linalg.norm(defect, axis=1)[small] <= 1e-12 * scale[small])
@@ -645,6 +665,140 @@ def test_eigensolve_shifts_all_on_the_spectrum_raise(bench, monkeypatch):
     with pytest.raises(ValueError, match="every shift in REFERENCE_SHIFTS"):
         _eigensolve(op)
     assert calls == [(z, True) for z in real]
+
+
+# ----------------------------------------------------------------------
+# the blocks solved on threads
+
+
+_MODE_SET_ARRAYS = ("mu", "states", "left", "residuals", "parity")
+
+
+def _same_mode_sets(first, second) -> bool:
+    return (first.raw_count == second.raw_count
+            and all(np.array_equal(getattr(first, name), getattr(second, name))
+                    for name in _MODE_SET_ARRAYS))
+
+
+@pytest.mark.parametrize("omega, n, bc, n_channels", [
+    (3.0, 32, BCKind.FREE_FREE, 2),
+    (3.0, 32, BCKind.CLAMPED_FREE, 2),
+    (3.0, 64, BCKind.FREE_FREE, 1),
+    (ZGV_OMEGA, 64, BCKind.FREE_FREE, 2),
+], ids=["free-free", "clamped", "sh", "zgv"])
+def test_solve_modes_is_the_same_bits_at_any_thread_count(omega, n, bc, n_channels):
+    op = assemble_operator(make_material(2.0, 1.0, 1.0, 1.0, omega), n, bc,
+                           n_channels=n_channels)
+    before = threading.active_count()
+    serial = solve_modes(op)
+    assert len(serial) > 0
+    for threads in (2, 4):
+        assert _same_mode_sets(solve_modes(op, threads=threads), serial)
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_reference_shift_on_the_spectrum_moves_to_the_next_at_any_thread_count(
+        bench, monkeypatch, threads):
+    # the 2n antisymmetric block refuses the first shift and takes the next
+    # whichever thread solves it; the LUs tried are the serial run's
+    op = assemble_operator(bench, 24, BCKind.FREE_FREE)
+    antisymmetric = _qz_reference(op.pencil)[1]
+    on_spectrum = float(antisymmetric[antisymmetric.imag == 0.0].real.max())
+    monkeypatch.setattr(eigen, "REFERENCE_SHIFTS", (on_spectrum,) + REFERENCE_SHIFTS)
+    calls = _spy_shifted_lu(monkeypatch)
+    serial = solve_modes(op)
+    serial_calls = sorted(calls)
+    assert (on_spectrum, True) in serial_calls
+    calls.clear()
+    before = threading.active_count()
+    assert _same_mode_sets(solve_modes(op, threads=threads), serial)
+    assert sorted(calls) == serial_calls
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("level", ["reference", "n-level"])
+def test_shifts_all_on_the_spectrum_raise_at_any_thread_count(bench, monkeypatch, threads,
+                                                              level):
+    # every shift on the 2n spectrum fails the reference block, every shift
+    # on the n spectrum the n-level block: the same named ValueError at any
+    # thread count, and no thread outlives the call
+    op = assemble_operator(bench, 16, BCKind.CLAMPED_FREE)
+    whole = (_qz_reference(op.pencil) if level == "reference" else _qz_blocks(op))[0]
+    real = np.sort(whole[(whole.imag == 0.0) & (whole.real > 0.0)].real)[:2]
+    assert real.size == 2
+    monkeypatch.setattr(eigen, "REFERENCE_SHIFTS", tuple(real))
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="every shift in REFERENCE_SHIFTS"):
+        solve_modes(op, threads=threads)
+    assert threading.active_count() == before
+
+
+def test_no_task_is_taken_after_a_task_raises():
+    # two threads take tasks 0 and 1; task 0 raises while task 1 still
+    # runs, so neither thread may take task 2 or any later one
+    started, raised, ran = threading.Event(), threading.Event(), []
+
+    def failing():
+        assert started.wait(10)
+        raised.set()
+        raise ValueError("task 0 failed")
+
+    def slow():
+        started.set()
+        assert raised.wait(10)
+        time.sleep(0.2)            # the failure is recorded meanwhile
+        return 1
+
+    tasks = [failing, slow] + [functools.partial(ran.append, k) for k in range(2, 6)]
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="task 0 failed"):
+        eigen._run_tasks(tasks, 2)
+    assert ran == []
+    assert threading.active_count() == before
+
+
+def test_every_task_runs_once_under_contention():
+    # more threads than CPUs, switching as often as the interpreter allows:
+    # a task taken twice or a result lost would break the counts
+    runs = [0] * 400
+
+    def task(k):
+        runs[k] += 1
+        return k
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            runs[:] = [0] * len(runs)
+            before = threading.active_count()
+            results = eigen._run_tasks([functools.partial(task, k) for k in range(len(runs))], 16)
+            assert results == list(range(len(runs)))
+            assert runs == [1] * len(runs)
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_earliest_failing_task_raises():
+    # task 2 fails first and task 1 after it: the error is task 1's, the
+    # one a serial loop meets first
+    for threads in (2, 3):
+        second_failed = threading.Event()
+
+        def first():
+            assert second_failed.wait(10)
+            raise ValueError("task 1 failed")
+
+        def second():
+            second_failed.set()
+            raise ValueError("task 2 failed")
+
+        with pytest.raises(ValueError, match="task 1 failed"):
+            eigen._run_tasks([lambda: 0, first, second], threads)
+    assert eigen._run_tasks([functools.partial(int, k) for k in range(5)], 3) == [0, 1, 2, 3, 4]
 
 
 def test_biorthogonalize_rejects_an_empty_mode_set(bench):

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import ctypes
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lambspec
 from lambspec import _heap, cli
 
 
@@ -38,6 +43,53 @@ def test_block_the_heap_cannot_hold_is_mapped():
     assert _mallinfo().hblkhd - before >= held.nbytes
     small = np.ones(_heap.MMAP_THRESHOLD // 16)
     assert _mallinfo().hblkhd - before < held.nbytes + small.nbytes
+
+
+_ARENAS = """
+import ctypes, sys, tempfile, threading
+from lambspec import _heap
+if sys.argv[1] == "policy":
+    assert _heap.map_large_arrays()
+libc = ctypes.CDLL(None)
+libc.malloc.argtypes, libc.malloc.restype = [ctypes.c_size_t], ctypes.c_void_p
+libc.free.argtypes = [ctypes.c_void_p]
+libc.fopen.argtypes, libc.fopen.restype = [ctypes.c_char_p, ctypes.c_char_p], ctypes.c_void_p
+libc.fclose.argtypes = [ctypes.c_void_p]
+libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+go = threading.Barrier(3)
+def work():
+    go.wait()           # every thread allocates while the others are alive
+    libc.free(libc.malloc(4096))
+    go.wait()
+threads = [threading.Thread(target=work) for _ in range(3)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+with tempfile.NamedTemporaryFile("r") as report:
+    stream = libc.fopen(report.name.encode(), b"w")
+    libc.malloc_info(0, stream)
+    libc.fclose(stream)
+    print(report.read().count("<heap nr="))
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "malloc_info"), reason="needs glibc malloc")
+def test_threads_share_one_arena():
+    # glibc gives each new thread that allocates an arena of its own; the
+    # policy keeps one, so solve threads reuse the one heap's free memory
+    src = str(Path(lambspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def arenas(mode):
+        proc = subprocess.run([sys.executable, "-c", _ARENAS, mode], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    assert arenas("default") > 1
+    assert arenas("policy") == _heap.ARENAS == 1
 
 
 def test_policy_without_mallopt_does_nothing(monkeypatch):
