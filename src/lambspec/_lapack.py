@@ -9,7 +9,10 @@ what its scipy.linalg counterpart gives on the same LAPACK:
 - geev on a real matrix, eigenvalues only or with left and right vectors
   (scipy's eigvals and eig);
 - potrs, real, and trtrs, real and complex: solves with a Cholesky
-  factor (scipy's cho_solve and solve_triangular).
+  factor (scipy's cho_solve and solve_triangular);
+- gesdd, real and complex, singular values only: the dense 2-norms of
+  the analysis module (numpy's svd with compute_uv=False, which makes the
+  same call, and scipy's svdvals).
 
 Symbols are found by dlsym on the handle of numpy.linalg._umath_linalg,
 which reaches whatever LAPACK numpy itself links: the names tried are
@@ -20,8 +23,11 @@ numpy build that exports none of them falls back to the LP64 function
 pointers scipy.linalg.cython_lapack publishes, the same routines through
 C wrappers that take no character lengths; scipy is imported only then.
 The source is resolved once, on import, so the thread policy of _blas
-sees the library it loads.  Arrays handed to LAPACK are Fortran-ordered
-float64 or complex128; results come back Fortran-ordered, as scipy's do.
+sees the library it loads.  ctypes releases the GIL for the length of
+each call, so calls on different threads run at the same time, which
+numpy.linalg's do not at the sizes the package uses.  Arrays handed to
+LAPACK are Fortran-ordered float64 or complex128; results come back
+Fortran-ordered, as scipy's do.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 _ROUTINES = ("dgetrf", "zgetrf", "dgecon", "zgecon", "dgetrs", "zgetrs",
-             "dgeev", "dpotrs", "dtrtrs", "ztrtrs")
+             "dgeev", "dpotrs", "dtrtrs", "ztrtrs", "dgesdd", "zgesdd")
 _PREFIXES = ("", "scipy_")
 _SUFFIXES = ("_64_", "_64", "_", "")
 
@@ -89,11 +95,14 @@ def source() -> Lapack:
 source()
 
 
-def _call(name: str, *args) -> int:
-    """Call one routine with every argument by reference; return its info >= 0.
+def _call(name: str, *args, rejects_nan: int = 0) -> int:
+    """Call one routine with every argument by reference; return its info.
 
     A str is a Fortran character, an array passes its data, a float is a
-    double and any other number an integer of the source's width.
+    double and any other number an integer of the source's width.  A
+    negative info names an illegal argument and raises ValueError, except
+    -rejects_nan: a routine that refuses a NaN in that argument reports it
+    so, and the caller maps it.
     """
     lapack = source()
     refs = []
@@ -109,7 +118,7 @@ def _call(name: str, *args) -> int:
     info = lapack.integer(0)
     lengths = [ctypes.c_size_t(1)] * sum(isinstance(arg, str) for arg in args)
     lapack.routines[name](*refs, ctypes.byref(info), *(lengths if lapack.char_lengths else ()))
-    if info.value < 0:
+    if info.value < 0 and info.value != -rejects_nan:
         raise ValueError(f"illegal value in argument {-info.value} of LAPACK {name}")
     return info.value
 
@@ -245,3 +254,32 @@ def trtrs(a: np.ndarray, b, lower: bool = False, trans: str = "N",
     if info > 0:
         raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return x
+
+
+def gesdd(a, overwrite_a: bool = False) -> np.ndarray:
+    """The singular values of the m x n matrix a, in descending order.
+
+    The singular-values-only call (JOBZ = N) that numpy's svd makes with
+    compute_uv=False, on the same Fortran-ordered copy and with LAPACK's
+    optimal workspace from a query, so the values are its bits.  As there,
+    a NaN in a (which LAPACK rejects before it starts) or a failure to
+    converge raises LinAlgError.
+    """
+    dtype, kind = _kind(a)
+    a = _operand(a, dtype, overwrite_a)
+    if a.ndim != 2:
+        raise ValueError(f"expected an m x n matrix, not an array of {a.ndim} dimensions")
+    m, n = a.shape
+    k = min(m, n)
+    s, query, unused = np.empty(k), np.empty(1, dtype), np.empty(1, dtype)
+    # the real-valued workspace of zgesdd: 7 min(m, n) is enough for any LAPACK version
+    rwork = (np.empty(7 * k),) if kind == "z" else ()
+    iwork = np.empty(8 * k, dtype=source().integer)
+    args = ("N", m, n, a, max(1, m), s, unused, 1, unused, 1)
+    _call(kind + "gesdd", *args, query, -1, *rwork, iwork)
+    lwork = int(query[0].real)
+    info = _call(kind + "gesdd", *args, np.empty(lwork, dtype), lwork, *rwork, iwork,
+                 rejects_nan=4)
+    if info:
+        raise LinAlgError("SVD did not converge")
+    return s

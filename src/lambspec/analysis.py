@@ -36,6 +36,7 @@ maps theta to pi - theta: ray 0 to itself, rays 1 and 2 to rays 4 and 3
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,7 @@ from .eigen import (
     _coincide,
     _fold,
     _pairings,
+    _run_tasks,
     _scaled_block,
     _shifted_lu,
 )
@@ -154,7 +156,8 @@ def in_sector(beta: complex, theta0: float) -> bool:
 
 
 def _probe_blocks(op: DiscreteOperator) -> list:
-    """(a, b, split, h, c) for each block of eigen._pairings, set up once per scan.
+    """(a, b, split, h, c) for each block of eigen._pairings, set up once per
+    scan, and once per operator for resolvent_norms (_operator_blocks).
 
     a, b are the folded, row-scaled lam form (eigen._scaled_block), which
     lists its split u1 indices first; h = [L1^H; L2^H] and c = L2^H L1^-H
@@ -210,9 +213,16 @@ def _resolvent_probe(blocks: list, z: complex, rcond_min: float):
         del x
         t[size:] *= z
         t[size:, :size] -= c
-        op_norms.append(float(np.linalg.norm(t, 2)))
         hs_norms.append(float(np.linalg.norm(t, "fro")))
+        op_norms.append(_norm2(t))
     return max(op_norms), float(np.linalg.norm(hs_norms))
+
+
+def _norm2(a: np.ndarray) -> float:
+    """The 2-norm of the matrix a, its largest singular value, which a may be
+    overwritten to find: the bits of np.linalg.norm(a, 2), through the
+    GIL-free _lapack.gesdd."""
+    return float(_lapack.gesdd(a, overwrite_a=True)[0])
 
 
 def resolvent_norms(op: DiscreteOperator, z: complex):
@@ -222,14 +232,25 @@ def resolvent_norms(op: DiscreteOperator, z: complex):
     |z|^2 finite, since the probe factors at z^2.  The LU stays backward
     stable at an eigenvalue, so nothing fails there; the norms just grow
     without bound (resolvent_scan skips such probes by their reciprocal
-    condition).
+    condition).  The blocks are set up on the first call for op and reused
+    by every later one (_operator_blocks).
     """
     if not np.isfinite(z) or z == 0:
         raise ValueError("z must be finite and nonzero")
     z = complex(z)
     if not np.isfinite(z.real * z.real + z.imag * z.imag):
         raise ValueError("|z|^2 must be finite (|z| below about 1.34e154)")
-    return _resolvent_probe(_probe_blocks(op), z, 0.0)
+    return _resolvent_probe(_operator_blocks(op), z, 0.0)
+
+
+def _operator_blocks(op: DiscreteOperator) -> list:
+    """_probe_blocks(op), set up on the first call for op and then kept in
+    op's instance dict, where its cached properties live: the blocks go
+    when op goes, and no module state holds either."""
+    kept = vars(op)
+    if "_probe_blocks" not in kept:
+        kept["_probe_blocks"] = _probe_blocks(op)
+    return kept["_probe_blocks"]
 
 
 def _checked_moduli(moduli) -> tuple:
@@ -246,7 +267,8 @@ def _checked_moduli(moduli) -> tuple:
     return moduli
 
 
-def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan:
+def resolvent_scan(op: DiscreteOperator, theta0: float, moduli,
+                   threads: int = 1) -> ResolventScan:
     """Probe the resolvent norms on the five rays at the given moduli.
 
     Validates 2 pi/5 < theta0 < pi/2, which puts every ray direction, and
@@ -265,22 +287,29 @@ def resolvent_scan(op: DiscreteOperator, theta0: float, moduli) -> ResolventScan
     because m, E and G are real and P m P = -m, P E P = E, P G P = G for
     the state reflection P (module docstring).  Their rows, skips
     included, are copies of rows 2 and 1.
+
+    The probes are independent: they are the tasks of eigen._run_tasks,
+    in (ray, modulus) order, on up to threads threads.  Their LAPACK calls,
+    the 2-norm's SVD among them (_norm2), go through ctypes and release
+    the GIL, and each is the same on any thread, so the scan is the same
+    bits at any thread count.
     """
     if not (THETA0_MIN < theta0 < THETA0_MAX):
         raise ValueError("theta0 outside the admissible interval (2*pi/5, pi/2)")
     moduli = _checked_moduli(moduli)
     blocks = _probe_blocks(op)
     rays = five_rays()
+    probes = _run_tasks([functools.partial(_resolvent_probe, blocks,
+                                           mod * np.exp(1j * theta), RCOND_MIN)
+                         for theta in rays[:3] for mod in moduli], threads)
     norms = np.full((len(rays), len(moduli)), np.nan)
     hs = np.full_like(norms, np.nan)
     gated = np.zeros(norms.shape, dtype=bool)
-    for j, theta in enumerate(rays[:3]):
-        for k, mod in enumerate(moduli):
-            probe = _resolvent_probe(blocks, mod * np.exp(1j * theta), RCOND_MIN)
-            if probe is None:
-                gated[j, k] = True
-            else:
-                norms[j, k], hs[j, k] = probe
+    for (j, k), probe in zip(np.ndindex(3, len(moduli)), probes):
+        if probe is None:
+            gated[j, k] = True
+        else:
+            norms[j, k], hs[j, k] = probe
     for rows in (norms, hs, gated):
         rows[3:] = rows[2:0:-1]
     skipped = tuple((int(j), moduli[k]) for j, k in zip(*np.nonzero(gated)))
@@ -531,17 +560,22 @@ def _eliminated_operator(op: DiscreteOperator):
     return t, z.T @ (op.gram @ z)
 
 
-def adjoint_defect(op: DiscreteOperator) -> float:
+def adjoint_defect(op: DiscreteOperator, threads: int = 1) -> float:
     """Relative energy-norm distance between the constrained operator and
     its gram adjoint.
 
     The boundary rows are eliminated (_eliminated_operator, valid for the
     traction-free in-plane problem), the reduced operator T is transformed
     into the metric where the gram is the identity, and |S - S^H| / |S| is
-    returned; zero would mean the operator is self-adjoint in the energy product.
+    returned; zero would mean the operator is self-adjoint in the energy
+    product.  The two 2-norms (_norm2) are two tasks of eigen._run_tasks on
+    up to threads threads; the quotient is the same bits at any count.
     """
     t, gram_y = _eliminated_operator(op)
     chol = np.linalg.cholesky(gram_y)
     # L^H T L^-H, the similarity taking gram-metric norms to Euclidean
     s = chol.conj().T @ _lapack.trtrs(chol.conj().T, t.conj().T, trans="C").conj().T
-    return float(np.linalg.norm(s - s.conj().T, 2) / np.linalg.norm(s, 2))
+    del t, gram_y, chol
+    skew, whole = _run_tasks([functools.partial(_norm2, s - s.conj().T),
+                              functools.partial(_norm2, s)], threads)
+    return skew / whole

@@ -26,15 +26,17 @@ is written with 17 significant digits, and every subcommand runs on one
 BLAS thread whatever the environment asks for (`_blas.one_thread`), so
 identical configs give byte-identical output at any BLAS thread count.
 A solve runs its independent eigensolves on one thread per CPU (_solve),
-a sweep step on the CPUs its worker has to itself (_step_threads); each
-eigensolve's LAPACK calls are the same on any thread.  A sweep's worker
-processes each run the serial code path on the one BLAS thread they
-inherit.  So the output depends on neither the thread nor the worker
-count.  A run fixes the process's malloc thresholds and keeps one malloc
-arena (`_heap.map_large_arrays`), so repeated solves reuse the heap
-instead of handing it back and faulting it in again.  Exit codes: 0
-success, 1 failed verification or runtime error, 2 config violation or
-an unwritable --out (the message names the constraint).
+a sweep step on the CPUs its worker has to itself (_step_threads).  A
+resolvent scan runs its probes on one thread per CPU up to a memory cap
+(_probe_threads), and the adjoint defect its two norms on one per CPU;
+each LAPACK call is the same on any thread.  A sweep's worker processes
+each run the serial code path on the one BLAS thread they inherit.  So
+the output depends on neither the thread nor the worker count.  A run
+fixes the process's malloc thresholds and keeps one malloc arena
+(`_heap.map_large_arrays`), so repeated solves reuse the heap instead of
+handing it back and faulting it in again.  Exit codes: 0 success, 1
+failed verification or runtime error, 2 config violation or an
+unwritable --out (the message names the constraint).
 """
 
 from __future__ import annotations
@@ -86,12 +88,17 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "run", "ma
 THETA0_DEFAULT = 0.45 * np.pi
 
 #: memory one subcommand may take.  The largest path is verify: its
-#: tracemalloc peak is about twelve 4n x 4n float64 arrays (11.7-12.5 at n =
-#: 64 and 128 on both plates), set by the adjoint defect (free-free) or the
-#: resolvent scan (clamped); modes peaks at 6.8-9.3, in solve_modes, at 1, 2
-#: or 4 solve threads alike.  The bound allows 32
+#: tracemalloc peak is about twelve 4n x 4n float64 arrays (11.7-13.1 at n =
+#: 64 and 128 on both plates, on one thread), set by the adjoint defect
+#: (free-free) or the resolvent scan (clamped); modes peaks at 6.8-9.3, in
+#: solve_modes, at 1, 2 or 4 solve threads alike.  Each resolvent probe in
+#: flight beside the first adds 4.3-4.6 arrays on the clamped plate (up to
+#: 0.4 free-free), so verify reads 25-27 with PROBE_THREADS_MAX probes in
+#: flight.  The bound allows 32
 MEMORY_BUDGET = 4 * 2 ** 30
 N_COLLOC_MAX = math.isqrt(MEMORY_BUDGET // (32 * 16 * 8))
+#: the most resolvent probes one scan runs at once, whatever the CPU count
+PROBE_THREADS_MAX = 4
 #: one solve_modes peak in 4n x 4n float64 arrays: 5.8 free-free and 8.3-8.4
 #: clamped (n = 64 and 128, whatever the thread count; the clamped peak is
 #: the reference match of its one block), 9.3 with a modes run around it,
@@ -307,6 +314,12 @@ def _csv(header, lines) -> str:
 def _cpus() -> int:
     """How many CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _probe_threads() -> int:
+    """How many threads run a resolvent scan's probes: one per CPU, up to
+    PROBE_THREADS_MAX, since each probe in flight holds its own arrays."""
+    return min(_cpus(), PROBE_THREADS_MAX)
 
 
 def _solve(config: RunConfig, material: Material | None = None,
@@ -552,7 +565,8 @@ def _scan_moduli(config: RunConfig, modes) -> tuple:
 
 def _cmd_resolvent(config: RunConfig) -> str:
     modes = _solve(config)
-    scan = resolvent_scan(modes.op, config.theta0, _scan_moduli(config, modes))
+    scan = resolvent_scan(modes.op, config.theta0, _scan_moduli(config, modes),
+                          threads=_probe_threads())
     skipped = set(scan.skipped)
     lines = [f"{j},{_fmt(theta)},{_fmt(modulus)},{_fmt(scan.norms[j, k])},"
              f"{_fmt(scan.hs_norms[j, k])},{int((j, modulus) in skipped)}"
@@ -656,7 +670,8 @@ def _verify_checks(config: RunConfig) -> list:
     coercivity = coercivity_scan(forms, 0.5, 200, seed=config.seed)
     check("coercivity_constant", coercivity.c_const, 0.0, coercivity.c_const > 0.0)
 
-    scan = resolvent_scan(op, config.theta0, _scan_moduli(config, modes))
+    scan = resolvent_scan(op, config.theta0, _scan_moduli(config, modes),
+                          threads=_probe_threads())
     check("resolvent_skipped_probes", len(scan.skipped), 0, not scan.skipped)
     ratio = 0.0
     for j in range(scan.norms.shape[0]):
@@ -673,7 +688,7 @@ def _verify_checks(config: RunConfig) -> list:
         # the boundary rows can be solved for the U2 face values only
         # when every one of them reaches U2, i.e. for traction rows on
         # both faces (analysis._eliminated_operator)
-        defect = adjoint_defect(op)
+        defect = adjoint_defect(op, threads=_cpus())
         check("adjoint_defect", defect, 0.01, defect >= 0.01)
 
     frac = np.inf

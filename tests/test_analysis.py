@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -338,6 +342,86 @@ def test_resolvent_norms_rejects_non_finite_z(bench_op, monkeypatch):
     for bad in (1e160, 1e160j, 1e160 * np.exp(0.9j * np.pi), complex(1.3e154, 0.4e154)):
         with pytest.raises(ValueError, match=r"\|z\|\^2 must be finite"):
             resolvent_norms(bench_op, bad)
+
+
+def _scan_cases(bench, bench_modes):
+    """(operator, moduli) of scans on both plates, one of them with a gated probe."""
+    mu = next(mu for mu in bench_modes.mu[:2] if abs(np.angle(mu) - five_rays()[0]) <= 1e-12)
+    return [(assemble_operator(bench, 24, BCKind.FREE_FREE), (0.3, 1.1, 4.0, 15.0)),
+            (assemble_operator(bench, 24, BCKind.CLAMPED_FREE), (0.3, 1.1, 4.0, 15.0)),
+            (bench_modes.op, (abs(mu), 2.0))]
+
+
+def test_resolvent_scan_is_the_same_bits_at_any_thread_count(bench, bench_modes):
+    # the probes are tasks of eigen._run_tasks and come back in probe
+    # order; the third case skips its probe on the spectrum at any count
+    before = threading.active_count()
+    for op, moduli in _scan_cases(bench, bench_modes):
+        serial = resolvent_scan(op, THETA0, moduli)
+        for threads in (2, 4):
+            scan = resolvent_scan(op, THETA0, moduli, threads=threads)
+            assert np.array_equal(scan.norms, serial.norms, equal_nan=True)
+            assert np.array_equal(scan.hs_norms, serial.hs_norms, equal_nan=True)
+            assert scan.skipped == serial.skipped
+            assert threading.active_count() == before
+    assert serial.skipped == ((0, moduli[0]),)
+
+
+def test_adjoint_defect_is_the_same_bits_at_any_thread_count(bench_op):
+    before = threading.active_count()
+    serial = adjoint_defect(bench_op)
+    assert serial == pytest.approx(ADJOINT_DEFECT_VALUE, rel=1e-10)
+    for threads in (2, 4):
+        assert adjoint_defect(bench_op, threads=threads) == serial
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_failing_probe_raises_the_serial_error_at_any_thread_count(bench, monkeypatch,
+                                                                   threads):
+    # probes 2 and 4 of 6 raise: the error is probe 2's, the first a serial
+    # scan meets, and no thread outlives the scan
+    calls = []
+
+    def failing(blocks, z, rcond_min):
+        calls.append(z)
+        if len(calls) in (3, 5):
+            raise ValueError(f"probe at {z}")
+        return _resolvent_probe(blocks, z, rcond_min)
+
+    op, moduli = assemble_operator(bench, 17, BCKind.FREE_FREE), (1.0, 3.0)
+    third = moduli[0] * np.exp(1j * five_rays()[1])
+    monkeypatch.setattr(analysis, "_resolvent_probe", failing)
+    before = threading.active_count()
+    with pytest.raises(ValueError) as raised:
+        resolvent_scan(op, THETA0, moduli, threads=threads)
+    assert str(raised.value) == f"probe at {third}"
+    assert threading.active_count() == before
+
+
+def test_resolvent_norms_sets_up_the_blocks_once_per_operator(bench, monkeypatch):
+    # criteria 06 and 07 probe one operator many times; its blocks are set
+    # up on the first call and go with the operator
+    calls = []
+
+    def spy(op):
+        calls.append(op)
+        return _probe_blocks(op)
+
+    monkeypatch.setattr(analysis, "_probe_blocks", spy)
+    op, other = (assemble_operator(bench, 17, bc) for bc in (BCKind.FREE_FREE,
+                                                             BCKind.CLAMPED_FREE))
+    zs = (1.5 * np.exp(1j * five_rays()[1]), 4.0 * np.exp(1j * five_rays()[2]))
+    first = [resolvent_norms(op, z) for z in zs]
+    assert [resolvent_norms(op, z) for z in zs] == first
+    assert first == [_resolvent_probe(_probe_blocks(op), z, 0.0) for z in zs]
+    resolvent_norms(other, zs[0])
+    assert len(calls) == 2 and calls[0] is op and calls[1] is other
+    calls.clear()
+    gone = weakref.ref(op)
+    del op
+    gc.collect()
+    assert gone() is None
 
 
 def _companion_probe(op, z):

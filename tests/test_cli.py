@@ -580,6 +580,55 @@ def test_one_operating_point_solves_on_every_cpu(tmp_path, capsys, monkeypatch, 
     assert seen == [1] * solves + [3] * solves
 
 
+@pytest.mark.parametrize(("command", "bc", "expected"), [
+    ("verify", "free-free", {"resolvent_scan": [1, 3, 4], "adjoint_defect": [1, 3, 8]}),
+    ("verify", "clamped-free", {"resolvent_scan": [1, 3, 4]}),
+    ("resolvent", "free-free", {"resolvent_scan": [1, 3, 4]}),
+])
+def test_analysis_runs_on_every_cpu(tmp_path, capsys, monkeypatch, command, bc, expected):
+    # one thread per CPU, the scan's probes up to PROBE_THREADS_MAX, and
+    # the same bytes at any count
+    path = write_config(tmp_path, {"n_colloc": 16, "bc": bc})
+    seen = {name: [] for name in ("resolvent_scan", "adjoint_defect")}
+    for name, calls in seen.items():
+        def spy(*args, threads, _real=getattr(cli, name), _calls=calls):
+            _calls.append(threads)
+            return _real(*args, threads=threads)
+        monkeypatch.setattr(cli, name, spy)
+    outputs = []
+    for cpus in (1, 3, 8):
+        _use_cpus(monkeypatch, cpus)
+        outputs.append((run([command, "--config", path]), capsys.readouterr()))
+    assert outputs[1] == outputs[2] == outputs[0]
+    assert {name: calls for name, calls in seen.items() if calls} == expected
+
+
+def test_verify_takes_no_two_norm_through_numpy(tmp_path, capsys, monkeypatch):
+    # the 2-norms go through _lapack.gesdd, whose calls run on threads at
+    # once; numpy's svd and norm(x, 2) would hold the GIL
+    taken = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def svd_spy(*args, **kwargs):
+        taken.append("svd")
+        return svd(*args, **kwargs)
+
+    def norm_spy(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            taken.append("norm 2")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "norm", norm_spy)
+    for bc in ("free-free", "clamped-free"):
+        run(["verify", "--config", write_config(tmp_path, {"n_colloc": 32, "bc": bc})])
+        assert json.loads(capsys.readouterr().out)["checks"]
+    assert taken == []
+    np.linalg.norm(np.eye(2), 2)
+    np.linalg.svd(np.eye(2), compute_uv=False)
+    assert taken == ["norm 2", "svd"]
+
+
 def test_no_solve_thread_is_alive_at_a_fork(tmp_path, capsys, monkeypatch):
     # 2 steps on 4 CPUs: 2 workers, each step solved on 2 threads.  The
     # parent forks its worker before it solves, and each solve joins its
@@ -768,7 +817,7 @@ def test_verify_reports_failure_with_exit_1(tmp_path, capsys):
 
 def test_verify_adjoint_defect_can_fail(tmp_path, capsys, monkeypatch):
     # an operator self-adjoint in the energy product would read 0
-    monkeypatch.setattr(cli, "adjoint_defect", lambda op: 0.005)
+    monkeypatch.setattr(cli, "adjoint_defect", lambda op, threads: 0.005)
     path = write_config(tmp_path)
     assert run(["verify", "--config", path]) == 1
     payload = json.loads(capsys.readouterr().out)

@@ -205,3 +205,51 @@ def test_cli_results_do_not_follow_the_source(tmp_path, capsys, monkeypatch, bc)
     checks, fb_checks = json.loads(verify)["checks"], json.loads(fb_verify)["checks"]
     assert [(c["name"], c["pass"]) for c in checks] == [(c["name"], c["pass"]) for c in fb_checks]
     assert checks[0] == fb_checks[0] and checks[0]["name"] == "retained_modes"
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(30, 30), (40, 25), (25, 40), (252, 252)],
+                         ids=["square", "tall", "wide", "square-252"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_gesdd_gives_the_singular_values_bitwise(source, dtype, shape, order):
+    # numpy's svd and scipy's svdvals make the same gesdd call, each on the
+    # LAPACK its own library links; the wrapper gives that library's bits
+    a = _matrix(np.random.default_rng(7), shape[0], dtype, order, cols=shape[1])
+    copy = a.copy()
+    got = _lapack.gesdd(a)
+    np.testing.assert_array_equal(a, copy)
+    assert got.dtype == np.float64 and got.shape == (min(shape),)
+    by_numpy = np.linalg.svd(a, compute_uv=False)
+    by_scipy = scipy.linalg.svdvals(a)
+    if source.name == "scipy.linalg.cython_lapack":
+        np.testing.assert_array_equal(got, by_scipy)
+        np.testing.assert_allclose(got, by_numpy, rtol=RTOL)
+    else:
+        np.testing.assert_array_equal(got, by_numpy)
+        np.testing.assert_allclose(got, by_scipy, rtol=RTOL)
+    # overwrite_a lets LAPACK work in a Fortran-ordered input, and copies any other
+    f = np.array(a, order="F")
+    np.testing.assert_array_equal(_lapack.gesdd(f, overwrite_a=True), got)
+    assert not np.array_equal(f, a)
+    if order == "C":
+        np.testing.assert_array_equal(_lapack.gesdd(a, overwrite_a=True), got)
+        np.testing.assert_array_equal(a, copy)
+
+
+def test_gesdd_rejects_nan_as_numpy_does(source, capfd):
+    # LAPACK refuses a NaN matrix as an illegal argument 4 before it
+    # starts, where numpy's svd reports no convergence; nothing is printed
+    for dtype in (float, complex):
+        a = np.ones((5, 4), dtype=dtype)
+        a[2, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            np.linalg.svd(a, compute_uv=False)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            _lapack.gesdd(a)
+    assert capfd.readouterr().out == ""
+
+
+def test_gesdd_checks_its_argument():
+    with pytest.raises(ValueError, match="expected an m x n matrix"):
+        _lapack.gesdd(np.ones(3))
+    assert _lapack.gesdd(np.ones((0, 3))).shape == (0,)
