@@ -322,38 +322,51 @@ def measured_b(mode_set: ModeSet) -> float:
 
     The largest retained |beta| lying within B_ANGULAR_MARGIN of one of
     the five beta-plane ray directions, stretched by B_SAFETY; 1.0 when
-    no retained eigenvalue comes near any ray.
+    no retained eigenvalue comes near any ray.  Every mode is measured
+    against every direction at once; |beta| is np.hypot of its parts, the
+    bits of abs(beta), which np.abs of a complex array (a vectorized
+    kernel) can miss by an ulp.
     """
     ray_dirs = np.array([2.0 * j * np.pi / 5.0 for j in range(5)])
-    worst = 0.0
-    for beta in mode_set.betas:
-        ang = np.angle(beta)
-        dist = np.min(np.abs(np.angle(np.exp(1j * (ang - ray_dirs)))))
-        if dist <= B_ANGULAR_MARGIN:
-            worst = max(worst, abs(beta))
+    betas = mode_set.betas
+    dist = np.min(np.abs(np.angle(np.exp(1j * (np.angle(betas)[:, None] - ray_dirs)))),
+                  axis=1)
+    near = betas[dist <= B_ANGULAR_MARGIN]
+    worst = float(np.max(np.hypot(near.real, near.imag), initial=0.0))
     return float(B_SAFETY * worst) if worst > 0.0 else 1.0
 
 
-def _field_terms(forms: FormMatrices, v: np.ndarray):
+def _field_terms(forms: FormMatrices, fields: np.ndarray):
     """Quadrature values of the four form terms, from derivative values.
 
-    Evaluating through weighted sums of point values (rather than through
-    the assembled matrices) keeps constant fields exact: their derivative
-    vectors vanish identically, so no cancellation of large stiffness
-    entries can pollute the zero-order terms.
+    fields is one component-stacked profile, whose terms come back as
+    floats, or a stack of them, one per row, whose terms come back as
+    arrays over the rows.  Evaluating through weighted sums of point
+    values (rather than through the assembled matrices) keeps constant
+    fields exact: their derivative vectors vanish identically, so no
+    cancellation of large stiffness entries can pollute the zero-order
+    terms.  Each row is differentiated alone, against d1 cast to complex
+    once: that gives the bits of d1 @ v, which one product d1 @ V over the
+    stack does not.
     """
     a, c, d = forms.coefficients.a, forms.coefficients.c, forms.coefficients.d
     grid = forms.grid
     w = grid.quad_weights
-    v1, v3 = v[:grid.n], v[grid.n:]
-    d1v1, d1v3 = grid.d1 @ v1, grid.d1 @ v3
-    a0 = float(np.sum(w * (a[0, 0] * np.abs(d1v1) ** 2 + a[1, 1] * np.abs(d1v3) ** 2)))
-    plain_mass = float(np.sum(w * (np.abs(v1) ** 2 + np.abs(v3) ** 2)))
-    b_term = float(2.0 * np.real(1j * (
-        d[0, 1] * np.sum(w * np.conj(d1v1) * v3)
-        - d[1, 0] * np.sum(w * np.conj(v1) * d1v3))))
-    c_term = float(np.sum(w * (c[0, 0] * np.abs(v1) ** 2 + c[1, 1] * np.abs(v3) ** 2)))
-    return a0, plain_mass, forms.material.rho * plain_mass, b_term, c_term
+    v = np.atleast_2d(np.asarray(fields, dtype=complex))
+    v1, v3 = v[:, :grid.n], v[:, grid.n:]
+    d1 = grid.d1.astype(complex)
+    d1v1 = np.array([d1 @ row for row in v1])
+    d1v3 = np.array([d1 @ row for row in v3])
+    a0 = np.sum(w * (a[0, 0] * np.abs(d1v1) ** 2 + a[1, 1] * np.abs(d1v3) ** 2), axis=1)
+    plain_mass = np.sum(w * (np.abs(v1) ** 2 + np.abs(v3) ** 2), axis=1)
+    b_term = 2.0 * np.real(1j * (
+        d[0, 1] * np.sum(w * np.conj(d1v1) * v3, axis=1)
+        - d[1, 0] * np.sum(w * np.conj(v1) * d1v3, axis=1)))
+    c_term = np.sum(w * (c[0, 0] * np.abs(v1) ** 2 + c[1, 1] * np.abs(v3) ** 2), axis=1)
+    terms = (a0, plain_mass, forms.material.rho * plain_mass, b_term, c_term)
+    if np.ndim(fields) == 1:
+        return tuple(float(term[0]) for term in terms)
+    return terms
 
 
 def quadratic_form_value(forms: FormMatrices, beta: complex, v: np.ndarray,
@@ -401,8 +414,7 @@ def coercivity_scan(forms: FormMatrices, alpha: float,
     dim = 2 * forms.grid.n
     fields = rng.standard_normal((n_samples, dim)) + 1j * rng.standard_normal((n_samples, dim))
 
-    a0, plain_mass, rho_mass, b_term, c_term = np.array(
-        [_field_terms(forms, v) for v in fields]).T
+    a0, plain_mass, rho_mass, b_term, c_term = _field_terms(forms, fields)
     omega = forms.material.omega
 
     # six points per |a| of the grid, in scan order: a = +-|a|, each with
@@ -445,8 +457,16 @@ def expand_field(source: ModeSet | BiorthogonalSystem, target: np.ndarray, ks) -
     from the target to the span of the first k modes, computed by direct
     projection from one nested QR factorization; the running minimum over
     k is returned, which changes float noise only (nested spans make the
-    exact sequence nonincreasing).
+    exact sequence nonincreasing).  Each call factors the basis afresh;
+    _expand_fields serves several targets from one factorization.
     """
+    return _expand_fields(source, (target,), ks)[0]
+
+
+def _expand_fields(source: ModeSet | BiorthogonalSystem, targets, ks) -> list:
+    """expand_field's report for each of targets, from one QR of the
+    weighted basis: every report has the bits of expand_field on its
+    target alone, and nothing is kept on source."""
     op, count = source.op, source.states.shape[1]
     ks = tuple(int(k) for k in ks)
     if not count:
@@ -456,29 +476,36 @@ def expand_field(source: ModeSet | BiorthogonalSystem, target: np.ndarray, ks) -
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("ks must be strictly increasing")
     dim = op.mask.size // 2
-    target = np.asarray(target, dtype=complex)
-    if target.shape != (dim,):
-        raise ValueError(f"target length must be {dim}, the length of a "
-                         "displacement profile")
-    basis = source.states[:dim]
     # gram is block-diagonal, so its factor is too, and the factor's
     # leading block is the factor of the displacement metric
     chol_h = op.gram_cholesky[:dim, :dim].conj().T
-    t_hat = chol_h @ target
-    t_norm = np.linalg.norm(t_hat)
-    if t_norm == 0.0:
-        raise ValueError("target vanishes in the energy norm")
+    weighted = []
+    for target in targets:
+        target = np.asarray(target, dtype=complex)
+        if target.shape != (dim,):
+            raise ValueError(f"target length must be {dim}, the length of a "
+                             "displacement profile")
+        t_hat = chol_h @ target
+        t_norm = np.linalg.norm(t_hat)
+        if t_norm == 0.0:
+            raise ValueError("target vanishes in the energy norm")
+        weighted.append((t_hat, t_norm))
 
-    q, _ = np.linalg.qr(chol_h @ basis, mode="reduced")
-    proj = q.conj().T @ t_hat
-    residuals = []
-    best = np.inf
-    for k in range(1, ks[-1] + 1):
-        r = np.linalg.norm(t_hat - q[:, :k] @ proj[:k]) / t_norm
-        best = min(best, float(r))
-        if k in ks:
-            residuals.append(best)
-    return ExpansionReport(n_modes_used=ks, residuals=tuple(residuals))
+    q, _ = np.linalg.qr(chol_h @ source.states[:dim], mode="reduced")
+    q_h = q.conj().T
+    wanted = set(ks)
+    reports = []
+    for t_hat, t_norm in weighted:
+        proj = q_h @ t_hat
+        residuals = []
+        best = np.inf
+        for k in range(1, ks[-1] + 1):
+            r = np.linalg.norm(t_hat - q[:, :k] @ proj[:k]) / t_norm
+            best = min(best, float(r))
+            if k in wanted:
+                residuals.append(best)
+        reports.append(ExpansionReport(n_modes_used=ks, residuals=tuple(residuals)))
+    return reports
 
 
 def random_trig_fields(grid, count: int, seed: int,

@@ -59,9 +59,10 @@ from ._blas import one_thread
 from ._heap import map_large_arrays
 from .analysis import (
     _checked_moduli,
+    _expand_fields,
     adjoint_defect,
     coercivity_scan,
-    expand_field,
+    expand_field,  # unused here; perfbench's tracer wraps it by name
     measured_b,
     nonorthogonality_witness,
     random_trig_fields,
@@ -580,12 +581,12 @@ def _expansions(config: RunConfig, modes: ModeSet) -> list:
     """Expansion reports of five seeded targets over k = 1 .. all retained modes.
 
     The targets are random_trig_fields of the config seed, vanishing on
-    the lower face of the clamped plate; modes enter in |beta| order.
+    the lower face of the clamped plate; modes enter in |beta| order.  One
+    factorization of the weighted modes serves all five (_expand_fields).
     """
     targets = random_trig_fields(modes.op.pencil.grid, 5, config.seed,
                                  vanish_lower=config.bc is BCKind.CLAMPED_FREE)
-    ks = tuple(range(1, len(modes) + 1))
-    return [expand_field(modes, target, ks) for target in targets]
+    return _expand_fields(modes, targets, range(1, len(modes) + 1))
 
 
 def _cmd_completeness(config: RunConfig) -> str:
@@ -600,14 +601,20 @@ def _closure_defects(betas: np.ndarray) -> tuple:
 
     A split defective eigenvalue is only sqrt(eps) accurate in each half,
     so each DEFECT_PAIR_TOL group counts by its mean, as solve_modes
-    matches it.  Both read inf on an empty spectrum.
+    matches it.  Every group is measured against every other at once, and
+    1 + |b| takes |b| from np.hypot, the bits of abs(b) (see measured_b).
+    Both read inf on an empty spectrum.
     """
     groups = _cluster_indices(1j * betas, DEFECT_PAIR_TOL)
-    means = np.array([np.mean(betas[list(group)]) for group in groups])
-    conj_d = max((np.min(np.abs(means - np.conj(b))) / (1.0 + abs(b)) for b in means),
-                 default=np.inf)
-    neg_d = max((np.min(np.abs(means + b)) / (1.0 + abs(b)) for b in means),
-                default=np.inf)
+    if not groups:
+        return np.inf, np.inf
+    means = betas[[group[0] for group in groups]]
+    for i, group in enumerate(groups):
+        if len(group) > 1:
+            means[i] = np.mean(betas[list(group)])
+    scale = 1.0 + np.hypot(means.real, means.imag)
+    conj_d = np.max(np.min(np.abs(means - np.conj(means)[:, None]), axis=1) / scale)
+    neg_d = np.max(np.min(np.abs(means + means[:, None]), axis=1) / scale)
     return conj_d, neg_d
 
 
@@ -635,8 +642,8 @@ def _verify_checks(config: RunConfig) -> list:
     if config.bc is BCKind.FREE_FREE:
         # each label comes from its reflection block; a profile without
         # the labelled symmetry means the split itself went wrong
-        unresolved = sum(classify_parity(v, grid) != p
-                         for v, p in zip(modes.states[:op.mask.size // 2].T, modes.parity))
+        labels = classify_parity(modes.states[:op.mask.size // 2], grid)
+        unresolved = np.count_nonzero(labels != modes.parity)
         check("parity_resolved", unresolved, 0, unresolved == 0)
 
     sh_op = assemble_operator(m, config.n_colloc, BCKind.FREE_FREE, n_channels=1)

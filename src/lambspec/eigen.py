@@ -590,24 +590,27 @@ def _two_resolution_matches(z_raw: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
     return matched
 
 
-def classify_parity(v: np.ndarray, grid: Grid) -> str:
+def classify_parity(v: np.ndarray, grid: Grid) -> str | np.ndarray:
     """Reflection parity of a displacement profile v on the symmetric grid.
 
     v is component-stacked.  For the two-component problem, symmetric
     means (v1 odd, v3 even) and antisymmetric the mirrored pattern; a
-    scalar channel is symmetric when even, each up to PARITY_TOL.
+    scalar channel is symmetric when even, each up to PARITY_TOL.  A
+    matrix v holds one profile per column and gets an array of labels,
+    each the label of its column alone.
     """
     v = np.asarray(v)
-    comps = v.reshape(-1, grid.n)
-    scale = float(np.max(np.abs(v)))
-    if scale == 0.0:
-        return PARITY_MIXED
-    mirrored = np.array(_SYMMETRIC_SIGNS[comps.shape[0]])[:, None] * comps[:, ::-1]
-    if np.max(np.abs(comps - mirrored)) <= PARITY_TOL * scale:
-        return PARITY_SYMMETRIC
-    if np.max(np.abs(comps + mirrored)) <= PARITY_TOL * scale:
-        return PARITY_ANTISYMMETRIC
-    return PARITY_MIXED
+    comps = v.reshape(v.shape[0] // grid.n, grid.n, *v.shape[1:])
+    signs = np.array(_SYMMETRIC_SIGNS[comps.shape[0]])
+    mirrored = signs.reshape(-1, *(1,) * (comps.ndim - 1)) * comps[:, ::-1]
+    scale = np.max(np.abs(v), axis=0)
+    tol = PARITY_TOL * scale
+    labels = np.select(
+        [scale == 0.0,
+         np.max(np.abs(comps - mirrored), axis=(0, 1)) <= tol,
+         np.max(np.abs(comps + mirrored), axis=(0, 1)) <= tol],
+        [PARITY_MIXED, PARITY_SYMMETRIC, PARITY_ANTISYMMETRIC], PARITY_MIXED)
+    return labels if v.ndim == 2 else str(labels)
 
 
 def solve_modes(op: DiscreteOperator, accept_tol: float = 1e-8, threads: int = 1) -> ModeSet:
@@ -700,7 +703,12 @@ def _cluster_indices(zs: np.ndarray, tol: float):
         np.minimum.at(low, i, labels[j])
         low = low[low]
         if np.array_equal(low, labels):
-            return [tuple(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)]
+            # a stable sort by label lists each component's members in
+            # order, the components in the order of their first members
+            members = np.argsort(labels, kind="stable")
+            starts = np.flatnonzero(np.diff(labels[members], prepend=-1)).tolist()
+            members = members.tolist()
+            return [tuple(members[a:b]) for a, b in zip(starts, [*starts[1:], len(zs)])]
         labels = low
 
 

@@ -21,6 +21,7 @@ scale moves no zeros and changes no winding numbers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -453,9 +454,10 @@ class StableSolutionReport:
     boundary_det: complex
 
 
-def _cheb_nodes_and_diff(m, a, b):
-    """Barycentric Chebyshev differentiation on [a, b] (oracle-local copy,
-    kept independent of the solver's discretization on purpose)."""
+@functools.cache
+def _unit_cheb(m):
+    """Chebyshev nodes on [-1, 1], ascending, and their barycentric
+    differentiation matrix, built once per node count and read-only."""
     k = np.arange(m)
     x = np.cos(np.pi * k / (m - 1))
     x = 0.5 * (x - x[::-1])[::-1]  # ascending, exactly antisymmetric
@@ -468,6 +470,15 @@ def _cheb_nodes_and_diff(m, a, b):
     d = (wts[None, :] / wts[:, None]) / dx
     np.fill_diagonal(d, 0.0)
     np.fill_diagonal(d, -d.sum(axis=1))
+    x.flags.writeable = False
+    d.flags.writeable = False
+    return x, d
+
+
+def _cheb_nodes_and_diff(m, a, b):
+    """Barycentric Chebyshev differentiation on [a, b] (oracle-local copy,
+    kept independent of the solver's discretization on purpose)."""
+    x, d = _unit_cheb(m)
     nodes = a + 0.5 * (x + 1.0) * (b - a)
     return nodes, d * (2.0 / (b - a))
 

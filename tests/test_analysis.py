@@ -197,7 +197,37 @@ def test_coercivity_scan_equals_loop(omega, n, n_samples):
             _coercivity_loop(forms, 0.5, n_samples, seed)
 
 
-@pytest.mark.parametrize("kwargs", [dict(alpha=1.0), dict(alpha=0.0),
+def _field_terms_alone(forms, v):
+    """The form terms of one field, as computed before fields were stacked."""
+    a, c, d = forms.coefficients.a, forms.coefficients.c, forms.coefficients.d
+    grid, w = forms.grid, forms.grid.quad_weights
+    v1, v3 = v[:grid.n], v[grid.n:]
+    d1v1, d1v3 = grid.d1 @ v1, grid.d1 @ v3
+    a0 = float(np.sum(w * (a[0, 0] * np.abs(d1v1) ** 2 + a[1, 1] * np.abs(d1v3) ** 2)))
+    plain_mass = float(np.sum(w * (np.abs(v1) ** 2 + np.abs(v3) ** 2)))
+    b_term = float(2.0 * np.real(1j * (
+        d[0, 1] * np.sum(w * np.conj(d1v1) * v3)
+        - d[1, 0] * np.sum(w * np.conj(v1) * d1v3))))
+    c_term = float(np.sum(w * (c[0, 0] * np.abs(v1) ** 2 + c[1, 1] * np.abs(v3) ** 2)))
+    return a0, plain_mass, forms.material.rho * plain_mass, b_term, c_term
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_stacked_field_terms_equal_each_field_alone(n):
+    # one pass over a stack of fields gives each field's bits: the
+    # derivatives are per-field products with d1 cast to complex, and the
+    # weighted sums run along each row
+    forms = sesquilinear_forms(make_material(2.0, 1.0, 1.0, 1.0, 3.0), chebyshev_grid(n, 1.0))
+    rng = np.random.default_rng(5)
+    fields = rng.standard_normal((40, 2 * n)) + 1j * rng.standard_normal((40, 2 * n))
+    stacked = np.array(_field_terms(forms, fields)).T
+    for row, v in zip(stacked, fields):
+        alone = _field_terms_alone(forms, v)
+        assert tuple(row) == alone == _field_terms(forms, v)
+    assert all(type(term) is float for term in _field_terms(forms, fields[0]))
+
+
+@pytest.mark.parametrize("kwargs",[dict(alpha=1.0), dict(alpha=0.0),
                                     dict(n_samples=0)])
 def test_coercivity_scan_validation(bench_forms, kwargs):
     args = dict(alpha=0.5, n_samples=10)

@@ -743,6 +743,149 @@ def test_expansions_do_not_build_the_biorthogonal_system(tmp_path, capsys, monke
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"bc": "clamped-free"},
+    {"omega": ZGV_OMEGA},
+], ids=["free-free", "clamped-free", "zgv"])
+def test_expansions_factor_the_basis_once(monkeypatch, overrides):
+    # the five targets share one QR of the weighted modes, and each report
+    # has the bits of expand_field on its target alone; the clamped
+    # targets vanish on the lower face (random_trig_fields' vanish_lower)
+    config = parse_config({**BASE, "n_colloc": 32, **overrides})
+    modes = cli._solve(config)
+    kept = dict(vars(modes))
+    qr, calls = np.linalg.qr, []
+
+    def spy(a, mode="reduced"):
+        calls.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    reports = cli._expansions(config, modes)
+    assert len(calls) == 1 and len(reports) == 5
+    monkeypatch.undo()
+    # nothing is left on the mode set
+    assert vars(modes).keys() == kept.keys()
+    assert all(vars(modes)[name] is value for name, value in kept.items())
+    targets = analysis.random_trig_fields(
+        modes.op.pencil.grid, 5, config.seed,
+        vanish_lower=config.bc is BCKind.CLAMPED_FREE)
+    ks = tuple(range(1, len(modes) + 1))
+    for report, target in zip(reports, targets):
+        alone = analysis.expand_field(modes, target, ks)
+        assert report.n_modes_used == alone.n_modes_used == ks
+        assert report.residuals == alone.residuals
+
+
+def test_expansions_validate_every_target(bench_modes):
+    # a bad target anywhere in the stack fails the whole call before the QR
+    dim = bench_modes.op.mask.size // 2
+    good = np.ones(dim, dtype=complex)
+    with pytest.raises(ValueError, match="vanishes"):
+        analysis._expand_fields(bench_modes, (good, np.zeros(dim)), (1,))
+    with pytest.raises(ValueError, match="target length"):
+        analysis._expand_fields(bench_modes, (good, good[1:]), (1,))
+
+
+# ----------------------------------------------------------------------
+# per-mode checks, against the per-mode loops they replaced
+
+def _classify_parity_loop(v, grid):
+    v = np.asarray(v)
+    comps = v.reshape(-1, grid.n)
+    scale = float(np.max(np.abs(v)))
+    if scale == 0.0:
+        return "mixed"
+    signs = {1: (1.0,), 2: (-1.0, 1.0)}[comps.shape[0]]
+    mirrored = np.array(signs)[:, None] * comps[:, ::-1]
+    if np.max(np.abs(comps - mirrored)) <= 1e-6 * scale:
+        return "symmetric"
+    if np.max(np.abs(comps + mirrored)) <= 1e-6 * scale:
+        return "antisymmetric"
+    return "mixed"
+
+
+def _unresolved_loop(modes):
+    grid = modes.op.pencil.grid
+    return sum(_classify_parity_loop(v, grid) != p
+               for v, p in zip(modes.states[:modes.op.mask.size // 2].T, modes.parity))
+
+
+def _closure_defects_loop(betas):
+    groups = cli._cluster_indices(1j * betas, cli.DEFECT_PAIR_TOL)
+    means = np.array([np.mean(betas[list(group)]) for group in groups])
+    conj_d = max((np.min(np.abs(means - np.conj(b))) / (1.0 + abs(b)) for b in means),
+                 default=np.inf)
+    neg_d = max((np.min(np.abs(means + b)) / (1.0 + abs(b)) for b in means),
+                default=np.inf)
+    return conj_d, neg_d
+
+
+def _measured_b_loop(mode_set):
+    ray_dirs = np.array([2.0 * j * np.pi / 5.0 for j in range(5)])
+    worst = 0.0
+    for beta in mode_set.betas:
+        ang = np.angle(beta)
+        dist = np.min(np.abs(np.angle(np.exp(1j * (ang - ray_dirs)))))
+        if dist <= analysis.B_ANGULAR_MARGIN:
+            worst = max(worst, abs(beta))
+    return float(analysis.B_SAFETY * worst) if worst > 0.0 else 1.0
+
+
+def _array_checks(modes):
+    labels = cli.classify_parity(modes.states[:modes.op.mask.size // 2], modes.op.pencil.grid)
+    return (int(np.count_nonzero(labels != modes.parity)),
+            _closure_defects(modes.betas), cli.measured_b(modes))
+
+
+def _loop_checks(modes):
+    return (_unresolved_loop(modes), _closure_defects_loop(modes.betas),
+            _measured_b_loop(modes))
+
+
+def _one_label_swapped(modes):
+    parity = modes.parity.copy()
+    parity[0] = {"symmetric": "antisymmetric", "antisymmetric": "symmetric"}[parity[0]]
+    return dataclasses.replace(modes, parity=parity)
+
+
+def _one_beta_moved(modes):
+    # beta_1 leaves its partners for twice the largest |beta|, 0.05 off
+    # ray 0, where it sets B
+    mu = modes.mu.copy()
+    mu[1] = 2j * np.max(np.abs(modes.mu)) * np.exp(0.05j)
+    return dataclasses.replace(modes, mu=mu)
+
+
+@pytest.mark.parametrize("case", ["free-free", "clamped-free", "sh", "zgv",
+                                  "label-swapped", "beta-moved"])
+def test_per_mode_checks_equal_their_loops(case, bench_modes, clamped_modes, sh_modes,
+                                           zgv_modes):
+    modes = {"free-free": bench_modes, "clamped-free": clamped_modes, "sh": sh_modes,
+             "zgv": zgv_modes, "label-swapped": _one_label_swapped(bench_modes),
+             "beta-moved": _one_beta_moved(bench_modes)}[case]
+    grid = modes.op.pencil.grid
+    labels = cli.classify_parity(modes.states[:modes.op.mask.size // 2], grid)
+    assert labels.tolist() == [_classify_parity_loop(v, grid)
+                               for v in modes.states[:modes.op.mask.size // 2].T]
+    array_form, loops = _array_checks(modes), _loop_checks(modes)
+    # bit for bit: == on the floats, not approx
+    assert array_form == loops
+    if case == "label-swapped":
+        assert array_form[0] == 1
+    if case == "beta-moved":
+        assert min(array_form[1]) > 1e-6
+        assert array_form[2] != cli.measured_b(bench_modes)
+
+
+def test_per_mode_checks_on_an_empty_spectrum(bench):
+    modes = cli.solve_modes(cli.assemble_operator(bench, 24, BCKind.FREE_FREE),
+                            accept_tol=1e-30)
+    assert len(modes) == 0
+    assert _array_checks(modes) == _loop_checks(modes) == (0, (np.inf, np.inf), 1.0)
+
+
 # ----------------------------------------------------------------------
 # verification gate
 

@@ -257,6 +257,21 @@ def test_classify_parity_synthetic():
     assert classify_parity(even, grid) == PARITY_SYMMETRIC  # scalar channel
 
 
+def test_classify_parity_labels_each_column():
+    grid = chebyshev_grid(16, 1.0)
+    y = grid.nodes
+    odd, even = y, y ** 2
+    profiles = np.column_stack([np.concatenate(pair) for pair in
+                                ((odd, even), (even, odd), (1.0 + y, even), (0 * y, 0 * y))])
+    labels = classify_parity(profiles, grid)
+    assert labels.tolist() == [PARITY_SYMMETRIC, PARITY_ANTISYMMETRIC, PARITY_MIXED,
+                               PARITY_MIXED]
+    assert labels.tolist() == [classify_parity(v, grid) for v in profiles.T]
+    assert classify_parity(np.column_stack([odd, even]), grid).tolist() == [
+        PARITY_ANTISYMMETRIC, PARITY_SYMMETRIC]  # scalar channel
+    assert classify_parity(profiles[:, :0], grid).shape == (0,)
+
+
 # ----------------------------------------------------------------------
 # Jordan chains
 

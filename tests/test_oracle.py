@@ -21,6 +21,7 @@ from lambspec import (
     stable_solution_check,
     winding_number,
 )
+from lambspec import cli, oracle
 from reference_data import (
     ANTI_ROOTS,
     CLAMPED_ROOTS,
@@ -188,6 +189,64 @@ def test_stable_solution_validation(bench):
         stable_solution_check(bench, 2.0 + 0.5j, 0)
     with pytest.raises(ValueError, match="no stable choice"):
         stable_solution_check(bench, 1.0j, 1)
+
+
+def _cheb_loop(m, a, b):
+    """The half-space grid as built before the unit matrix was kept."""
+    k = np.arange(m)
+    x = np.cos(np.pi * k / (m - 1))
+    x = 0.5 * (x - x[::-1])[::-1]
+    wts = np.ones(m)
+    wts[1::2] = -1.0
+    wts[0] *= 0.5
+    wts[-1] *= 0.5
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 1.0)
+    d = (wts[None, :] / wts[:, None]) / dx
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    nodes = a + 0.5 * (x + 1.0) * (b - a)
+    return nodes, d * (2.0 / (b - a))
+
+
+def test_half_space_grid_is_kept_read_only():
+    x, d = oracle._unit_cheb(oracle.STABLE_N_NODES)
+    assert oracle._unit_cheb(oracle.STABLE_N_NODES)[1] is d
+    for array in (x, d):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    fresh = oracle._unit_cheb.__wrapped__(oracle.STABLE_N_NODES)
+    assert np.array_equal(fresh[0], x) and np.array_equal(fresh[1], d)
+    for length in (3.0, 0.3, 3.0 / 9.7):
+        for kept, built in zip(oracle._cheb_nodes_and_diff(oracle.STABLE_N_NODES, 0.0, length),
+                               _cheb_loop(oracle.STABLE_N_NODES, 0.0, length)):
+            assert np.array_equal(kept, built)
+
+
+def test_stable_solution_reports_match_a_fresh_grid(tmp_path, capsys, monkeypatch):
+    # the 40 (beta, gamma) of a seed-0 verify run; n_colloc does not enter
+    # their draw, so a coarse grid keeps the run short
+    calls = []
+
+    def spy(material, beta, gamma):
+        calls.append((material, beta, gamma, stable_solution_check(material, beta, gamma)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(cli, "stable_solution_check", spy)
+    path = tmp_path / "config.json"
+    path.write_text('{"lambda": 2, "mu": 1, "rho": 1, "h": 1, "omega": 3, '
+                    '"n_colloc": 16, "seed": 0}')
+    cli.run(["verify", "--config", str(path)])
+    capsys.readouterr()
+    assert len(calls) == 40
+    monkeypatch.setattr(oracle, "_cheb_nodes_and_diff", _cheb_loop)
+    for material, beta, gamma, report in calls:
+        built = stable_solution_check(material, beta, gamma)
+        assert (report.beta, report.gamma, report.epsilon) == (built.beta, built.gamma,
+                                                               built.epsilon)
+        assert report.ode_residuals == built.ode_residuals
+        assert np.array_equal(report.boundary_matrix, built.boundary_matrix)
+        assert report.boundary_det == built.boundary_det
 
 
 # ----------------------------------------------------------------------
